@@ -8,7 +8,7 @@ as exact zero matrices on every level the truncation can see.
 from fractions import Fraction as F
 
 from yangianpp import Geometry, Params, Representation
-from yangianpp.relations import run_suite
+from yangianpp.relations import OperatorSet, ef_bracket, quad_terms, run_suite
 
 params = Params.make(F(101, 13), F(47, 7), F(7))
 
@@ -17,10 +17,12 @@ g = Geometry("c3", params, 5)
 rep = Representation(g)
 print("basis sizes:", [len(L) for L in rep.basis.levels])
 
-e0, f0 = rep.build_e(0), rep.build_f(0)
-print("e_0 level-0 block:", e0.blocks[0])
-comm = e0.commutator(f0)
+ops = OperatorSet(rep)
+print("e_0 level-0 block:", ops.e(0).blocks[0])
+comm = ef_bracket(ops, 0, 0)
 print("[e_0,f_0] on the vacuum:", comm.entry(0, 0, 0))
+# every relation is one table of (coefficient, word) pairs over the generators
+print("quadratic relation (m,n)=(0,1):", len(quad_terms(0, 1, params.sigma2, params.sigma3)), "words")
 
 reports, shift = run_suite(g, imax=2)
 for r in reports:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import partitions3d as p3
 from . import pyramid as pyr
-from .errors import CapExceeded, DenominatorNotCancelled, Resonance, YangianppError
+from .errors import CapExceeded, DenominatorNotCancelled, RelationFailure, Resonance, YangianppError
 from .exact import Params, parse_rational, random_params, rational_str
 from .relations import full_suite
 from .reps import Geometry, Representation, SparseOperator, detect_shift, dump_operators
@@ -108,9 +107,9 @@ def _verify_operator_file(path, args) -> int:
         data = json.load(fh)
     g = data["geometry"]
     pj = data["params"]
+    mode = pj.get("mode", "rational")
     params = Params.make(
-        parse_rational(pj["h1"]), parse_rational(pj["h2"]), parse_rational(pj["chi"]),
-        mode=pj.get("mode", "rational"),
+        parse_rational(pj["h1"]), parse_rational(pj["h2"]), parse_rational(pj["chi"]), mode=mode
     )
     geometry = Geometry(
         g["kind"], params, g["N"], m=g.get("m", 0), sector=g.get("sector", 0)
@@ -118,9 +117,7 @@ def _verify_operator_file(path, args) -> int:
     rep = Representation(geometry)
     for fam, builder in (("e", rep.build_e), ("f", rep.build_f)):
         for key, opjson in data["operators"][fam].items():
-            fresh = builder(int(key))
-            stored = SparseOperator.from_json(opjson)
-            if fresh.to_json() != stored.to_json():
+            if builder(int(key)).to_json() != SparseOperator.from_json(opjson, mode).to_json():
                 print(
                     f"operator file mismatch: {fam}_{key} disagrees with recomputation",
                     file=sys.stderr,
@@ -302,10 +299,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    workers = os.environ.get("YANGIANPP_THREADS")
-    if workers is not None and (not workers.isdigit() or int(workers) < 1):
-        print("YANGIANPP_THREADS must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except CapExceeded as exc:
@@ -317,6 +310,9 @@ def main(argv=None) -> int:
     except DenominatorNotCancelled as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_KERNEL
+    except RelationFailure as exc:
+        print(f"relation failure: {exc}", file=sys.stderr)
+        return EXIT_RELATION
     except (ValueError, YangianppError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,11 +22,15 @@ class Resonance(YangianppError):
     where distinctness is required."""
 
 
-class InconsistentShift(YangianppError):
+class RelationFailure(YangianppError):
+    """A relation fails in a way that stops its check; exits like a failed check."""
+
+
+class InconsistentShift(RelationFailure):
     """The shift factor of the diagonal series varies across basis vectors."""
 
 
-class SignInconsistent(YangianppError):
+class SignInconsistent(RelationFailure):
     """No single global sign makes the commutator eigenvalues match the
     residue expansion of the diagonal series."""
 

@@ -326,9 +326,6 @@ class LinForm:
     def poles(self):
         return [r for r, e in self.factors if e < 0]
 
-    def zeros(self):
-        return [r for r, e in self.factors if e > 0]
-
     def degree(self) -> int:
         """Degree at infinity: numerator degree minus denominator degree."""
         return sum(e for _, e in self.factors)
@@ -545,14 +542,6 @@ class Params:
     @property
     def sigma3(self):
         return self.h1 * self.h2 * self.h3
-
-    @property
-    def zero(self):
-        return self.h1 * 0
-
-    @property
-    def one(self):
-        return self.h1**0
 
     def to_json(self):
         return {

@@ -1,6 +1,10 @@
 """Exact verification of the shifted-Yangian relation suite on a truncated
 fixed-point representation.
 
+The (coefficient, word) tables of `quad_terms`, `serre_terms` and
+`commutator` are the single statement of each relation; `evaluate` turns a
+table into one operator, and the shuffle check reads the quadratic table.
+
 Every check runs only on the levels where all intermediate compositions stay
 inside the truncation; pass means every checked matrix entry is exactly
 zero.  Reports carry the domain size so an empty domain can never be
@@ -88,17 +92,91 @@ def _nonempty(rep, levels):
     return [n for n in levels if rep.basis.level(n)]
 
 
+def gen(letter):
+    """The one-word table of a single generator."""
+    return [(1, (letter,))]
+
+
+def _table(terms):
+    """Collect (coef, word) pairs: equal words add up, zero sums drop out."""
+    out = {}
+    for c, word in terms:
+        out[word] = out.get(word, 0) + c
+    return [(c, word) for word, c in out.items() if c != 0]
+
+
+def commutator(x, y):
+    """[x, y] = xy - yx for (coef, word) tables x and y."""
+    pairs = [(a * b, u, v) for a, u in x for b, v in y]
+    return _table([(c, u + v) for c, u, v in pairs] + [(-c, v + u) for c, u, v in pairs])
+
+
+def quad_terms(m, n, s2, s3):
+    """The quadratic relation for (m, n) on one family of generators X:
+
+        3[X_{m+2},X_{n+1}] - 3[X_{m+1},X_{n+2}] - [X_{m+3},X_n] + [X_m,X_{n+3}]
+        - s2 ([X_{m+1},X_n] - [X_m,X_{n+1}]) + s3 (X_m X_n + X_n X_m) = 0
+
+    with s2 = sigma2 and s3 = sigma3 for e, s3 = -sigma3 for f.
+    """
+
+    def c(k, i, j):  # k [X_i, X_j]
+        return [(k, (i, j)), (-k, (j, i))]
+
+    return _table(
+        c(3, m + 2, n + 1) + c(-3, m + 1, n + 2) + c(-1, m + 3, n) + c(1, m, n + 3)
+        + c(-s2, m + 1, n) + c(s2, m, n + 1) + [(s3, (m, n)), (s3, (n, m))]
+    )
+
+
+def serre_terms(i1, i2, i3):
+    """The cubic Serre relation: sum over permutations (a, b, c) of
+    (i1, i2, i3) of [X_a, [X_b, X_{c+1}]] = 0."""
+    perms = itertools.permutations((i1, i2, i3))
+    return _table(t for a, b, c in perms for t in commutator(gen(a), commutator(gen(b), gen(c + 1))))
+
+
+def evaluate(terms, get):
+    """The operator sum of c * X_{w0} ... X_{wk}, X_a = get(a), over a nonempty
+    table of distinct words of one length.
+
+    Words are summed by shared prefix, X_a o (sum of the tails after a), so
+    each distinct proper prefix costs one compose.
+    """
+    heads = {}
+    for c, word in terms:
+        heads.setdefault(word[0], []).append((c, word[1:]))
+    out = None
+    for a, tails in heads.items():
+        x, c = get(a), tails[0][0]
+        if tails[0][1]:
+            x, c = x.compose(evaluate(tails, get)), 1
+        if out is None:
+            out = SparseOperator(x.shift)
+        out.accumulate(x, c)
+    return out
+
+
+def ef_bracket(ops, i, j) -> SparseOperator:
+    """[e_i, f_j], with letters ("e", i) and ("f", j) looked up on ops."""
+    return evaluate(commutator(gen(("e", i)), gen(("f", j))), lambda g: getattr(ops, g[0])(g[1]))
+
+
+def _entry(rep, n, shift, tgt, src):
+    """Level, (target, source) indices and labels of one matrix entry."""
+    labels = f"{rep.basis.level(n)[src]!r} -> {rep.basis.level(n + shift)[tgt]!r}"
+    return f"level {n}, entry ({tgt},{src}): {labels}"
+
+
 def _report(relation, start, domain, worst, detail=""):
+    """worst is None or (discrepancy, where) of the first failing cell."""
     dt = time.monotonic() - start
     if domain == 0:
         return RelationReport(relation, "empty-domain", 0, "0", dt)
     if worst is None:
         return RelationReport(relation, "pass", domain, "0", dt, detail)
-    n, (i, j), v = worst
-    return RelationReport(
-        relation, "fail", domain, rational_str(v), dt,
-        detail=f"level {n}, entry ({i},{j})",
-    )
+    v, where = worst
+    return RelationReport(relation, "fail", domain, rational_str(v), dt, detail=where)
 
 
 def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
@@ -106,23 +184,21 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
     start = time.monotonic()
     rep = ops.rep
     levels = _nonempty(rep, range(0, ops.top))  # one raising level of headroom
-    domain = 0
     worst = None
-    by_sum = {}
-    for i in range(imax + 1):
-        for j in range(imax + 1):
-            c = ops.e(i).commutator(ops.f(j))
-            domain += len(levels)
-            od = c.off_diagonal_on(levels)
-            if od is not None and worst is None:
-                worst = od
-            diags = tuple(
-                tuple(c.diagonal(n, len(rep.basis.level(n)))) for n in levels
-            )
-            prev = by_sum.setdefault(i + j, diags)
-            if prev != diags and worst is None:
-                worst = (levels[0], (i, j), 1)
-    return _report("ef-diagonal", start, domain, worst)
+    by_sum = {}  # i + j -> (first bracket with that sum, its eigenvalues)
+    for i, j in itertools.product(range(imax + 1), repeat=2):
+        c = ef_bracket(ops, i, j)
+        name = f"[e_{i},f_{j}]"
+        for n in levels:
+            for (a, b), v in sorted(c.blocks.get(n, {}).items()):
+                if a != b and worst is None:
+                    worst = (v, f"{name} off the diagonal, {_entry(rep, n, 0, a, b)}")
+        diag = [(n, k, v) for n in levels for k, v in enumerate(c.diagonal(n, len(rep.basis.level(n))))]
+        first, prev = by_sum.setdefault(i + j, (name, diag))
+        for (n, k, v), (_, _, u) in zip(diag, prev):
+            if v != u and worst is None:
+                worst = (v - u, f"{name} - {first}, {_entry(rep, n, 0, k, k)}")
+    return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst)
 
 
 def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> RelationReport:
@@ -137,10 +213,9 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
     levels = _nonempty(rep, range(0, ops.top))
     pairs = []  # (level, state index, n, lhs, rhs)
     for nn in range(nmax + 1):
-        comm = ops.e(0).commutator(ops.f(nn))
+        comm = ef_bracket(ops, 0, nn)
         for n in levels:
-            size = len(rep.basis.level(n))
-            diag = comm.diagonal(n, size)
+            diag = comm.diagonal(n, len(rep.basis.level(n)))
             for idx, lab in enumerate(rep.basis.level(n)):
                 rhs = infinity_sign * rep.h_rat(lab).residue_at_infinity(nn)
                 pairs.append((n, idx, nn, diag[idx], rhs))
@@ -158,79 +233,52 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
     worst = None
     for n, idx, nn, lhs, rhs in pairs:
         if lhs != eps * rhs:
-            worst = (n, (idx, nn), lhs - eps * rhs)
+            worst = (lhs - eps * rhs, f"[e_0,f_{nn}], {_entry(rep, n, 0, idx, idx)}")
             break
     return _report("ef-matches-h", start, domain, worst, detail=f"eps={eps:+d}")
 
 
-def _quad_combo(get, m, n, sigma2, sigma3, sigma3_sign):
-    t = get(m + 2).commutator(get(n + 1)).scaled(3)
-    t = t.plus(get(m + 1).commutator(get(n + 2)).scaled(3), sign=-1)
-    t = t.plus(get(m + 3).commutator(get(n)), sign=-1)
-    t = t.plus(get(m).commutator(get(n + 3)))
-    s2 = get(m + 1).commutator(get(n)).plus(get(m).commutator(get(n + 1)), sign=-1)
-    t = t.plus(s2.scaled(-sigma2))
-    return t.plus(get(m).anticommutator(get(n)).scaled(sigma3_sign * sigma3))
+def _check(relation, ops, get, levels, instances):
+    """Every instance's table, evaluated on the generators get(i), must vanish
+    on every nonempty level of `levels`; instances maps a name to a table."""
+    start = time.monotonic()
+    levels = _nonempty(ops.rep, levels)
+    worst = None
+    for name, terms in instances.items():
+        combo = evaluate(terms, get)
+        hit = combo.first_nonzero_on(levels)
+        if hit and worst is None:
+            n, (i, j), v = hit
+            worst = (v, f"{name}, {_entry(ops.rep, n, combo.shift, i, j)}")
+    return _report(relation, start, len(levels) * len(instances), worst)
+
+
+def _quads(imax, s2, s3):
+    pairs = itertools.product(range(imax + 1), repeat=2)
+    return {f"(m,n)=({m},{n})": quad_terms(m, n, s2, s3) for m, n in pairs}
+
+
+def _serres(imax):
+    triples = itertools.combinations_with_replacement(range(imax + 1), 3)
+    return {"(i1,i2,i3)=({},{},{})".format(*t): serre_terms(*t) for t in triples}
 
 
 def check_ee(ops: OperatorSet, imax: int) -> RelationReport:
-    start = time.monotonic()
     p = ops.rep.geometry.params
-    levels = _nonempty(ops.rep, range(0, ops.top - 1))
-    domain = 0
-    worst = None
-    for m in range(imax + 1):
-        for n in range(imax + 1):
-            combo = _quad_combo(ops.e, m, n, p.sigma2, p.sigma3, +1)
-            domain += len(levels)
-            worst = worst or combo.first_nonzero_on(levels)
-    return _report("ee-quadratic", start, domain, worst)
+    return _check("ee-quadratic", ops, ops.e, range(0, ops.top - 1), _quads(imax, p.sigma2, p.sigma3))
 
 
 def check_ff(ops: OperatorSet, imax: int) -> RelationReport:
-    start = time.monotonic()
     p = ops.rep.geometry.params
-    levels = _nonempty(ops.rep, range(2, ops.top + 1))
-    domain = 0
-    worst = None
-    for m in range(imax + 1):
-        for n in range(imax + 1):
-            combo = _quad_combo(ops.f, m, n, p.sigma2, p.sigma3, -1)
-            domain += len(levels)
-            worst = worst or combo.first_nonzero_on(levels)
-    return _report("ff-quadratic", start, domain, worst)
-
-
-def _serre_combo(get, i1, i2, i3):
-    total = None
-    for a, b, c in itertools.permutations((i1, i2, i3)):
-        term = get(a).commutator(get(b).commutator(get(c + 1)))
-        total = term if total is None else total.plus(term)
-    return total
+    return _check("ff-quadratic", ops, ops.f, range(2, ops.top + 1), _quads(imax, p.sigma2, -p.sigma3))
 
 
 def check_serre_e(ops: OperatorSet, imax: int) -> RelationReport:
-    start = time.monotonic()
-    levels = _nonempty(ops.rep, range(0, ops.top - 2))
-    domain = 0
-    worst = None
-    for tri in itertools.combinations_with_replacement(range(imax + 1), 3):
-        combo = _serre_combo(ops.e, *tri)
-        domain += len(levels)
-        worst = worst or combo.first_nonzero_on(levels)
-    return _report("serre-e", start, domain, worst)
+    return _check("serre-e", ops, ops.e, range(0, ops.top - 2), _serres(imax))
 
 
 def check_serre_f(ops: OperatorSet, imax: int) -> RelationReport:
-    start = time.monotonic()
-    levels = _nonempty(ops.rep, range(3, ops.top + 1))
-    domain = 0
-    worst = None
-    for tri in itertools.combinations_with_replacement(range(imax + 1), 3):
-        combo = _serre_combo(ops.f, *tri)
-        domain += len(levels)
-        worst = worst or combo.first_nonzero_on(levels)
-    return _report("serre-f", start, domain, worst)
+    return _check("serre-f", ops, ops.f, range(3, ops.top + 1), _serres(imax))
 
 
 def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
@@ -252,7 +300,7 @@ def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
             tgt = rep.basis.level(n + 1)[ti]
             ratio = rep.h_rat(tgt) / rep.h_rat(src)
             if ratio != box_local_factor(x, g.params) and worst is None:
-                worst = (n, (ti, si), 1)
+                worst = (1, _entry(rep, n, 1, ti, si))
     return _report("psi-e-compat", start, domain, worst)
 
 
@@ -270,7 +318,7 @@ def check_pole_support(rep: Representation) -> RelationReport:
         domain += 1
         h = rep.h_rat(lab)
         if any(e < -1 for _, e in h.factors):
-            worst = worst or (n, (0, 0), 1)
+            worst = worst or (1, f"level {n}: {lab!r}")
             continue
         poles = set(h.poles())
         if g.kind == "c3":
@@ -284,7 +332,7 @@ def check_pole_support(rep: Representation) -> RelationReport:
                 x for _, x in pyr.pair_weights(lab, rep.basis.erc, g.params, "removable")
             }
         if poles != expected and worst is None:
-            worst = (n, (0, 0), 1)
+            worst = (1, f"level {n}: {lab!r}")
     return _report("pole-support", start, domain, worst)
 
 
@@ -340,11 +388,9 @@ def run_suite(geometry: Geometry, imax: int = 2, nmax: int = 3, which=("all",)):
     if want("poles"):
         reports.append(check_pole_support(rep))
     if want("shift"):
-        reports.append(check_shift(rep, expect=expected_shift(geometry)))
-        try:
-            shift = detect_shift(rep)
-        except Exception:
-            shift = None
+        expect = expected_shift(geometry)
+        reports.append(check_shift(rep, expect=expect))
+        shift = expect if reports[-1].passed else None
     return reports, shift
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import InconsistentShift, Resonance
-from .exact import LinForm, Params, parse_rational, rational_str
+from .exact import LinForm, Params, parse_rational, rational_str, to_mode
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,6 @@ class Geometry:
             raise ValueError("conifold geometry needs m >= 1")
         if self.level_cap < 0:
             raise ValueError("level cap must be nonnegative")
-
-    def tag(self) -> str:
-        if self.kind == "c3":
-            return "c3"
-        return f"conifold:{self.m}(sector {self.sector})"
 
     def to_json(self):
         out = {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
@@ -150,44 +145,16 @@ class SparseOperator:
                     out.add_entry(n, i, k, av * bv)
         return out
 
-    def scaled(self, c) -> "SparseOperator":
-        out = SparseOperator(self.shift)
-        for n, blk in self.blocks.items():
+    def accumulate(self, other: "SparseOperator", c):
+        """self += c * other, in place."""
+        for n, blk in other.blocks.items():
             for (i, j), v in blk.items():
-                out.add_entry(n, i, j, c * v)
-        return out
-
-    def plus(self, other: "SparseOperator", sign=1) -> "SparseOperator":
-        if self.shift != other.shift:
-            raise ValueError("shift mismatch in operator sum")
-        out = SparseOperator(self.shift)
-        for src in (self, other):
-            s = sign if src is other else 1
-            for n, blk in src.blocks.items():
-                for (i, j), v in blk.items():
-                    out.add_entry(n, i, j, s * v)
-        return out
-
-    def commutator(self, other: "SparseOperator") -> "SparseOperator":
-        return self.compose(other).plus(other.compose(self), sign=-1)
-
-    def anticommutator(self, other: "SparseOperator") -> "SparseOperator":
-        return self.compose(other).plus(other.compose(self), sign=1)
-
-    def is_zero_on(self, levels) -> bool:
-        return all(not self.blocks.get(n) for n in levels)
+                self.add_entry(n, i, j, c * v)
 
     def first_nonzero_on(self, levels):
         for n in levels:
             for (i, j), v in sorted(self.blocks.get(n, {}).items()):
                 return n, (i, j), v
-        return None
-
-    def off_diagonal_on(self, levels):
-        for n in levels:
-            for (i, j), v in sorted(self.blocks.get(n, {}).items()):
-                if i != j:
-                    return n, (i, j), v
         return None
 
     def diagonal(self, n, size):
@@ -204,12 +171,13 @@ class SparseOperator:
         return {"shift": self.shift, "levels": levels}
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, mode):
+        """Inverse of to_json, reading entries as scalars of `mode`."""
         op = cls(int(obj["shift"]))
         for lev in obj["levels"]:
             n = int(lev["n"])
             for i, j, v in lev["entries"]:
-                op.add_entry(n, int(i), int(j), parse_rational(v))
+                op.add_entry(n, int(i), int(j), to_mode(parse_rational(v), mode))
         return op
 
 
@@ -422,9 +390,6 @@ class Representation:
 
     def h_rat(self, label) -> LinForm:
         return h_rat(label, self.geometry, erc=self.basis.erc)
-
-    def psi(self, label) -> LinForm:
-        return psi_eigen(label, self.geometry, erc=self.basis.erc)
 
 
 def detect_shift(rep):

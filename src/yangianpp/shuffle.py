@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DenominatorNotCancelled
 from .exact import LinForm
-from .relations import RelationReport
+from .relations import RelationReport, quad_terms
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +351,16 @@ def check_c3_ee(params, imax: int, sigma2_sign: int = -1, sigma3_sign: int = +1)
     """
     start = time.monotonic()
     k = Kernel.c3(params)
-    s2, s3 = params.sigma2, params.sigma3
+    s2, s3 = -sigma2_sign * params.sigma2, sigma3_sign * params.sigma3
     domain = 0
     worst = None
     e = SymPoly.power
     for m in range(imax + 1):
         for n in range(imax + 1):
             domain += 1
-            combo = 3 * star_commutator(e(m + 2), e(n + 1), k)
-            combo = combo - 3 * star_commutator(e(m + 1), e(n + 2), k)
-            combo = combo - star_commutator(e(m + 3), e(n), k)
-            combo = combo + star_commutator(e(m), e(n + 3), k)
-            s2term = star_commutator(e(m + 1), e(n), k) - star_commutator(e(m), e(n + 1), k)
-            combo = combo + (sigma2_sign * s2) * s2term
-            combo = combo + (sigma3_sign * s3) * star_anticommutator(e(m), e(n), k)
+            combo = SymPoly(MPoly(2))
+            for c, (a, b) in quad_terms(m, n, s2, s3):
+                combo = combo + c * shuffle_mul(e(a), e(b), k)
             if not combo.is_zero() and worst is None:
                 worst = (0, (m, n), 1)
     dt = time.monotonic() - start

@@ -147,7 +147,40 @@ def test_shuffle_check_kernels(capsys):
         assert all(r["status"] == "pass" for r in blob["relations"])
 
 
-def test_threads_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("YANGIANPP_THREADS", "zero")
-    code, _, err = run(capsys, "enum", "pp", "--max-boxes", "1")
-    assert code == 2
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+def test_rep_check_operator_file_roundtrip_each_mode(tmp_path, capsys, mode):
+    op_file = tmp_path / "ops.json"
+    argv = ["rep", "build", "--geometry", "c3", "--level", "3", "--imax", "1", "--mode", mode]
+    assert main(argv + ["--out", str(op_file)]) == 0
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 0 and "verified" in out, err
+    entries = json.loads(op_file.read_text())["operators"]["e"]["0"]["levels"][0]["entries"]
+    # prime-field entries stay plain residues
+    assert all(("/" in v) == (mode == "rational") for _, _, v in entries)
+
+
+def test_inconsistent_shift_is_relation_failure(monkeypatch, capsys):
+    from yangianpp import cli
+    from yangianpp.errors import InconsistentShift
+
+    def broken(rep):
+        raise InconsistentShift("shift varies across the basis")
+
+    monkeypatch.setattr(cli, "detect_shift", broken)
+    code, _, err = run(capsys, "shift", "--geometry", "c3", "--level", "1")
+    assert code == 1 and "shift varies" in err
+
+
+def test_sign_inconsistent_is_relation_failure(monkeypatch, capsys):
+    from yangianpp import relations
+    from yangianpp.errors import SignInconsistent
+
+    def broken(ops, nmax):
+        raise SignInconsistent("reference states demand opposite global signs")
+
+    monkeypatch.setattr(relations, "check_ef_matches_h", broken)
+    code, _, err = run(
+        capsys, "rep", "check", "--geometry", "c3", "--level", "2", "--imax", "0",
+        "--specializations", "1", "--relations", "ef",
+    )
+    assert code == 1 and "opposite global signs" in err

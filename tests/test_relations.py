@@ -15,9 +15,12 @@ from yangianpp.relations import (
     check_serre_e,
     check_serre_f,
     check_shift,
+    evaluate,
     full_suite,
+    quad_terms,
     run_suite,
 )
+from yangianpp.reps import SparseOperator
 
 
 @pytest.fixture(scope="module")
@@ -111,21 +114,59 @@ def test_conifold_serre_nontrivial_in_sector_two(params):
 def test_wrong_sigma2_sign_fails(c3_ops):
     """Negative control: the quadratic relation with the opposite sigma2 sign
     must not hold (this pins the convention)."""
-    from yangianpp.relations import _quad_combo
-
     p = c3_ops.rep.geometry.params
-    combo = _quad_combo(c3_ops.e, 0, 0, -p.sigma2, p.sigma3, +1)  # flips to +sigma2
+    combo = evaluate(quad_terms(0, 0, -p.sigma2, p.sigma3), c3_ops.e)  # flips to +sigma2
     levels = range(0, c3_ops.top - 1)
-    assert not combo.is_zero_on(levels)
+    assert any(combo.blocks.get(n) for n in levels)
 
 
 def test_wrong_sigma3_sign_fails(c3_ops):
-    from yangianpp.relations import _quad_combo
-
     p = c3_ops.rep.geometry.params
-    combo = _quad_combo(c3_ops.e, 0, 0, p.sigma2, p.sigma3, -1)
+    combo = evaluate(quad_terms(0, 0, p.sigma2, -p.sigma3), c3_ops.e)
     levels = range(0, c3_ops.top - 1)
-    assert not combo.is_zero_on(levels)
+    assert any(combo.blocks.get(n) for n in levels)
+
+
+class _BumpedE0(OperatorSet):
+    """e_0 with its first level-1 entry raised by 1; every other generator as built."""
+
+    def e(self, i):
+        op = super().e(i)
+        if i != 0:
+            return op
+        bumped = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()})
+        bumped.add_entry(1, *min(bumped.blocks[1]), 1)
+        return bumped
+
+
+def test_failing_ee_detail_names_instance_and_level(c3_ops):
+    r = check_ee(_BumpedE0(c3_ops.rep), 1)
+    assert r.status == "fail" and r.discrepancy != "0"
+    assert r.detail.startswith("(m,n)=(0,")
+    assert ", level " in r.detail and "Partition3D" in r.detail and " -> " in r.detail
+
+
+class _ShiftedF1(OperatorSet):
+    """f_1 replaced by f_1 + f_0: [e_i, f_j] stays diagonal, but its
+    eigenvalues no longer depend on i + j alone."""
+
+    def f(self, j):
+        op = super().f(j)
+        if j != 1:
+            return op
+        out = SparseOperator(op.shift)
+        out.accumulate(op, 1)
+        out.accumulate(super().f(0), 1)
+        return out
+
+
+def test_ef_diag_detail_names_level_and_state(c3_ops):
+    r = check_ef_diag(_BumpedE0(c3_ops.rep), 1)
+    assert r.status == "fail"
+    assert r.detail.startswith("[e_0,f_") and ", level " in r.detail
+    r = check_ef_diag(_ShiftedF1(c3_ops.rep), 1)
+    assert r.status == "fail" and r.discrepancy != "0"
+    assert r.detail.startswith("[e_1,f_0] - [e_0,f_1], level 0, entry (0,0)")
 
 
 def test_corrupted_operator_fails_ef(c3_ops):
