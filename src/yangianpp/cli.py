@@ -108,6 +108,8 @@ def _verify_operator_file(path, args) -> int:
     g = data["geometry"]
     pj = data["params"]
     mode = pj.get("mode", "rational")
+    # h1/h2/chi are the source rationals; older prime-field files store
+    # residues instead, which map to the same field elements
     params = Params.make(
         parse_rational(pj["h1"]), parse_rational(pj["h2"]), parse_rational(pj["chi"]), mode=mode
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotRegular, PoleAtPoint, Resonance, RetrySpecialization
@@ -494,7 +494,9 @@ class Params:
 
     h1 + h2 + h3 = 0 always; the conifold aliases are t = h1, q = h2,
     h = h3.  Genericity demands no relation a*h1 + b*h2 = 0 for integers
-    with |a|, |b| <= resonance_bound (not both zero).
+    with |a|, |b| <= resonance_bound (not both zero).  `source` keeps the
+    rationals (h1, h2, chi) that `make` mapped into the mode, so a
+    prime-field specialization serializes as the draw it came from.
     """
 
     h1: object
@@ -503,13 +505,14 @@ class Params:
     chi: object
     mode: str = "rational"
     resonance_bound: int = 64
+    source: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, h1, h2, chi, mode="rational", resonance_bound=64):
         h1, h2, chi = Fraction(h1), Fraction(h2), Fraction(chi)
         _check_generic(h1, h2, resonance_bound)
         h3 = -h1 - h2
-        return cls(
+        params = cls(
             to_mode(h1, mode),
             to_mode(h2, mode),
             to_mode(h3, mode),
@@ -517,6 +520,8 @@ class Params:
             mode,
             resonance_bound,
         )
+        object.__setattr__(params, "source", (h1, h2, chi))
+        return params
 
     # conifold aliases
     @property
@@ -544,18 +549,21 @@ class Params:
         return self.h1 * self.h2 * self.h3
 
     def to_json(self):
+        """The mode and the source rationals (mode values when built directly)."""
+        h1, h2, chi = self.source or (self.h1, self.h2, self.chi)
         return {
             "mode": self.mode,
-            "h1": rational_str(self.h1),
-            "h2": rational_str(self.h2),
-            "h3": rational_str(self.h3),
-            "chi": rational_str(self.chi),
+            "h1": rational_str(h1),
+            "h2": rational_str(h2),
+            "h3": rational_str(-h1 - h2),
+            "chi": rational_str(chi),
         }
 
     def __repr__(self):
+        h1, h2, chi = self.source or (self.h1, self.h2, self.chi)
         return (
-            f"Params(h1={rational_str(self.h1)}, h2={rational_str(self.h2)}, "
-            f"chi={rational_str(self.chi)}, mode={self.mode})"
+            f"Params(h1={rational_str(h1)}, h2={rational_str(h2)}, "
+            f"chi={rational_str(chi)}, mode={self.mode})"
         )
 
 

@@ -121,3 +121,53 @@ def partial_fraction_residue(form, a):
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
     return rows[keys[(a, 1)]][n]
+
+
+def sympy_shuffle(f_terms, v1, g_terms, v2, weights, denominator_exponent):
+    """Shuffle product of f (v1 variables) and g (v2 variables), as {exponent: Fraction}.
+
+    Sums f(x_S) g(x_T) prod_{s in S, t in T} fac(x_s|x_t) over every
+    order-preserving splitting S|T in sympy's field of rational functions,
+    with fac(x|y) = prod_w (x - y + w) / (x - y)^denominator_exponent.  The
+    field reduces every sum to lowest terms by a polynomial gcd, so no
+    common denominator or exact division is written out (sp.cancel on the
+    summed expression takes minutes at four variables).
+    """
+    import sympy as sp
+
+    def q(c):
+        c = Fraction(c)
+        return sp.QQ(c.numerator, c.denominator)
+
+    v = v1 + v2
+    ring, *xs = sp.ring(",".join(f"x{k}" for k in range(v)), sp.QQ)
+    field = ring.to_field()
+
+    def at(terms, vars_):
+        out = ring(0)
+        for e, c in terms.items():
+            mono = ring(q(c))
+            for x, k in zip(vars_, e):
+                mono *= x**k
+            out += mono
+        return out
+
+    total = field(0)
+    for S in combinations(range(v), v1):
+        T = [k for k in range(v) if k not in S]
+        num = at(f_terms, [xs[s] for s in S]) * at(g_terms, [xs[t] for t in T])
+        den = ring(1)
+        for s in S:
+            for t in T:
+                d = xs[s] - xs[t]
+                for w in weights:
+                    num *= d + q(w)
+                den *= d**denominator_exponent
+        total += field(num) / field(den)
+    if not total.denom.is_ground:
+        raise AssertionError(f"denominator {total.denom} did not cancel")
+    lc = total.denom.LC
+    return {
+        e: Fraction(int(c.numerator), int(c.denominator)) / Fraction(int(lc.numerator), int(lc.denominator))
+        for e, c in total.numer.terms()
+    }

@@ -159,6 +159,39 @@ def test_rep_check_operator_file_roundtrip_each_mode(tmp_path, capsys, mode):
     assert all(("/" in v) == (mode == "rational") for _, _, v in entries)
 
 
+def test_prime_operator_file_stores_source_rationals(tmp_path):
+    from yangianpp.exact import random_params, rational_str
+
+    op_file = tmp_path / "ops.json"
+    argv = ["rep", "build", "--geometry", "c3", "--level", "2", "--imax", "0",
+            "--mode", "prime-field", "--seed", "2024", "--out", str(op_file)]
+    assert main(argv) == 0
+    stored = json.loads(op_file.read_text())["params"]
+    seed = random_params(2024)
+    assert stored["mode"] == "prime-field"
+    assert stored["h1"] == rational_str(seed.h1) == "3851/12"
+    assert (stored["h2"], stored["chi"]) == (rational_str(seed.h2), rational_str(seed.chi))
+
+
+def test_prime_operator_file_with_residue_params_still_loads(tmp_path, capsys):
+    from yangianpp.exact import random_params, rational_str
+
+    op_file = tmp_path / "ops.json"
+    argv = ["rep", "build", "--geometry", "c3", "--level", "2", "--imax", "1",
+            "--mode", "prime-field", "--seed", "2024", "--out", str(op_file)]
+    assert main(argv) == 0
+    data = json.loads(op_file.read_text())
+    # the older layout: h1/h2/h3/chi as field residues
+    p = random_params(2024, mode="prime-field")
+    residues = {k: rational_str(getattr(p, k)) for k in ("h1", "h2", "h3", "chi")}
+    assert "/" not in residues["h1"]
+    data["params"].update(residues)
+    data["geometry"]["params"].update(residues)
+    op_file.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 0 and "verified" in out, err
+
+
 def test_inconsistent_shift_is_relation_failure(monkeypatch, capsys):
     from yangianpp import cli
     from yangianpp.errors import InconsistentShift

@@ -1,9 +1,13 @@
+import re
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
-from yangianpp import Kernel, Params, SymPoly, shuffle_mul
+from oracles import sympy_shuffle
+from yangianpp import Kernel, Params, SymPoly, shuffle, shuffle_mul
 from yangianpp.errors import DenominatorNotCancelled
+from yangianpp.exact import random_params
 from yangianpp.reps import box_local_factor
 from yangianpp.shuffle import (
     MPoly,
@@ -109,3 +113,75 @@ def test_orbit_terms_view(iparams):
     prod = shuffle_mul(SymPoly.power(0), SymPoly.power(0), Kernel.c3(params))
     ot = prod.orbit_terms()
     assert ot[(2, 0)] == 2 and ot[(1, 1)] == -4
+
+
+def _sym(v, orbits):
+    """Sum of monomial symmetric polynomials: orbits is [(exponent, coeff)]."""
+    terms = {}
+    for e, c in orbits:
+        for p in set(permutations(e)):
+            terms[p] = terms.get(p, 0) + c
+    return SymPoly(MPoly(v, terms))
+
+
+ORACLE_INPUTS = {
+    1: _sym(1, [((2,), F(3)), ((0,), F(-1, 2))]),
+    2: _sym(2, [((2, 0), F(1)), ((1, 1), F(-2, 3))]),
+    3: _sym(3, [((1, 0, 0), F(2)), ((1, 1, 1), F(5))]),
+}
+
+ORACLE_KERNELS = {
+    "a1": Kernel.a1(),
+    "jordan:2/7": Kernel.jordan(F(2, 7)),
+    "c3:101,47,7": Kernel.c3(Params.make(101, 47, 7)),
+    # seed 2024 draws h1 = 3851/12, h2 = -9476/39
+    "c3:seed2024": Kernel.c3(random_params(2024)),
+}
+
+
+@pytest.mark.parametrize("v1,v2", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("kernel", sorted(ORACLE_KERNELS))
+def test_shuffle_mul_matches_sympy_oracle(kernel, v1, v2):
+    k = ORACLE_KERNELS[kernel]
+    if kernel == "c3:seed2024":
+        assert any(F(w).denominator != 1 for w in k.numerator_weights)
+    f, g = ORACLE_INPUTS[v1], ORACLE_INPUTS[v2]
+    want = sympy_shuffle(f.poly.terms, v1, g.poly.terms, v2, k.numerator_weights, k.denominator_exponent)
+    got = shuffle_mul(f, g, k)
+    assert got.v == v1 + v2
+    assert got.poly.terms == want
+
+
+def test_assoc_failure_names_trial_shape_and_exponents(iparams, monkeypatch):
+    k = Kernel.c3(iparams)
+    assert check_assoc(k, trials=5).detail == ""
+    raw = shuffle.shuffle_mul
+
+    def flipped(f, g, kernel):
+        # wrong sign on a 3|1 split only: (f*g)*h flips, f*(g*h) does not
+        prod = raw(f, g, kernel)
+        return prod * -1 if f.v == 3 and g.v == 1 else prod
+
+    monkeypatch.setattr(shuffle, "shuffle_mul", flipped)
+    r = check_assoc(k, trials=5)
+    assert r.status == "fail"
+    # trials 0-3 have shape (1,1,1); trial 4 is the first four-variable one
+    assert re.fullmatch(
+        r"trial 4, \(v1,v2,v3\)=\(2,1,1\), exponents f=\(\d, \d\) g=\(\d,\) h=\(\d,\)", r.detail
+    ), r.detail
+
+
+def test_a1_anticomm_failure_names_instance(monkeypatch):
+    assert check_a1_anticomm(2).detail == ""
+    raw = shuffle.shuffle_mul
+
+    def flipped(f, g, kernel):
+        # wrong sign whenever the left exponent is the larger one
+        prod = raw(f, g, kernel)
+        return prod * -1 if max(f.poly.terms) > max(g.poly.terms) else prod
+
+    monkeypatch.setattr(shuffle, "shuffle_mul", flipped)
+    r = check_a1_anticomm(2)
+    assert r.status == "fail"
+    # x^0 * x^0 = 0, so the first failing instance is (0, 1)
+    assert r.detail == "(r1,r2)=(0, 1)"
