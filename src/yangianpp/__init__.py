@@ -10,14 +10,13 @@ from .errors import (
     CapExceeded,
     DenominatorNotCancelled,
     InconsistentShift,
-    NotRegular,
     PoleAtPoint,
     Resonance,
     RetrySpecialization,
     SignInconsistent,
     YangianppError,
 )
-from .exact import Fp, LinForm, Params, TruncSeries, expand, random_params
+from .exact import Fp, LinForm, Params, random_params
 from .partitions3d import Partition3D, box_weight, enumerate_plane_partitions
 from .pyramid import ERC, PyramidPartition, Stone, build_erc, enumerate_pyramids
 from .relations import OperatorSet, RelationReport, full_suite, run_suite
@@ -42,7 +41,6 @@ __all__ = [
     "InconsistentShift",
     "Kernel",
     "LinForm",
-    "NotRegular",
     "OperatorSet",
     "Params",
     "Partition3D",
@@ -56,14 +54,12 @@ __all__ = [
     "SparseOperator",
     "Stone",
     "SymPoly",
-    "TruncSeries",
     "YangianppError",
     "box_weight",
     "build_erc",
     "detect_shift",
     "enumerate_plane_partitions",
     "enumerate_pyramids",
-    "expand",
     "full_suite",
     "h_rat",
     "psi_eigen",

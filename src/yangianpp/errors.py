@@ -9,10 +9,6 @@ class PoleAtPoint(YangianppError):
     """Evaluation of a factored rational function at one of its poles."""
 
 
-class NotRegular(YangianppError):
-    """Finite-center expansion requested at a pole without a Laurent offset."""
-
-
 class CapExceeded(YangianppError):
     """An enumeration request exceeded its configured size cap."""
 

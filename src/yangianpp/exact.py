@@ -5,18 +5,17 @@ relation checks) reduces to arithmetic in this module.  Scalars are either
 arbitrary-precision rationals (`fractions.Fraction`) or elements of a fixed
 prime field used as a fast verification mode.  Univariate rational functions
 are kept in fully factored form: a constant times a product of (z - root)^e
-with exact roots, so products, quotients, residues and truncated expansions
-never lose the factor structure.
+with exact roots, so products, quotients and residues never lose the factor
+structure.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotRegular, PoleAtPoint, Resonance, RetrySpecialization
+from .errors import PoleAtPoint, Resonance, RetrySpecialization
 
 #: Modulus of the prime-field fast mode.  2^61 - 1 is a Mersenne prime above
 #: the 2^60 floor that makes accidental collisions of random data
@@ -101,19 +100,8 @@ class Fp:
     def __bool__(self):
         return self.v != 0
 
-    def __lt__(self, other):
-        # arbitrary but total; used only for canonical sorting
-        return self.v < Fp(other).v
-
     def __repr__(self):
         return f"Fp({self.v})"
-
-
-def _inv(x):
-    """Exact multiplicative inverse across scalar types."""
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
 
 
 def _div(a, b):
@@ -127,11 +115,6 @@ def _pow(b, e: int):
     if e >= 0 or not isinstance(b, int):
         return b**e
     return Fraction(1, b ** (-e))
-
-
-def scalar_zero(x) -> bool:
-    """True when the scalar x is zero (Fraction, Fp or int)."""
-    return x == 0
 
 
 def scalar_key(x):
@@ -166,116 +149,17 @@ def to_mode(x, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class TruncSeries:
-    """Truncated power series with exact coefficients.
+def _product_coeffs(lead, factors, n):
+    """Coefficients c_0..c_n of lead * prod (1 - r*w)^e over (r, e) in factors.
 
-    `center` is either the string "inf" (coefficients of z^-1 .. z^-K) or a
-    scalar a (coefficients of (z-a)^0 .. (z-a)^(K-1)).  Arithmetic is closed
-    at the stated order.
+    Newton's identities: with the power sums p_k = sum e*r^k, the
+    logarithmic derivative gives k*c_k = -sum_{j=1..k} p_j*c_{k-j}.
     """
-
-    __slots__ = ("center", "coeffs")
-
-    def __init__(self, center, coeffs):
-        self.center = center
-        self.coeffs = list(coeffs)
-
-    @property
-    def order(self):
-        return len(self.coeffs)
-
-    def _check(self, other):
-        if self.center != other.center or self.order != other.order:
-            raise ValueError("series centers/orders differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncSeries(self.center, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncSeries(self.center, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return TruncSeries(self.center, [c * other for c in self.coeffs])
-        self._check(other)
-        K = self.order
-        if self.center == "inf":
-            # products of z^-i and z^-j land at z^-(i+j): shift indices by one
-            out = [self.coeffs[0] * 0] * K
-            for i, a in enumerate(self.coeffs):
-                if scalar_zero(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if i + j + 1 < K:
-                        out[i + j + 1] = out[i + j + 1] + a * b
-            return TruncSeries("inf", out)
-        return TruncSeries(self.center, _poly_mul(self.coeffs, other.coeffs, K))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse; the constant term must be a unit."""
-        if self.center == "inf":
-            raise ValueError("series at infinity have no constant term to invert")
-        if scalar_zero(self.coeffs[0]):
-            raise ZeroDivisionError("series is not a unit at its center")
-        return TruncSeries(self.center, _series_inverse(self.coeffs, self.order))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and self.center == other.center
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"TruncSeries({self.center!r}, {self.coeffs!r})"
-
-
-def _poly_mul(a, b, K):
-    out = [a[0] * 0] * K
-    for i, ai in enumerate(a):
-        if scalar_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            if i + j < K:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_inverse(a, K):
-    inv0 = _inv(a[0])
-    inv = [a[0] * 0] * K
-    inv[0] = inv0
-    for n in range(1, K):
-        s = a[0] * 0
-        for k in range(1, n + 1):
-            if k < len(a):
-                s = s + a[k] * inv[n - k]
-        inv[n] = -s * inv0
-    return inv
-
-
-def _shift_series(c0, e, K):
-    """Coefficients of (c0 + w)^e mod w^K; c0 must be nonzero when e < 0."""
-    if e >= 0:
-        out = [c0 * 0] * K
-        for j in range(min(e, K - 1) + 1):
-            out[j] = math.comb(e, j) * _pow(c0, e - j)
-        return out
-    return _series_inverse(_shift_series(c0, -e, K), K)
-
-
-def _geom_series(r, e, K):
-    """Coefficients of (1 - r*w)^e mod w^K."""
-    if e >= 0:
-        out = [r * 0] * K
-        for j in range(min(e, K - 1) + 1):
-            out[j] = math.comb(e, j) * ((-r) ** j)
-        return out
-    return _series_inverse(_geom_series(r, -e, K), K)
+    p = [sum(e * r**k for r, e in factors) for k in range(1, n + 1)]
+    c = [lead]
+    for k in range(1, n + 1):
+        c.append(_div(-sum(p[j - 1] * c[k - j] for j in range(1, k + 1)), k))
+    return c
 
 
 class LinForm:
@@ -304,17 +188,6 @@ class LinForm:
             (r, e) for r, e in sorted(merged, key=lambda t: scalar_key(t[0])) if e != 0
         )
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c):
-        return cls(c)
-
-    @classmethod
-    def linear(cls, root, exponent=1):
-        """(z - root)^exponent."""
-        return cls(1, [(root, exponent)])
-
     # -- structure -----------------------------------------------------------
 
     def exponent_of(self, root) -> int:
@@ -331,7 +204,7 @@ class LinForm:
         return sum(e for _, e in self.factors)
 
     def is_zero(self) -> bool:
-        return scalar_zero(self.const)
+        return self.const == 0
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -371,14 +244,14 @@ class LinForm:
             parts.append(f"(z - {rational_str(r)})^{e}")
         return " * ".join(parts)
 
-    # -- evaluation and expansion ----------------------------------------------
+    # -- evaluation and residues -----------------------------------------------
 
     def eval(self, z0):
         """Evaluate at z0; PoleAtPoint if z0 sits on a negative-exponent root."""
         v = self.const
         for r, e in self.factors:
             d = z0 - r
-            if scalar_zero(d):
+            if d == 0:
                 if e < 0:
                     raise PoleAtPoint(f"evaluation at pole z = {rational_str(z0)}")
                 return self.const * 0
@@ -394,73 +267,40 @@ class LinForm:
         v = self.const
         for r, e in self.factors:
             d = z0 - r
-            if scalar_zero(d):
+            if d == 0:
                 continue
             v = v * _pow(d, e)
         return v
 
-    def taylor_at(self, a, K: int, pole_order: int = 0) -> TruncSeries:
-        """TruncSeries of (z-a)^pole_order * self around z = a, K coefficients.
-
-        With pole_order=0 the form must be regular at a (NotRegular
-        otherwise); a positive pole_order shifts a Laurent expansion into
-        Taylor range.
-        """
-        m = -self.exponent_of(a)
-        if m > pole_order:
-            raise NotRegular(
-                f"pole of order {m} at {rational_str(a)} exceeds offset {pole_order}"
-            )
-        ser = [self.const * 0] * K
-        ser[0] = self.const
-        for r, e in self.factors:
-            if r == a:
-                continue
-            ser = _poly_mul(ser, _shift_series(a - r, e, K), K)
-        extra = pole_order - m
-        if extra:
-            ser = ([self.const * 0] * extra + ser)[:K]
-        return TruncSeries(a, ser)
-
     def residue_at(self, a, power: int = 0):
         """Res_{z=a} of z^power * self, exact; 0 when a is not a pole.
 
-        Higher-order poles go through the truncated local series of the
-        regular part, never through numerics.
+        With u = z - a and m the pole order, the regular part is
+        eval_reduced(a) * prod_{r != a} (1 - u/(r - a))^e, and the residue
+        is its u^(m-1) coefficient; a simple pole needs no series.
         """
         form = self if power == 0 else self * LinForm(1, [(a * 0, power)])
         m = -form.exponent_of(a)
         if m <= 0:
             return self.const * 0
-        return form.taylor_at(a, m, pole_order=m).coeffs[m - 1]
-
-    def expand_at_infinity(self, K: int) -> TruncSeries:
-        """Coefficients of z^-1 .. z^-K in the expansion at infinity.
-
-        Polynomial parts are dropped; 1/(z-a) expands to [1, a, a^2, ...].
-        """
-        d = self.degree()
-        need = d + K + 1
-        if need <= 0:
-            return TruncSeries("inf", [self.const * 0] * K)
-        ser = [self.const * 0] * need
-        ser[0] = self.const
-        for r, e in self.factors:
-            ser = _poly_mul(ser, _geom_series(r, e, need), need)
-        out = []
-        for j in range(1, K + 1):
-            idx = d + j
-            out.append(ser[idx] if 0 <= idx < need else self.const * 0)
-        return TruncSeries("inf", out)
+        lead = form.eval_reduced(a)
+        if m == 1:
+            return lead
+        roots = [(_pow(r - a, -1), e) for r, e in form.factors if r != a]
+        return _product_coeffs(lead, roots, m - 1)[m - 1]
 
     def residue_at_infinity(self, power: int = 0):
         """-(coefficient of z^-1 in z^power * self).
 
-        The sign convention is pinned by the residue theorem: finite residues
-        plus the residue at infinity sum to zero exactly.
+        With w = 1/z the form is const * z^degree * prod (1 - r*w)^e, so the
+        coefficient sits at w^(degree + power + 1).  The sign convention is
+        pinned by the residue theorem: finite residues plus the residue at
+        infinity sum to zero exactly.
         """
-        form = self if power == 0 else self * LinForm(1, [(self.const * 0, power)])
-        return -form.expand_at_infinity(1).coeffs[0]
+        k = self.degree() + power + 1
+        if k < 0:
+            return self.const * 0
+        return -_product_coeffs(self.const, self.factors, k)[k]
 
     def to_json(self):
         return {
@@ -474,13 +314,6 @@ class LinForm:
             parse_rational(obj["const"]),
             [(parse_rational(r), int(e)) for r, e in obj["factors"]],
         )
-
-
-def expand(form: LinForm, center, K: int, pole_order: int = 0) -> TruncSeries:
-    """Truncated expansion of a LinForm at a finite point or at 'inf'."""
-    if center == "inf":
-        return form.expand_at_infinity(K)
-    return form.taylor_at(center, K, pole_order=pole_order)
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +401,17 @@ class Params:
 
 
 def _check_generic(h1: Fraction, h2: Fraction, bound: int):
+    """Resonance if a*h1 + b*h2 = 0 for integers, not both zero, |a|, |b| <= bound.
+
+    With h1/h2 = p/q in lowest terms (q > 0), the solutions are the
+    multiples of (a, b) = (q, -p), so one exists exactly when
+    q <= bound and |p| <= bound, and (q, -p) is the smallest.
+    """
     if h1 == 0 or h2 == 0:
         raise Resonance("h1 and h2 must be nonzero")
-    for a in range(0, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a == 0 and b <= 0:
-                continue
-            if a * h1 + b * h2 == 0:
-                raise Resonance(f"resonance {a}*h1 + {b}*h2 = 0")
+    ratio = h1 / h2
+    if ratio.denominator <= bound and abs(ratio.numerator) <= bound:
+        raise Resonance(f"resonance {ratio.denominator}*h1 + {-ratio.numerator}*h2 = 0")
 
 
 def random_params(seed, mode="rational", resonance_bound=64, chi=None):

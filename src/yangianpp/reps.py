@@ -305,35 +305,14 @@ def transition_data(label, geometry: Geometry, x, erc=None):
     make the raising/lowering split ill-posed); fhat is the reduced
     evaluation of the lowering factor there.
     """
-    h_int = integrand_e(label, geometry, erc=erc) * lowering_form(label, geometry)
+    low = lowering_form(label, geometry)
+    h_int = integrand_e(label, geometry, erc=erc) * low
     order = -h_int.exponent_of(x)
     if order > 1:
         raise Resonance(
             f"diagonal integrand has a pole of order {order} at {rational_str(x)}"
         )
-    rho = h_int.residue_at(x)
-    fhat = lowering_form(label, geometry).eval_reduced(x)
-    return rho, fhat
-
-
-def matcoef_e(label, x, i, geometry: Geometry, erc=None):
-    """<label| e_i |label + (box/pair at weight x)>.
-
-    Equals Res_{z=x} z^i * integrand_e wherever that naive reading is
-    nondegenerate; defined through the balanced residue split in general.
-    """
-    rho, fhat = transition_data(label, geometry, x, erc=erc)
-    return x**i * rho / fhat
-
-
-def matcoef_f(label, x, j, geometry: Geometry, erc=None):
-    """<label + (box/pair at weight x)| f_j |label>.
-
-    Equals z^j * lowering_form evaluated at x wherever no factor vanishes;
-    the reduced evaluation keeps it finite and nonzero in general.
-    """
-    _, fhat = transition_data(label, geometry, x, erc=erc)
-    return x**j * fhat
+    return h_int.residue_at(x), low.eval_reduced(x)
 
 
 def _transitions(basis: FixedPointBasis, n):

@@ -93,17 +93,6 @@ class MPoly:
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
 
-    def permute(self, perm):
-        """Apply x_i -> x_perm[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, p in enumerate(perm):
-                ne[p] = e[i]
-            ne = tuple(ne)
-            out[ne] = out.get(ne, 0) + c
-        return MPoly(self.nvars, out)
-
     def embed(self, nvars, positions):
         """View in a larger ring, variable i going to slot positions[i]."""
         out = {}
@@ -175,7 +164,7 @@ class MPoly:
         for i in range(self.nvars - 1):
             perm = list(range(self.nvars))
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            if self.permute(perm) != self:
+            if self.embed(self.nvars, perm) != self:
                 return False
         return True
 
@@ -195,7 +184,7 @@ class SymPoly:
 
     def __init__(self, poly: MPoly):
         if not poly.is_symmetric():
-            raise DenominatorNotCancelled("shuffle input is not symmetric")
+            raise DenominatorNotCancelled("shuffle element is not symmetric")
         self.v = poly.nvars
         self.poly = poly
 
@@ -304,8 +293,6 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
     if delta:
         for i, j in itertools.combinations(range(v), 2):
             total = total.divide_exact_linear(i, j)
-    if not total.is_symmetric():
-        raise DenominatorNotCancelled("shuffle product came out asymmetric")
     return SymPoly(total)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's incremental algorithms: partitions by
 filtering raw box subsets, pyramids by filtering raw stone subsets, counts by
-the classical generating function, residues by an independent CAS.
+the classical generating function, residues by an independent CAS,
+resonances by scanning every integer pair.
 """
 
 from fractions import Fraction
@@ -59,6 +60,21 @@ def upward_closed_subsets(erc):
         if all(c in subset for s in subset for c in erc.covers(s)):
             out.append(frozenset(subset))
     return out
+
+
+def first_resonance(h1, h2, bound):
+    """Message of the first a*h1 + b*h2 = 0 found by scanning a = 0..bound,
+    b = -bound..bound ((a, b) != (0, 0), a = 0 only with b > 0); None if
+    there is none.  The brute-force reference for the genericity gate."""
+    if h1 == 0 or h2 == 0:
+        return "h1 and h2 must be nonzero"
+    for a in range(0, bound + 1):
+        for b in range(-bound, bound + 1):
+            if a == 0 and b <= 0:
+                continue
+            if a * h1 + b * h2 == 0:
+                return f"resonance {a}*h1 + {b}*h2 = 0"
+    return None
 
 
 def sympy_residue(form, a, power=0):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import partial_fraction_residue, sympy_residue
-from yangianpp import LinForm, Params, PoleAtPoint, Resonance, TruncSeries, expand
-from yangianpp.errors import NotRegular, RetrySpecialization
-from yangianpp.exact import PRIME, Fp, parse_rational, rational_str, to_mode
+from oracles import first_resonance, partial_fraction_residue, sympy_residue
+from yangianpp import LinForm, Params, PoleAtPoint, Resonance
+from yangianpp.errors import RetrySpecialization
+from yangianpp.exact import PRIME, Fp, _product_coeffs, parse_rational, rational_str, to_mode
 
 
 # ---------------------------------------------------------------------------
@@ -99,41 +99,50 @@ def test_residue_at_infinity_balances_finite_residues():
     assert total == 0
 
 
+def tail(form, K):
+    """Coefficients of z^-1 .. z^-K in the expansion of form at infinity."""
+    return [-form.residue_at_infinity(j) for j in range(K)]
+
+
+def laurent(form, a, K, offset=0):
+    """Coefficients of (z-a)^-offset .. (z-a)^(K-1-offset) of form around a."""
+    return [(form * LinForm(1, [(a, offset - j - 1)])).residue_at(a) for j in range(K)]
+
+
 def test_expand_geometric():
     chi = F(7)
-    ser = expand(LinForm(1, [(chi, -1)]), "inf", 3)
-    assert ser.coeffs == [1, chi, chi**2]
+    assert tail(LinForm(1, [(chi, -1)]), 3) == [1, chi, chi**2]
 
 
 def test_expand_polynomial_has_no_tail():
-    assert expand(LinForm(1, [(F(0), 2)]), "inf", 2).coeffs == [0, 0]
+    assert tail(LinForm(1, [(F(0), 2)]), 2) == [0, 0]
 
 
 def test_expand_product_of_two_geometrics():
     f = LinForm(1, [(F(1), -1), (F(2), -1)])
-    assert expand(f, "inf", 3).coeffs == [0, 1, 3]
+    assert tail(f, 3) == [0, 1, 3]
 
 
 def test_expand_finite_center_regular():
     f = LinForm(1, [(F(1), -1)])
-    ser = expand(f, F(0), 3)
-    assert ser.coeffs == [-1, -1, -1]  # 1/(z-1) = -1 - z - z^2 - ...
+    assert laurent(f, F(0), 3) == [-1, -1, -1]  # 1/(z-1) = -1 - z - z^2 - ...
+    # the same Taylor coefficients through a negative power at the center 0
+    assert [f.residue_at(F(0), -j - 1) for j in range(3)] == [-1, -1, -1]
 
 
 def test_expand_finite_center_pole_requires_offset():
     f = LinForm(1, [(F(0), -2)])
-    with pytest.raises(NotRegular):
-        expand(f, F(0), 3)
-    ser = expand(f, F(0), 3, pole_order=2)
-    assert ser.coeffs == [1, 0, 0]
+    assert laurent(f, F(0), 3) == [0, 0, 0]  # no regular part
+    assert laurent(f, F(0), 3, offset=2) == [1, 0, 0]
+    assert [f.residue_at(F(0), 1 - j) for j in range(3)] == [1, 0, 0]
 
 
-def test_trunc_series_arithmetic_closed():
-    a = TruncSeries(F(0), [F(1), F(2), F(3)])
-    b = TruncSeries(F(0), [F(1), F(-1), F(0)])
-    assert (a * b).coeffs == [1, 1, 1]
-    assert (a + b).coeffs == [2, 1, 3]
-    assert (b.inverse() * b).coeffs == [1, 0, 0]
+def test_product_coeffs_convolution():
+    a = _product_coeffs(F(1), [(F(1), -2)], 2)  # (1 - w)^-2
+    b = _product_coeffs(F(1), [(F(1), 1)], 2)  # 1 - w
+    assert a == [1, 2, 3] and b == [1, -1, 0]
+    assert _product_coeffs(F(1), [(F(1), -1)], 2) == [1, 1, 1]  # a * b
+    assert _product_coeffs(F(1), [(F(1), -1), (F(1), 1)], 2) == [1, 0, 0]  # b^-1 * b
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +207,38 @@ def test_simple_pole_residue_cross_check_200_forms():
         checked += 1
 
 
+def convolve(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
 @given(lin_forms(), lin_forms())
 @settings(max_examples=40, deadline=None)
 def test_expand_multiplicative(f, g):
     K = 6
-    lhs = (f * g).expand_at_infinity(K)
-    rhs = f.expand_at_infinity(K + max(0, f.degree()) + max(0, g.degree()) + 2)
-    # compare through exact series multiplication at matching order
-    fs = f.expand_at_infinity(K)
-    gs = g.expand_at_infinity(K)
-    prod = fs * gs
-    # products of pure tail parts only agree when both degrees are negative
+    fg = f * g
+    # const * prod (1 - r*w)^e is multiplicative, whatever the degrees
+    assert _product_coeffs(fg.const, fg.factors, K) == convolve(
+        _product_coeffs(f.const, f.factors, K), _product_coeffs(g.const, g.factors, K)
+    )
+    # tails at infinity multiply as series in 1/z when both degrees are negative
     if f.degree() < 0 and g.degree() < 0:
-        assert lhs.coeffs == prod.coeffs
+        assert tail(fg, K) == [0] + convolve(tail(f, K), tail(g, K))[: K - 1]
+
+
+@pytest.mark.parametrize("power", [-1, 0, 1, 2, 4])
+def test_integer_forms_give_exact_residues(power):
+    exact_types = (int, F)
+    int_form = LinForm(3, [(1, -2), (2, -1), (-1, 3), (4, -3)])
+    frac_form = LinForm(F(3), [(F(r), e) for r, e in int_form.factors])
+    for a in (1, 2, 4, 5):
+        value = int_form.residue_at(a, power)
+        assert isinstance(value, exact_types) and value == frac_form.residue_at(F(a), power)
+    value = int_form.residue_at_infinity(power)
+    assert isinstance(value, exact_types) and value == frac_form.residue_at_infinity(power)
+    constant = LinForm(5)
+    for value in (constant.residue_at(0, power), constant.residue_at_infinity(power)):
+        assert isinstance(value, exact_types)
+    assert constant.residue_at_infinity(power) == (-5 if power == -1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +294,17 @@ def test_prime_field_agrees_on_random_forms(form, k):
 def test_params_cy_constraint(params):
     assert params.h1 + params.h2 + params.h3 == 0
     assert params.t + params.q + params.h == 0
+
+
+@given(small_rationals, small_rationals, st.integers(min_value=-1, max_value=64))
+@settings(max_examples=150, deadline=None)
+def test_genericity_gate_matches_scan(h1, h2, bound):
+    try:
+        Params.make(h1, h2, F(0), resonance_bound=bound)
+        message = None
+    except Resonance as exc:
+        message = str(exc)
+    assert message == first_resonance(h1, h2, bound)
 
 
 def test_params_resonance_rejected():

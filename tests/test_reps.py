@@ -12,8 +12,6 @@ from yangianpp.reps import (
     h_rat,
     integrand_e,
     lowering_form,
-    matcoef_e,
-    matcoef_f,
     operators_to_json,
     psi_eigen,
     stone_product,
@@ -103,6 +101,26 @@ def test_psi_recursion_direction(c3, params):
 # ---------------------------------------------------------------------------
 # matrix coefficients
 # ---------------------------------------------------------------------------
+
+
+def matcoef_e(label, x, i, geometry, erc=None):
+    """<label| e_i |label + (box/pair at weight x)>, as build_e assembles it.
+
+    Equals Res_{z=x} z^i * integrand_e wherever that naive reading is
+    nondegenerate; defined through the balanced residue split in general.
+    """
+    rho, fhat = transition_data(label, geometry, x, erc=erc)
+    return x**i * rho / fhat
+
+
+def matcoef_f(label, x, j, geometry, erc=None):
+    """<label + (box/pair at weight x)| f_j |label>, as build_f assembles it.
+
+    Equals z^j * lowering_form evaluated at x wherever no factor vanishes;
+    the reduced evaluation keeps it finite and nonzero in general.
+    """
+    _, fhat = transition_data(label, geometry, x, erc=erc)
+    return x**j * fhat
 
 
 def test_matcoef_e_vacuum(c3, params):
