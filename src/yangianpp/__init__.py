@@ -27,7 +27,6 @@ from .reps import (
     SparseOperator,
     detect_shift,
     h_rat,
-    psi_eigen,
 )
 from .shuffle import Kernel, SymPoly, shuffle_mul
 
@@ -62,7 +61,6 @@ __all__ = [
     "enumerate_pyramids",
     "full_suite",
     "h_rat",
-    "psi_eigen",
     "random_params",
     "run_suite",
     "shuffle_mul",

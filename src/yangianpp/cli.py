@@ -102,23 +102,37 @@ def cmd_rep_build(args) -> int:
 
 
 def _verify_operator_file(path, args) -> int:
-    """Recompute the operators for the stored config and compare entries."""
-    with open(path) as fh:
-        data = json.load(fh)
-    g = data["geometry"]
-    pj = data["params"]
+    """Recompute the operators for the stored config and compare entries.
+
+    The e and f families must both hold exactly the keys 0..k; a file that
+    cannot be read or lacks a section is a usage error.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        g, pj, stored = data["geometry"], data["params"], data["operators"]
+        families = {fam: stored[fam] for fam in ("e", "f")}
+        # h1/h2/chi are the source rationals; older prime-field files store
+        # residues instead, which map to the same field elements
+        h1, h2, chi = (parse_rational(pj[k]) for k in ("h1", "h2", "chi"))
+    except OSError as exc:
+        raise ValueError(f"cannot read operator file: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"operator file has no {exc} entry") from exc
+    count = max(len(families["e"]), len(families["f"]), 1)
+    for fam, ops in families.items():
+        missing = [i for i in range(count) if str(i) not in ops]
+        if missing:
+            print(f"operator file incomplete: {fam}_{missing[0]} is missing", file=sys.stderr)
+            return EXIT_RELATION
     mode = pj.get("mode", "rational")
-    # h1/h2/chi are the source rationals; older prime-field files store
-    # residues instead, which map to the same field elements
-    params = Params.make(
-        parse_rational(pj["h1"]), parse_rational(pj["h2"]), parse_rational(pj["chi"]), mode=mode
-    )
+    params = Params.make(h1, h2, chi, mode=mode)
     geometry = Geometry(
         g["kind"], params, g["N"], m=g.get("m", 0), sector=g.get("sector", 0)
     )
     rep = Representation(geometry)
     for fam, builder in (("e", rep.build_e), ("f", rep.build_f)):
-        for key, opjson in data["operators"][fam].items():
+        for key, opjson in families[fam].items():
             if builder(int(key)).to_json() != SparseOperator.from_json(opjson, mode).to_json():
                 print(
                     f"operator file mismatch: {fam}_{key} disagrees with recomputation",

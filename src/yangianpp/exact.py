@@ -166,26 +166,21 @@ class LinForm:
     """const * prod (z - root)^exponent, stored exactly.
 
     Roots are pairwise distinct scalars of one mode; exponents are nonzero
-    integers.  Multiplication merges equal roots and drops exponent zero, so
-    cancellation is automatic and exact.
+    integers.  Construction merges equal roots and drops exponent zero, so
+    cancellation is automatic and exact.  The merge keys a dict by root: the
+    roots of one form share one scalar type (int/Fraction or Fp, never
+    both), so hashing agrees with ==.
     """
 
     __slots__ = ("const", "factors")
 
     def __init__(self, const, factors=()):
-        merged = []
+        merged = {}
         for root, e in factors:
-            if e == 0:
-                continue
-            for k, (r0, e0) in enumerate(merged):
-                if r0 == root:
-                    merged[k] = (r0, e0 + e)
-                    break
-            else:
-                merged.append((root, e))
+            merged[root] = merged.get(root, 0) + e
         self.const = const
         self.factors = tuple(
-            (r, e) for r, e in sorted(merged, key=lambda t: scalar_key(t[0])) if e != 0
+            sorted(((r, e) for r, e in merged.items() if e != 0), key=lambda t: scalar_key(t[0]))
         )
 
     # -- structure -----------------------------------------------------------

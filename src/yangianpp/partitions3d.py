@@ -104,10 +104,10 @@ def box_weight(box, params):
     return params.chi + i * params.h1 + j * params.h2 + k * params.h3
 
 
-def addible_weights(lam: Partition3D, params, check_distinct: bool = True):
+def addible_weights(lam: Partition3D, params):
     """Weights of the addible boxes; Resonance if two collide."""
     ws = [(b, box_weight(b, params)) for b in lam.addible_boxes()]
-    if check_distinct and len({w for _, w in ws}) != len(ws):
+    if len({w for _, w in ws}) != len(ws):
         raise Resonance(f"addible boxes of {lam!r} share a weight")
     return ws
 

@@ -28,7 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import SignInconsistent
+from .errors import InconsistentShift, SignInconsistent
 from .exact import rational_str
 from .reps import (
     Geometry,
@@ -340,7 +340,7 @@ def check_shift(rep: Representation, expect=None) -> RelationReport:
     start = time.monotonic()
     try:
         l, z1 = detect_shift(rep)
-    except Exception as exc:
+    except InconsistentShift as exc:
         return RelationReport(
             "shift", "fail", rep.basis.size(), "1", time.monotonic() - start, str(exc)
         )

@@ -3,18 +3,20 @@ rational series, for the 3D-partition geometry ("c3") and the length-m
 pyramid geometry ("conifold").
 
 Matrix coefficients come from equivariant residue calculus.  On a transition
-lam -> lam + box (or + pair) at spectral position x, the raising integrand
-E(z) and lowering factor F(z), both products over the smaller configuration,
-multiply to the diagonal integrand h(z) = E(z)*F(z) which has a simple pole
-at x.  The split of that residue between e and f is pinned by
+lam -> lam + box (or + pair) at spectral position x, the diagonal series
+h(z) = h_rat(lam) of the smaller configuration has a simple pole at x, and
+the transition reads its residue there.  The split of that residue between
+e and f is pinned by
 
     <lam|e_i|lam+box> * <lam+box|f_j|lam> = Res_{z=x} z^(i+j) h(z)
 
-with the f side normalized to the reduced evaluation of F at x (all factors
-vanishing at x deleted first).  Wherever E has a simple pole and F is
-nonvanishing at x, this reproduces the naive Res(z^i E) and z^j F(x)
-coefficients verbatim; it remains finite and correct at the weight
-collisions forced by h1 + h2 + h3 = 0, where the naive split degenerates.
+with the f side normalized to the reduced evaluation at x of the lowering
+factor F(z) (all factors vanishing at x deleted first).  h factors as
+E(z)*F(z), with E the raising integrand that the tests keep as their oracle.
+Wherever E has a simple pole and F is nonvanishing at x, the split
+reproduces the naive Res(z^i E) and z^j F(x) coefficients verbatim; it
+remains finite and correct at the weight collisions forced by
+h1 + h2 + h3 = 0, where the naive split degenerates.
 """
 
 from __future__ import annotations
@@ -182,48 +184,27 @@ class SparseOperator:
 
 
 # ---------------------------------------------------------------------------
-# Integrands and diagonal series
+# Diagonal series and lowering factor
 # ---------------------------------------------------------------------------
-
-
-def integrand_e(label, geometry: Geometry, erc=None) -> LinForm:
-    """Raising integrand: products over the stones/boxes of the source label."""
-    p = geometry.params
-    if geometry.kind == "c3":
-        f = LinForm(1, [(p.chi, -1)])
-        for b in label:
-            x = p3.box_weight(b, p)
-            f = f * LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars])
-        return f
-    erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
-    sign = (-1) ** pyr.black_only_count(label, erc)
-    f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)])
-    for s in label:
-        x = pyr.stone_weight(s, p)
-        if s.color == "B":
-            f = f * LinForm(1, [(x, 1), (x + p.t, -1)])
-        else:
-            f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)])
-    return f
 
 
 def lowering_form(label, geometry: Geometry) -> LinForm:
     """Lowering factor F(z): products over the stones/boxes of the smaller label."""
     p = geometry.params
     if geometry.kind == "c3":
-        f = LinForm(1)
+        factors = []
         for b in label:
             x = p3.box_weight(b, p)
-            f = f * LinForm(1, [(x - hb, 1) for hb in p.hbars] + [(x, -1)])
-        return f
-    f = LinForm((-1) ** (geometry.m + 1), [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)])
+            factors += [(x - hb, 1) for hb in p.hbars] + [(x, -1)]
+        return LinForm(1, factors)
+    factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
     for s in label:
         x = pyr.stone_weight(s, p)
         if s.color == "B":
-            f = f * LinForm(1, [(x - p.q, 1), (x - p.h, 1)])
+            factors += [(x - p.q, 1), (x - p.h, 1)]
         else:
-            f = f * LinForm(1, [(x - p.t, 1), (x, -1)])
-    return f
+            factors += [(x - p.t, 1), (x, -1)]
+    return LinForm((-1) ** (geometry.m + 1), factors)
 
 
 def box_local_factor(x, params) -> LinForm:
@@ -245,26 +226,23 @@ def stone_product(label, geometry: Geometry, erc=None) -> LinForm:
 
     c3: product of box_local_factor over the boxes.  conifold: one
     box_local_factor (in t, q, h) per completed pair plus one
-    black_only_factor per unpaired black.
+    black_only_factor per unpaired black.  This is also the eigenvalue of
+    the diagonal psi-series.
     """
     p = geometry.params
-    f = LinForm(1)
     if geometry.kind == "c3":
-        for b in label:
-            f = f * box_local_factor(p3.box_weight(b, p), p)
-        return f
-    erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
-    s = set(label.stones)
-    for st in label.stones:
-        if st.color != "B":
-            continue
-        x = pyr.stone_weight(st, p)
-        w = erc.pair_white_of(st)
-        if w is not None and w in s:
-            f = f * box_local_factor(x, p)
-        else:
-            f = f * black_only_factor(x, p)
-    return f
+        parts = [box_local_factor(p3.box_weight(b, p), p) for b in label]
+    else:
+        erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
+        s = set(label.stones)
+        parts = []
+        for st in label.stones:
+            if st.color != "B":
+                continue
+            w = erc.pair_white_of(st)
+            local = box_local_factor if w is not None and w in s else black_only_factor
+            parts.append(local(pyr.stone_weight(st, p), p))
+    return LinForm(1, [fac for part in parts for fac in part.factors])
 
 
 def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
@@ -272,7 +250,8 @@ def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
 
     c3: (1/(z-chi)) * stone product.  conifold:
     (-1)^(black only) * (-1)^(m+1) * (z-chi-m*t) * stone product.
-    Always equal to integrand_e * lowering_form, which the tests assert.
+    Over the smaller label of a transition this is the diagonal integrand,
+    the raising integrand times lowering_form, which the tests assert.
     """
     p = geometry.params
     if geometry.kind == "c3":
@@ -283,56 +262,9 @@ def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
     return head * stone_product(label, geometry, erc=erc)
 
 
-def psi_eigen(label, geometry: Geometry, erc=None) -> LinForm:
-    """Eigenvalue of the diagonal psi-series: the stone product itself.
-
-    For c3 this is the Chern-polynomial product over boxes; for the conifold
-    it is h_rat with the linear shift factor and global sign divided out.
-    """
-    return stone_product(label, geometry, erc=erc)
-
-
 # ---------------------------------------------------------------------------
 # Transitions and operator assembly
 # ---------------------------------------------------------------------------
-
-
-def transition_data(label, geometry: Geometry, x, erc=None):
-    """(rho, fhat) for the transition label -> label + (box/pair at weight x).
-
-    rho is the residue at x of the full diagonal integrand over the smaller
-    label (the pole must be simple: weight collisions of higher order would
-    make the raising/lowering split ill-posed); fhat is the reduced
-    evaluation of the lowering factor there.
-    """
-    low = lowering_form(label, geometry)
-    h_int = integrand_e(label, geometry, erc=erc) * low
-    order = -h_int.exponent_of(x)
-    if order > 1:
-        raise Resonance(
-            f"diagonal integrand has a pole of order {order} at {rational_str(x)}"
-        )
-    return h_int.residue_at(x), low.eval_reduced(x)
-
-
-def _transitions(basis: FixedPointBasis, n):
-    """All (src_idx, tgt_idx, weight, label) raising transitions from level n."""
-    g = basis.geometry
-    out = []
-    for si, lab in enumerate(basis.level(n)):
-        if g.kind == "c3":
-            ws = p3.addible_weights(lab, g.params)
-            for b, x in ws:
-                tgt = lab.add(b)
-                ti = basis.index(n + 1, tgt)
-                out.append((si, ti, x, lab))
-        else:
-            ws = pyr.pair_weights(lab, basis.erc, g.params, which="addible")
-            for pair, x in ws:
-                tgt = lab.with_pair(pair)
-                ti = basis.index(n + 1, tgt)  # enumeration is complete per level
-                out.append((si, ti, x, lab))
-    return out
 
 
 class Representation:
@@ -344,11 +276,34 @@ class Representation:
         self._trans = {}  # level n -> list of (si, ti, x, rho, fhat)
 
     def transitions(self, n):
+        """(src_idx, tgt_idx, x, rho, fhat) for every raising step from level n.
+
+        For the step label -> label + (box/pair at weight x), rho is the
+        residue at x of h_rat(label) (the pole must be simple: weight
+        collisions of higher order would make the raising/lowering split
+        ill-posed) and fhat is the reduced evaluation of the lowering factor
+        there.
+        """
         if n not in self._trans:
+            g, basis = self.geometry, self.basis
             out = []
-            for si, ti, x, lab in _transitions(self.basis, n):
-                rho, fhat = transition_data(lab, self.geometry, x, erc=self.basis.erc)
-                out.append((si, ti, x, rho, fhat))
+            for si, lab in enumerate(basis.level(n)):
+                if g.kind == "c3":
+                    steps = [(lab.add(b), x) for b, x in p3.addible_weights(lab, g.params)]
+                else:
+                    pairs = pyr.pair_weights(lab, basis.erc, g.params, which="addible")
+                    steps = [(lab.with_pair(pair), x) for pair, x in pairs]
+                h = self.h_rat(lab)
+                low = lowering_form(lab, g)
+                for tgt, x in steps:
+                    order = -h.exponent_of(x)
+                    if order > 1:
+                        raise Resonance(
+                            f"diagonal integrand has a pole of order {order} at {rational_str(x)}"
+                        )
+                    # the enumeration is complete per level, so tgt has an index
+                    ti = basis.index(n + 1, tgt)
+                    out.append((si, ti, x, h.residue_at(x), low.eval_reduced(x)))
             self._trans[n] = out
         return self._trans[n]
 

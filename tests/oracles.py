@@ -3,11 +3,16 @@
 These deliberately avoid the library's incremental algorithms: partitions by
 filtering raw box subsets, pyramids by filtering raw stone subsets, counts by
 the classical generating function, residues by an independent CAS,
-resonances by scanning every integer pair.
+resonances by scanning every integer pair, the raising integrand by one
+product per box.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from yangianpp import partitions3d as p3
+from yangianpp import pyramid as pyr
+from yangianpp.exact import LinForm
 
 
 def plane_partition_subsets(n):
@@ -75,6 +80,32 @@ def first_resonance(h1, h2, bound):
             if a * h1 + b * h2 == 0:
                 return f"resonance {a}*h1 + {b}*h2 = 0"
     return None
+
+
+def integrand_e(label, geometry, erc=None):
+    """Raising integrand E(z): products over the stones/boxes of the source label.
+
+    E(z) times the lowering factor is the diagonal integrand h_rat(label);
+    the transition split is Res_{z=x} of that product and the reduced
+    evaluation of the lowering factor at x.
+    """
+    p = geometry.params
+    if geometry.kind == "c3":
+        f = LinForm(1, [(p.chi, -1)])
+        for b in label:
+            x = p3.box_weight(b, p)
+            f = f * LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars])
+        return f
+    erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
+    sign = (-1) ** pyr.black_only_count(label, erc)
+    f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)])
+    for s in label:
+        x = pyr.stone_weight(s, p)
+        if s.color == "B":
+            f = f * LinForm(1, [(x, 1), (x + p.t, -1)])
+        else:
+            f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)])
+    return f
 
 
 def sympy_residue(form, a, power=0):

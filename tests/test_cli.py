@@ -217,3 +217,85 @@ def test_sign_inconsistent_is_relation_failure(monkeypatch, capsys):
         "--specializations", "1", "--relations", "ef",
     )
     assert code == 1 and "opposite global signs" in err
+
+
+def test_check_shift_lets_retry_specialization_through(monkeypatch, capsys):
+    from yangianpp import relations
+    from yangianpp.errors import RetrySpecialization
+
+    def broken(rep):
+        raise RetrySpecialization("division by zero mod PRIME")
+
+    monkeypatch.setattr(relations, "detect_shift", broken)
+    code, _, err = run(
+        capsys, "rep", "check", "--geometry", "c3", "--level", "2", "--imax", "0",
+        "--specializations", "1", "--relations", "shift",
+    )
+    assert code == 2 and "error: division by zero mod PRIME" in err
+
+
+def test_check_shift_reports_inconsistent_shift(monkeypatch, capsys):
+    from yangianpp import relations
+    from yangianpp.errors import InconsistentShift
+
+    def broken(rep):
+        raise InconsistentShift("shift varies across the basis")
+
+    monkeypatch.setattr(relations, "detect_shift", broken)
+    code, out, _ = run(
+        capsys, "rep", "check", "--geometry", "c3", "--level", "2", "--imax", "0",
+        "--specializations", "1", "--relations", "shift",
+    )
+    (report,) = json.loads(out)["relations"]
+    assert code == 1
+    assert report["status"] == "fail" and report["detail"] == "shift varies across the basis"
+
+
+@pytest.fixture
+def op_file(tmp_path):
+    path = tmp_path / "ops.json"
+    argv = [
+        "rep", "build", "--geometry", "c3", "--level", "3", "--imax", "1",
+        "--params", "101/13,47/7,7", "--out", str(path),
+    ]
+    assert main(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit,missing",
+    [
+        (lambda ops: ops["e"].pop("1"), "e_1"),
+        (lambda ops: ops["f"].pop("0"), "f_0"),
+        (lambda ops: ops.update(e={}, f={}), "e_0"),
+    ],
+    ids=["no-e1", "no-f0", "empty-families"],
+)
+def test_rep_check_incomplete_operator_file_fails(op_file, capsys, edit, missing):
+    blob = json.loads(op_file.read_text())
+    edit(blob["operators"])
+    op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 1 and f"{missing} is missing" in err and "verified" not in out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        None,
+        lambda blob: blob.pop("operators"),
+        lambda blob: blob.pop("params"),
+        lambda blob: blob["params"].pop("h1"),
+        lambda blob: blob["operators"].pop("f"),
+    ],
+    ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family"],
+)
+def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit):
+    if edit is None:
+        op_file.unlink()
+    else:
+        blob = json.loads(op_file.read_text())
+        edit(blob)
+        op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 2 and err.startswith("error: ") and out == ""

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from oracles import first_resonance, partial_fraction_residue, sympy_residue
 from yangianpp import LinForm, Params, PoleAtPoint, Resonance
 from yangianpp.errors import RetrySpecialization
-from yangianpp.exact import PRIME, Fp, _product_coeffs, parse_rational, rational_str, to_mode
+from yangianpp.exact import (
+    PRIME,
+    Fp,
+    _product_coeffs,
+    parse_rational,
+    rational_str,
+    scalar_key,
+    to_mode,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +292,33 @@ def test_prime_field_agrees_on_random_forms(form, k):
     assert reduce(form.residue_at_infinity(k)) == form_p.residue_at_infinity(k)
     for a in form.poles():
         assert reduce(form.residue_at(a, k)) == form_p.residue_at(reduce(a), k)
+
+
+factor_lists = st.lists(
+    st.tuples(
+        st.sampled_from([F(-2), F(0), F(1, 3), F(5, 2), F(7)]),
+        st.integers(min_value=-2, max_value=2),
+    ),
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@given(a=factor_lists, b=factor_lists, const=small_rationals.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_one_factor_list_equals_product(mode, a, b, const):
+    """One list merges like a product: repeated roots add their exponents,
+    cancelled roots vanish, the rest come sorted and distinct."""
+    b = b + [(r, -e) for r, e in a[: len(a) // 2]]  # cancel part of a
+    in_mode = lambda fs: [(to_mode(r, mode), e) for r, e in fs]
+    c, both = to_mode(const, mode), in_mode(a + b)
+    whole = LinForm(c, both)
+    assert whole == LinForm(c, in_mode(a)) * LinForm(1, in_mode(b))
+    for r, _ in both:
+        assert whole.exponent_of(r) == sum(e for r2, e in both if r2 == r)
+    roots = [r for r, _ in whole.factors]
+    assert roots == sorted(set(roots), key=scalar_key)
+    assert all(e != 0 for _, e in whole.factors)
 
 
 # ---------------------------------------------------------------------------

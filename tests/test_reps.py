@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from yangianpp import Geometry, LinForm, Representation, detect_shift
+from oracles import integrand_e
+from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_bracket
@@ -10,12 +11,9 @@ from yangianpp.reps import (
     SparseOperator,
     box_local_factor,
     h_rat,
-    integrand_e,
     lowering_form,
     operators_to_json,
-    psi_eigen,
     stone_product,
-    transition_data,
 )
 
 
@@ -84,10 +82,10 @@ def test_h_rat_equals_raising_times_lowering(c3, coni2):
 
 
 def test_psi_eigenvalue(c3, params):
-    assert psi_eigen(EMPTY, c3) == LinForm(1)
-    assert psi_eigen(ONE, c3) == box_local_factor(params.chi, params)
+    assert stone_product(EMPTY, c3) == LinForm(1)
+    assert stone_product(ONE, c3) == box_local_factor(params.chi, params)
     x2 = box_weight((1, 0, 0), params)
-    assert psi_eigen(TWO, c3) == box_local_factor(params.chi, params) * box_local_factor(x2, params)
+    assert stone_product(TWO, c3) == box_local_factor(params.chi, params) * box_local_factor(x2, params)
 
 
 def test_psi_recursion_direction(c3, params):
@@ -95,7 +93,7 @@ def test_psi_recursion_direction(c3, params):
     for lam in (EMPTY, ONE, TWO):
         for b in lam.addible_boxes():
             x = box_weight(b, params)
-            assert psi_eigen(lam.add(b), c3) == psi_eigen(lam, c3) * box_local_factor(x, params)
+            assert stone_product(lam.add(b), c3) == stone_product(lam, c3) * box_local_factor(x, params)
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +101,50 @@ def test_psi_recursion_direction(c3, params):
 # ---------------------------------------------------------------------------
 
 
+def oracle_split(label, x, geometry, erc=None):
+    """(rho, fhat) by definition: the residue at x of integrand_e times the
+    lowering factor, and the reduced evaluation of that factor at x."""
+    low = lowering_form(label, geometry)
+    return (integrand_e(label, geometry, erc=erc) * low).residue_at(x), low.eval_reduced(x)
+
+
 def matcoef_e(label, x, i, geometry, erc=None):
-    """<label| e_i |label + (box/pair at weight x)>, as build_e assembles it.
+    """<label| e_i |label + (box/pair at weight x)>, read from the split.
 
     Equals Res_{z=x} z^i * integrand_e wherever that naive reading is
     nondegenerate; defined through the balanced residue split in general.
     """
-    rho, fhat = transition_data(label, geometry, x, erc=erc)
+    rho, fhat = oracle_split(label, x, geometry, erc=erc)
     return x**i * rho / fhat
 
 
 def matcoef_f(label, x, j, geometry, erc=None):
-    """<label + (box/pair at weight x)| f_j |label>, as build_f assembles it.
+    """<label + (box/pair at weight x)| f_j |label>, read from the split.
 
     Equals z^j * lowering_form evaluated at x wherever no factor vanishes;
     the reduced evaluation keeps it finite and nonzero in general.
     """
-    _, fhat = transition_data(label, geometry, x, erc=erc)
+    _, fhat = oracle_split(label, x, geometry, erc=erc)
     return x**j * fhat
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize(
+    "kind,m,sector,steps",
+    [("c3", 0, 0, 82), ("conifold", 2, 1, 1), ("conifold", 2, 2, 0), ("conifold", 3, 1, 3),
+     ("conifold", 3, 2, 6)],
+)
+def test_transitions_match_oracle_split(kind, m, sector, steps, mode):
+    params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+    rep = Representation(Geometry(kind, params, 5 if kind == "c3" else 3, m=m, sector=sector))
+    count = 0
+    for n in range(rep.basis.top_level):
+        for si, ti, x, rho, fhat in rep.transitions(n):
+            lab = rep.basis.level(n)[si]
+            assert set(lab) < set(rep.basis.level(n + 1)[ti])
+            assert (rho, fhat) == oracle_split(lab, x, rep.geometry, erc=rep.basis.erc)
+            count += 1
+    assert count == steps
 
 
 def test_matcoef_e_vacuum(c3, params):
@@ -165,7 +189,7 @@ def test_balanced_split_at_weight_collision(c3, params):
     E = integrand_e(lam, c3)
     assert E.exponent_of(x) == -2
     assert lowering_form(lam, c3).eval(x) == 0
-    rho, fhat = transition_data(lam, c3, x)
+    rho, fhat = oracle_split(lam, x, c3)
     assert fhat != 0
     h_int = E * lowering_form(lam, c3)
     assert h_int.exponent_of(x) == -1
