@@ -15,7 +15,7 @@ from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import CapExceeded, DenominatorNotCancelled, RelationFailure, Resonance, YangianppError
 from .exact import Params, parse_rational, random_params, rational_str
-from .relations import full_suite
+from .relations import GROUPS, full_suite
 from .reps import Geometry, Representation, SparseOperator, detect_shift, dump_operators
 
 EXIT_OK = 0
@@ -271,7 +271,7 @@ def build_parser():
     rc.add_argument("--level", type=int, default=5)
     rc.add_argument("--imax", type=int, default=2)
     rc.add_argument("--sector", type=int, default=1)
-    rc.add_argument("--relations", default="all", help="all or comma list: ef,ee,serre,psi,poles,shift")
+    rc.add_argument("--relations", default="all", help="all or comma list: " + ",".join(GROUPS))
     rc.add_argument("--specializations", type=int, default=3)
     rc.add_argument("--seed", type=int, default=2024)
     rc.add_argument("--mode", choices=("rational", "prime-field"), default="rational")

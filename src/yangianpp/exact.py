@@ -287,15 +287,21 @@ class LinForm:
     def residue_at_infinity(self, power: int = 0):
         """-(coefficient of z^-1 in z^power * self).
 
-        With w = 1/z the form is const * z^degree * prod (1 - r*w)^e, so the
-        coefficient sits at w^(degree + power + 1).  The sign convention is
-        pinned by the residue theorem: finite residues plus the residue at
-        infinity sum to zero exactly.
+        The sign convention is pinned by the residue theorem: finite residues
+        plus the residue at infinity sum to zero exactly.
         """
-        k = self.degree() + power + 1
-        if k < 0:
-            return self.const * 0
-        return -_product_coeffs(self.const, self.factors, k)[k]
+        return self.residues_at_infinity([power])[0]
+
+    def residues_at_infinity(self, powers):
+        """[residue_at_infinity(p) for p in powers], read from one series.
+
+        With w = 1/z the form is const * z^degree * prod (1 - r*w)^e, so the
+        coefficient of z^-1 in z^p * self sits at w^(degree + p + 1).
+        """
+        ks = [self.degree() + p + 1 for p in powers]
+        series = _product_coeffs(self.const, self.factors, max(ks, default=0))
+        zero = self.const * 0
+        return [-series[k] if k >= 0 else zero for k in ks]
 
     def to_json(self):
         return {
@@ -363,6 +369,11 @@ class Params:
     @property
     def h(self):
         return self.h3
+
+    @property
+    def one(self):
+        """The unit scalar of the mode."""
+        return to_mode(1, self.mode)
 
     @property
     def hbars(self):

@@ -67,18 +67,19 @@ class ERC:
             if Stone("W", b.k + 1, b.a, b.c) in self.stones
         )
         self._pair_white_of_black = {p.black: p.white for p in self.pairs}
+        self._covers = {s: self._directly_above(s) for s in self.stones}
 
-    def covers(self, s: Stone):
-        """Stones directly above s (one layer toward the top)."""
-        out = []
+    def _directly_above(self, s: Stone):
         if s.color == "W":
             cands = (Stone("B", s.k - 1, s.a, s.c), Stone("B", s.k - 1, s.a, s.c - 1))
         else:
             cands = (Stone("W", s.k, s.a, s.c), Stone("W", s.k, s.a - 1, s.c))
-        for c in cands:
-            if c in self.stones:
-                out.append(c)
-        return out
+        return tuple(c for c in cands if c in self.stones)
+
+    def covers(self, s: Stone):
+        """Stones directly above s (one layer toward the top), tabled once
+        per ERC."""
+        return self._covers[s]
 
     def pair_white_of(self, black: Stone):
         """The equal-weight white below a black, or None if the slot is absent."""

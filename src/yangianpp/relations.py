@@ -136,30 +136,56 @@ def serre_terms(i1, i2, i3):
     return _table(t for a, b, c in perms for t in commutator(gen(a), commutator(gen(b), gen(c + 1))))
 
 
-def evaluate(terms, get):
+def evaluate(terms, get, leaf=None):
     """The operator sum of c * X_{w0} ... X_{wk}, X_a = get(a), over a nonempty
     table of distinct words of one length.
 
     Words are summed by shared prefix, X_a o (sum of the tails after a), so
-    each distinct proper prefix costs one compose.
+    each distinct proper prefix costs one compose.  The last letter of each
+    word, the one acting on the source level, is read from leaf(a) instead
+    when leaf is given.
     """
+    leaf = leaf or get
     heads = {}
     for c, word in terms:
         heads.setdefault(word[0], []).append((c, word[1:]))
     out = None
     for a, tails in heads.items():
-        x, c = get(a), tails[0][0]
         if tails[0][1]:
-            x, c = x.compose(evaluate(tails, get)), 1
+            x, c = get(a).compose(evaluate(tails, get, leaf)), 1
+        else:
+            x, c = leaf(a), tails[0][0]
         if out is None:
             out = SparseOperator(x.shift)
         out.accumulate(x, c)
     return out
 
 
-def ef_bracket(ops, i, j) -> SparseOperator:
-    """[e_i, f_j], with letters ("e", i) and ("f", j) looked up on ops."""
-    return evaluate(commutator(gen(("e", i)), gen(("f", j))), lambda g: getattr(ops, g[0])(g[1]))
+def _cut_leaves(get, levels):
+    """get(a) cut to the source levels `levels`, each generator cut once.
+
+    A check that reads only those source levels takes each word's last
+    letter from here: the blocks it drops could only feed unread cells.
+    """
+    cut = {}
+
+    def leaf(a):
+        if a not in cut:
+            op = get(a)
+            cut[a] = SparseOperator(op.shift, {n: op.blocks[n] for n in levels if n in op.blocks})
+        return cut[a]
+
+    return leaf
+
+
+def _ef_letters(ops):
+    """Letters ("e", i) and ("f", j) looked up on ops."""
+    return lambda g: getattr(ops, g[0])(g[1])
+
+
+def ef_bracket(ops, i, j, leaf=None) -> SparseOperator:
+    """[e_i, f_j] on ops, last letters read from leaf when given."""
+    return evaluate(commutator(gen(("e", i)), gen(("f", j))), _ef_letters(ops), leaf)
 
 
 def _entry(rep, n, shift, tgt, src):
@@ -184,10 +210,11 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
     start = time.monotonic()
     rep = ops.rep
     levels = _nonempty(rep, range(0, ops.top))  # one raising level of headroom
+    leaf = _cut_leaves(_ef_letters(ops), levels)
     worst = None
     by_sum = {}  # i + j -> (first bracket with that sum, its eigenvalues)
     for i, j in itertools.product(range(imax + 1), repeat=2):
-        c = ef_bracket(ops, i, j)
+        c = ef_bracket(ops, i, j, leaf)
         name = f"[e_{i},f_{j}]"
         for n in levels:
             for (a, b), v in sorted(c.blocks.get(n, {}).items()):
@@ -211,14 +238,18 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
     start = time.monotonic()
     rep = ops.rep
     levels = _nonempty(rep, range(0, ops.top))
+    res_inf = {  # label -> Res_inf z^nn h for nn = 0..nmax
+        lab: rep.h_rat(lab).residues_at_infinity(range(nmax + 1))
+        for n in levels for lab in rep.basis.level(n)
+    }
+    leaf = _cut_leaves(_ef_letters(ops), levels)
     pairs = []  # (level, state index, n, lhs, rhs)
     for nn in range(nmax + 1):
-        comm = ef_bracket(ops, 0, nn)
+        comm = ef_bracket(ops, 0, nn, leaf)
         for n in levels:
             diag = comm.diagonal(n, len(rep.basis.level(n)))
             for idx, lab in enumerate(rep.basis.level(n)):
-                rhs = infinity_sign * rep.h_rat(lab).residue_at_infinity(nn)
-                pairs.append((n, idx, nn, diag[idx], rhs))
+                pairs.append((n, idx, nn, diag[idx], infinity_sign * res_inf[lab][nn]))
     domain = len(pairs)
     signs = set()
     for n, idx, nn, lhs, rhs in pairs:
@@ -243,9 +274,10 @@ def _check(relation, ops, get, levels, instances):
     on every nonempty level of `levels`; instances maps a name to a table."""
     start = time.monotonic()
     levels = _nonempty(ops.rep, levels)
+    leaf = _cut_leaves(get, levels)
     worst = None
     for name, terms in instances.items():
-        combo = evaluate(terms, get)
+        combo = evaluate(terms, get, leaf)
         hit = combo.first_nonzero_on(levels)
         if hit and worst is None:
             n, (i, j), v = hit
@@ -362,15 +394,28 @@ def expected_shift(geometry: Geometry):
     return (+1, p.chi + geometry.m * p.t)
 
 
+#: The relation groups `which` may name, besides "all".
+GROUPS = ("ef", "ee", "serre", "psi", "poles", "shift")
+
+
 def run_suite(geometry: Geometry, imax: int = 2, nmax: int = 3, which=("all",)):
     """Run the requested checks on one specialization.
 
     Returns (reports, shift) where shift is the detected (l, z1) when the
-    shift check ran and succeeded, else None.
+    shift check ran and succeeded, else None.  A negative imax or an unknown
+    group in `which` is a ValueError, so no selection checks nothing.
     """
+    sel = set(which)
+    unknown = sel - {"all", *GROUPS}
+    if unknown:
+        raise ValueError(
+            f"unknown relation group {', '.join(sorted(unknown))!r}; "
+            f"choose all or from {', '.join(GROUPS)}"
+        )
+    if imax < 0:
+        raise ValueError(f"imax must be nonnegative, got {imax}")
     rep = Representation(geometry)
     ops = OperatorSet(rep)
-    sel = set(which)
     want = lambda k: "all" in sel or k in sel
     reports = []
     shift = None
@@ -449,6 +494,8 @@ def full_suite(
     """
     from .exact import random_params
 
+    if specializations < 1:
+        raise ValueError(f"specializations must be at least 1, got {specializations}")
     params_json = []
     all_reports = []
     shift = None

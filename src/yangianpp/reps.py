@@ -121,18 +121,28 @@ class SparseOperator:
         return self.blocks.get(n, {}).get((tgt, src))
 
     def add_entry(self, n, tgt, src, value):
+        """Add value at (tgt, src) of block n: a new key stores value itself,
+        an existing one adds onto its entry, and a zero sum drops the key."""
         if value == 0:
             return
         blk = self.blocks.setdefault(n, {})
         key = (tgt, src)
-        v = blk.get(key, value * 0) + value
+        old = blk.get(key)
+        if old is None:
+            blk[key] = value
+            return
+        v = old + value
         if v == 0:
-            blk.pop(key, None)
+            del blk[key]
         else:
             blk[key] = v
 
     def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """self applied after other; blocks outside the truncation vanish."""
+        """self applied after other; blocks outside the truncation vanish.
+
+        Products of nonzero entries are nonzero, so each block is summed
+        in a plain dict and only cancelled sums are dropped at the end.
+        """
         out = SparseOperator(self.shift + other.shift)
         for n, blk in other.blocks.items():
             mid = n + other.shift
@@ -142,16 +152,22 @@ class SparseOperator:
             col = {}
             for (j, k), bv in blk.items():
                 col.setdefault(j, []).append((k, bv))
+            acc = {}
             for (i, j), av in ablk.items():
                 for k, bv in col.get(j, ()):
-                    out.add_entry(n, i, k, av * bv)
+                    key = (i, k)
+                    old = acc.get(key)
+                    acc[key] = av * bv if old is None else old + av * bv
+            if acc:
+                out.blocks[n] = {key: v for key, v in acc.items() if v != 0}
         return out
 
     def accumulate(self, other: "SparseOperator", c):
-        """self += c * other, in place."""
+        """self += c * other, in place; c == 1 adds the entries as they are."""
+        unit = c == 1
         for n, blk in other.blocks.items():
             for (i, j), v in blk.items():
-                self.add_entry(n, i, j, c * v)
+                self.add_entry(n, i, j, v if unit else c * v)
 
     def first_nonzero_on(self, levels):
         for n in levels:
@@ -196,7 +212,7 @@ def lowering_form(label, geometry: Geometry) -> LinForm:
         for b in label:
             x = p3.box_weight(b, p)
             factors += [(x - hb, 1) for hb in p.hbars] + [(x, -1)]
-        return LinForm(1, factors)
+        return LinForm(p.one, factors)
     factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
     for s in label:
         x = pyr.stone_weight(s, p)
@@ -204,21 +220,25 @@ def lowering_form(label, geometry: Geometry) -> LinForm:
             factors += [(x - p.q, 1), (x - p.h, 1)]
         else:
             factors += [(x - p.t, 1), (x, -1)]
-    return LinForm((-1) ** (geometry.m + 1), factors)
+    return LinForm((-1) ** (geometry.m + 1) * p.one, factors)
+
+
+def _box_factors(x, params):
+    return [(x - hb, 1) for hb in params.hbars] + [(x + hb, -1) for hb in params.hbars]
+
+
+def _black_only_factors(x, params):
+    return [(x, 1), (x - params.q, 1), (x - params.h, 1), (x + params.t, -1)]
 
 
 def box_local_factor(x, params) -> LinForm:
     """Per-box factor of the diagonal series: prod (z-x+h_i)/(z-x-h_i)."""
-    return LinForm(
-        1, [(x - hb, 1) for hb in params.hbars] + [(x + hb, -1) for hb in params.hbars]
-    )
+    return LinForm(1, _box_factors(x, params))
 
 
 def black_only_factor(x, params) -> LinForm:
     """(z-x)(z-x+q)(z-x+h)/(z-x-t), the contribution of an unpaired black."""
-    return LinForm(
-        1, [(x, 1), (x - params.q, 1), (x - params.h, 1), (x + params.t, -1)]
-    )
+    return LinForm(1, _black_only_factors(x, params))
 
 
 def stone_product(label, geometry: Geometry, erc=None) -> LinForm:
@@ -227,22 +247,22 @@ def stone_product(label, geometry: Geometry, erc=None) -> LinForm:
     c3: product of box_local_factor over the boxes.  conifold: one
     box_local_factor (in t, q, h) per completed pair plus one
     black_only_factor per unpaired black.  This is also the eigenvalue of
-    the diagonal psi-series.
+    the diagonal psi-series.  The factor lists are joined and merged once.
     """
     p = geometry.params
     if geometry.kind == "c3":
-        parts = [box_local_factor(p3.box_weight(b, p), p) for b in label]
+        factors = [fac for b in label for fac in _box_factors(p3.box_weight(b, p), p)]
     else:
         erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
         s = set(label.stones)
-        parts = []
+        factors = []
         for st in label.stones:
             if st.color != "B":
                 continue
             w = erc.pair_white_of(st)
-            local = box_local_factor if w is not None and w in s else black_only_factor
-            parts.append(local(pyr.stone_weight(st, p), p))
-    return LinForm(1, [fac for part in parts for fac in part.factors])
+            local = _box_factors if w is not None and w in s else _black_only_factors
+            factors += local(pyr.stone_weight(st, p), p)
+    return LinForm(p.one, factors)
 
 
 def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
@@ -255,10 +275,10 @@ def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
     """
     p = geometry.params
     if geometry.kind == "c3":
-        return LinForm(1, [(p.chi, -1)]) * stone_product(label, geometry)
+        return LinForm(p.one, [(p.chi, -1)]) * stone_product(label, geometry)
     erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
     sign = (-1) ** (pyr.black_only_count(label, erc) + geometry.m + 1)
-    head = LinForm(sign, [(p.chi + geometry.m * p.t, 1)])
+    head = LinForm(sign * p.one, [(p.chi + geometry.m * p.t, 1)])
     return head * stone_product(label, geometry, erc=erc)
 
 
@@ -268,12 +288,14 @@ def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
 
 
 class Representation:
-    """Basis plus cached transition data; builds e_i / f_j on demand."""
+    """Basis plus cached transition data and diagonal series; builds
+    e_i / f_j on demand."""
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.basis = FixedPointBasis(geometry)
         self._trans = {}  # level n -> list of (si, ti, x, rho, fhat)
+        self._h = {}  # label -> h_rat(label)
 
     def transitions(self, n):
         """(src_idx, tgt_idx, x, rho, fhat) for every raising step from level n.
@@ -323,7 +345,11 @@ class Representation:
         return op
 
     def h_rat(self, label) -> LinForm:
-        return h_rat(label, self.geometry, erc=self.basis.erc)
+        """h_rat(label), built on the first call for the label and cached."""
+        h = self._h.get(label)
+        if h is None:
+            h = self._h[label] = h_rat(label, self.geometry, erc=self.basis.erc)
+        return h
 
 
 def detect_shift(rep):
@@ -337,9 +363,7 @@ def detect_shift(rep):
     basis = rep.basis
     found = None
     for n, lab in basis:
-        resid = h_rat(lab, geometry, erc=basis.erc) / stone_product(
-            lab, geometry, erc=basis.erc
-        )
+        resid = rep.h_rat(lab) / stone_product(lab, geometry, erc=basis.erc)
         fac = resid.factors
         if len(fac) != 1 or abs(fac[0][1]) != 1 or resid.const not in (1, -1):
             raise InconsistentShift(

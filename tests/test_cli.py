@@ -97,6 +97,18 @@ def test_rep_check_conifold_shift(tmp_path, capsys):
     assert json.loads(out_file.read_text())["shift"]["l"] == 1
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--specializations", "0"], "specializations must be at least 1"),
+    (["--relations", "bogus"], "unknown relation group 'bogus'"),
+    (["--relations", "ef,bogus"], "unknown relation group 'bogus'"),
+    (["--imax", "-1"], "imax must be nonnegative"),
+], ids=["no-specialization", "unknown-group", "one-unknown-group", "negative-imax"])
+def test_rep_check_that_would_check_nothing_is_usage_error(capsys, flags, message):
+    code, out, err = run(capsys, "rep", "check", "--geometry", "c3", "--level", "2", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_rep_check_operator_file_roundtrip_and_corruption(tmp_path, capsys):
     op_file = tmp_path / "ops.json"
     argv = [

@@ -184,6 +184,28 @@ def test_residue_theorem_random(form, k):
     assert total == 0
 
 
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@given(lin_forms(), st.integers(min_value=0, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_batched_residues_at_infinity(mode, form, nmax):
+    """One series serves every power; a power whose index degree + p + 1 is
+    negative gives 0, and the finite residues balance each value."""
+    reduce = lambda x: to_mode(x, mode)
+    form = LinForm(reduce(form.const), [(reduce(r), e) for r, e in form.factors])
+    batch = form.residues_at_infinity(range(nmax + 1))
+    assert batch == [form.residue_at_infinity(p) for p in range(nmax + 1)]
+    for p, value in enumerate(batch):
+        assert type(value) is type(form.const)
+        assert value == -sum(form.residue_at(a, p) for a in form.poles())
+        if form.degree() + p + 1 < 0:
+            assert value == 0
+
+
+def test_batched_residues_at_infinity_negative_degree():
+    # z^p / (z - 1)^3: the z^-1 coefficient is 0, 0, then 1, 3, 6
+    assert LinForm(F(1), [(F(1), -3)]).residues_at_infinity(range(5)) == [0, 0, -1, -3, -6]
+
+
 @given(lin_forms())
 @settings(max_examples=40, deadline=None)
 def test_simple_pole_residue_equals_reduced_eval(form):

@@ -4,8 +4,11 @@ import pytest
 
 from yangianpp import Geometry, Representation
 from yangianpp.errors import SignInconsistent
+from yangianpp import reps
+from yangianpp.exact import random_params
 from yangianpp.relations import (
     OperatorSet,
+    _cut_leaves,
     check_ee,
     check_ef_diag,
     check_ef_matches_h,
@@ -19,6 +22,7 @@ from yangianpp.relations import (
     full_suite,
     quad_terms,
     run_suite,
+    serre_terms,
 )
 from yangianpp.reps import SparseOperator
 
@@ -144,6 +148,77 @@ def test_failing_ee_detail_names_instance_and_level(c3_ops):
     assert r.status == "fail" and r.discrepancy != "0"
     assert r.detail.startswith("(m,n)=(0,")
     assert ", level " in r.detail and "Partition3D" in r.detail and " -> " in r.detail
+
+
+class _BumpedE0Level2(OperatorSet):
+    """e_0 with its last level-2 entry raised by 1: level 2 lies inside the
+    checked window of ee-quadratic, serre-e and ef-diagonal at N=5."""
+
+    def e(self, i):
+        op = super().e(i)
+        if i != 0:
+            return op
+        bumped = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()})
+        bumped.add_entry(2, *max(bumped.blocks[2]), 1)
+        return bumped
+
+
+BUMPED_LEVEL2 = {  # relation -> (check, discrepancy, detail) as first reported
+    "ee-quadratic": (
+        check_ee,
+        "114563/9720",
+        "(m,n)=(0,0), level 1, entry (5,0): Partition3D([(0, 0, 0)]) -> "
+        "Partition3D([(0, 0, 0), (1, 0, 0), (2, 0, 0)])",
+    ),
+    "serre-e": (
+        check_serre_e,
+        "-186641/32400",
+        "(i1,i2,i3)=(0,0,0), level 0, entry (5,0): Partition3D([]) -> "
+        "Partition3D([(0, 0, 0), (1, 0, 0), (2, 0, 0)])",
+    ),
+    "ef-diagonal": (
+        check_ef_diag,
+        "8449915844312/217997325",
+        "[e_0,f_0] off the diagonal, level 3, entry (5,2): Partition3D([(0, 0, 0), "
+        "(0, 0, 1), (1, 0, 0)]) -> Partition3D([(0, 0, 0), (1, 0, 0), (2, 0, 0)])",
+    ),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(BUMPED_LEVEL2))
+def test_bumped_e0_inside_window_fails_with_same_detail(c3_ops, relation):
+    check, discrepancy, detail = BUMPED_LEVEL2[relation]
+    r = check(_BumpedE0Level2(c3_ops.rep), 1)
+    assert (r.relation, r.status, r.discrepancy, r.detail) == (
+        relation, "fail", discrepancy, detail
+    )
+
+
+@pytest.mark.parametrize("family,levels,table", [
+    ("e", range(0, 4), quad_terms(1, 0, 2, 3)),
+    ("f", range(2, 6), quad_terms(0, 1, 2, -3)),
+    ("e", range(0, 3), serre_terms(0, 0, 1)),
+    ("f", range(3, 6), serre_terms(1, 0, 0)),
+])
+def test_cut_leaves_keep_every_checked_cell(c3_ops, family, levels, table):
+    """Reading last letters from generators cut to the checked source levels
+    leaves those levels' cells as they are and computes no other level."""
+    get = getattr(c3_ops, family)
+    full = evaluate(table, get)
+    cut = evaluate(table, get, _cut_leaves(get, levels))
+    assert set(cut.blocks) <= set(levels)
+    for n in levels:
+        assert cut.blocks.get(n, {}) == full.blocks.get(n, {})
+
+
+def test_suite_builds_h_rat_once_per_label(monkeypatch):
+    built = []
+    build = reps.h_rat
+    monkeypatch.setattr(reps, "h_rat", lambda label, *a, **k: built.append(label) or build(label, *a, **k))
+    geometry = Geometry("c3", random_params(2024, mode="prime-field"), 6)
+    reports, shift = run_suite(geometry, imax=2)
+    assert all(r.passed for r in reports) and shift is not None
+    assert len(built) == len(set(built)) <= 96
 
 
 class _ShiftedF1(OperatorSet):

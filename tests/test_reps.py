@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import integrand_e
 from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
+from yangianpp.exact import to_mode
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_bracket
@@ -287,3 +290,90 @@ def test_prime_field_mode_builds_same_support(params, params_fp):
     support_q = {(n, k) for n, blk in e_q.blocks.items() for k in blk}
     support_p = {(n, k) for n, blk in e_p.blocks.items() for k in blk}
     assert support_q == support_p
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize(
+    "kind,m,sector,level",
+    [("c3", 0, 0, 5), ("conifold", 2, 1, 4), ("conifold", 2, 2, 4), ("conifold", 3, 1, 4),
+     ("conifold", 3, 2, 4)],
+)
+def test_no_foreign_scalar_types(kind, m, sector, level, mode):
+    """Every transition scalar and every e/f entry has the type of the step
+    weights: no int (the c3 vacuum's rho and fhat) and no float."""
+    params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+    rep = Representation(Geometry(kind, params, level, m=m, sector=sector))
+    scalar = type(params.chi)
+    for n in range(rep.basis.top_level):
+        for si, ti, x, rho, fhat in rep.transitions(n):
+            assert (type(x), type(rho), type(fhat)) == (scalar,) * 3
+    for op in (rep.build_e(0), rep.build_e(2), rep.build_f(0), rep.build_f(2)):
+        assert all(type(v) is scalar for blk in op.blocks.values() for v in blk.values())
+
+
+# ---------------------------------------------------------------------------
+# sparse kernel against a dict-of-dicts reference
+# ---------------------------------------------------------------------------
+
+kernel_values = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)])
+kernel_entries = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), kernel_values),
+    max_size=10,
+)
+
+
+def reference(entries):
+    """Block -> {(tgt, src): sum}, zero sums and empty blocks dropped."""
+    ref = {}
+    for n, i, j, v in entries:
+        blk = ref.setdefault(n, {})
+        blk[(i, j)] = blk.get((i, j), 0) + v
+    ref = {n: {k: v for k, v in blk.items() if v != 0} for n, blk in ref.items()}
+    return {n: blk for n, blk in ref.items() if blk}
+
+
+def built(shift, entries):
+    op = SparseOperator(shift)
+    for n, i, j, v in entries:
+        op.add_entry(n, i, j, v)
+    return op
+
+
+def stored(op, scalar):
+    """op's nonempty blocks, after asserting no zero and no foreign type is stored."""
+    for blk in op.blocks.values():
+        assert all(v != 0 and type(v) is scalar for v in blk.values())
+    return {n: blk for n, blk in op.blocks.items() if blk}
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@given(a=kernel_entries, b=kernel_entries, cancel=st.integers(0, 10), c=st.sampled_from(
+    [1, -1, 3, "s2"]))
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_matches_reference(mode, a, b, cancel, c):
+    in_mode = lambda es: [(n, i, j, to_mode(v, mode)) for n, i, j, v in es]
+    scalar = type(to_mode(1, mode))
+    c = to_mode(F(7, 3), mode) if c == "s2" else c
+    a = in_mode(a + [(n, i, j, -v) for n, i, j, v in a[:cancel]])  # sums that cancel
+    b = in_mode(b)
+    assert stored(built(+1, a), scalar) == reference(a)
+
+    acc = built(+1, a)
+    acc.accumulate(built(+1, b), c)
+    assert stored(acc, scalar) == reference(a + [(n, i, j, c * v) for n, i, j, v in b])
+
+    # a after b, for a of shift +1 and b of shift -1: sum over the middle index
+    prod = built(+1, a).compose(built(-1, b))
+    want = [
+        (n, i, k, av * bv)
+        for n, j, k, bv in b
+        for m, i, j2, av in a
+        if m == n - 1 and j2 == j
+    ]
+    assert prod.shift == 0 and stored(prod, scalar) == reference(want)
+
+
+def test_compose_cancellation_leaves_no_entry():
+    a = built(+1, [(0, 0, 0, F(1)), (0, 0, 1, F(1))])
+    b = built(0, [(0, 0, 0, F(2)), (0, 1, 0, F(-2)), (0, 1, 1, F(3))])
+    assert a.compose(b).blocks == {0: {(0, 1): F(3)}}
