@@ -1,7 +1,11 @@
 """The CLI's JSON outputs, byte for byte, against tests/golden_reports.json.
 
 `rep check` reports (without their `time` fields) and `shift` outputs for
-c3 N=5 and conifold m in {2, 3} x sectors {1, 2} N=4, both modes, seed 2024.
+c3 N=5 and conifold m in {2, 3} x sectors {1, 2} N=4, both modes, seed 2024;
+the SHA-256 of the `rep build` files for c3 N=5 and conifold m=3 x sectors
+{1, 2} N=4 at `--imax 2`, both modes; and the `enum` outputs for plane
+partitions up to 6 boxes and length-3 pyramids up to 8 stones, in every
+sector and in sectors 1 and 2.
 A change that should leave every output alone must pass this unchanged.
 Regenerate the file only when an output change is intended:
 
@@ -9,6 +13,7 @@ Regenerate the file only when an output change is intended:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -23,7 +28,12 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 GEOMETRIES = [("c3", "1", "5")] + [
     (f"conifold:{m}", str(sector), "4") for m in (2, 3) for sector in (1, 2)
 ]
+BUILDS = [("c3", "1", "5")] + [("conifold:3", str(sector), "4") for sector in (1, 2)]
 MODES = ("rational", "prime-field")
+ENUMS = [
+    ["enum", "pp", "--max-boxes", "6"],
+    ["enum", "pyramid", "--length", "3", "--max-stones", "8"],
+] + [["enum", "pyramid", "--length", "3", "--max-stones", "8", "--sector", s] for s in ("1", "2")]
 
 
 def runs():
@@ -33,13 +43,21 @@ def runs():
             tail = ["--mode", mode, "--seed", "2024"]
             yield ["rep", "check"] + common + ["--imax", "2"] + tail
             yield ["shift"] + common + tail
+    for geometry, sector, level in BUILDS:
+        for mode in MODES:
+            yield ["rep", "build", "--geometry", geometry, "--sector", sector, "--level", level,
+                   "--imax", "2", "--mode", mode, "--seed", "2024"]
+    yield from ENUMS
 
 
 def canonical(argv):
-    """Exit code and stdout of one CLI run, with report times dropped."""
+    """Exit code and stdout of one CLI run, with report times dropped; the
+    SHA-256 of the stdout stands in for a `rep build` file."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
+    if argv[:2] == ["rep", "build"]:
+        return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
     data = json.loads(out.getvalue())
     for report in data.get("relations", ()):
         del report["time"]
