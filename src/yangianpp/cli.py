@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 relation failure, 2 usage, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -102,7 +103,7 @@ def cmd_rep_build(args) -> int:
 
 
 def _verify_operator_file(path, args) -> int:
-    """Recompute the operators for the stored config and compare entries.
+    """Recompute the basis and operators for the stored config and compare.
 
     The e and f families must both hold exactly the keys 0..k; a file that
     cannot be read or lacks a section is a usage error.
@@ -111,6 +112,7 @@ def _verify_operator_file(path, args) -> int:
         with open(path) as fh:
             data = json.load(fh)
         g, pj, stored = data["geometry"], data["params"], data["operators"]
+        kind, level, labels = g["kind"], g["N"], data["basis"]["levels"]
         families = {fam: stored[fam] for fam in ("e", "f")}
         # h1/h2/chi are the source rationals; older prime-field files store
         # residues instead, which map to the same field elements
@@ -127,10 +129,12 @@ def _verify_operator_file(path, args) -> int:
             return EXIT_RELATION
     mode = pj.get("mode", "rational")
     params = Params.make(h1, h2, chi, mode=mode)
-    geometry = Geometry(
-        g["kind"], params, g["N"], m=g.get("m", 0), sector=g.get("sector", 0)
-    )
+    geometry = Geometry(kind, params, level, m=g.get("m", 0), sector=g.get("sector", 0))
     rep = Representation(geometry)
+    for n, (ours, theirs) in enumerate(itertools.zip_longest(rep.basis.to_json(), labels)):
+        if ours != theirs:
+            print(f"operator file mismatch: basis level {n} disagrees with recomputation", file=sys.stderr)
+            return EXIT_RELATION
     for fam, builder in (("e", rep.build_e), ("f", rep.build_f)):
         for key, opjson in families[fam].items():
             if builder(int(key)).to_json() != SparseOperator.from_json(opjson, mode).to_json():

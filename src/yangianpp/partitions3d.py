@@ -1,36 +1,46 @@
-"""3D plane partitions: finite order ideals in N^3.
+"""3D plane partitions: finite order ideals in N^3, and the C^3 crystal.
 
 These index the torus-fixed basis of the rank-one Hilbert-scheme side.
 Boxes are (i, j, k) tuples with the corner box at (0, 0, 0); a partition is
-canonically stored as a lexicographically sorted tuple of boxes.
+canonically stored as a lexicographically sorted tuple of boxes.  `grow`
+enumerates graded order ideals of any poset; `C3` is everything the
+representation needs to know about this geometry.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceeded, Resonance
 
-Box = tuple  # (i, j, k), componentwise nonnegative
-
-_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 DEFAULT_CAP = 10
 
 
 def _preds(box):
     i, j, k = box
-    out = []
-    if i:
-        out.append((i - 1, j, k))
-    if j:
-        out.append((i, j - 1, k))
-    if k:
-        out.append((i, j, k - 1))
-    return out
+    return [p for p in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1)) if min(p) >= 0]
 
 
 def _succs(box):
     i, j, k = box
     return ((i + 1, j, k), (i, j + 1, k), (i, j, k + 1))
+
+
+def _addible(boxes):
+    """Boxes whose addition to the set `boxes` keeps it an order ideal."""
+    cands = {(0, 0, 0)}.union(*map(_succs, boxes))
+    return [c for c in cands if c not in boxes and all(p in boxes for p in _preds(c))]
+
+
+def grow(max_size, addible):
+    """Graded order ideals: level n is the set of n-element ideals.
+
+    Growth is from the empty ideal by single-element addition, where
+    addible(ideal) lists the elements that may join it.  Holding an element
+    back prunes every ideal that only that addition would reach.
+    """
+    levels = [{frozenset()}]
+    for _ in range(max_size):
+        levels.append({cur | {x} for cur in levels[-1] for x in addible(cur)})
+    return levels
 
 
 class Partition3D:
@@ -78,12 +88,7 @@ class Partition3D:
 
     def addible_boxes(self):
         """Boxes whose addition keeps the order-ideal property."""
-        s = set(self.boxes)
-        cands = {(0, 0, 0)}
-        for b in self.boxes:
-            cands.update(_succs(b))
-        out = [c for c in cands if c not in s and all(p in s for p in _preds(c))]
-        return sorted(out)
+        return sorted(_addible(set(self.boxes)))
 
     def removable_boxes(self):
         """Boxes whose removal keeps the order-ideal property."""
@@ -104,29 +109,75 @@ def box_weight(box, params):
     return params.chi + i * params.h1 + j * params.h2 + k * params.h3
 
 
+def box_factors(x, params):
+    """Factors of prod (z-x+h_i)/(z-x-h_i), the bond factor of an atom at x."""
+    return [(x - hb, 1) for hb in params.hbars] + [(x + hb, -1) for hb in params.hbars]
+
+
+def distinct_weights(ws, what):
+    """ws, a list of (item, weight); Resonance if two weights collide."""
+    if len({w for _, w in ws}) != len(ws):
+        raise Resonance(f"{what} share a weight")
+    return ws
+
+
 def addible_weights(lam: Partition3D, params):
     """Weights of the addible boxes; Resonance if two collide."""
     ws = [(b, box_weight(b, params)) for b in lam.addible_boxes()]
-    if len({w for _, w in ws}) != len(ws):
-        raise Resonance(f"addible boxes of {lam!r} share a weight")
-    return ws
+    return distinct_weights(ws, f"addible boxes of {lam!r}")
 
 
 def enumerate_plane_partitions(max_boxes: int, cap: int = DEFAULT_CAP):
     """All plane partitions with 0..max_boxes boxes, grouped by box count.
 
     Levels are complete, duplicate-free and canonically ordered; growth is by
-    single-box addition with memoized canonical forms.
+    single-box addition.
     """
     if max_boxes < 0:
         raise ValueError("max_boxes must be nonnegative")
     if max_boxes > cap:
         raise CapExceeded(f"max_boxes {max_boxes} exceeds cap {cap}")
-    levels = [[Partition3D()]]
-    for _ in range(max_boxes):
-        nxt = set()
-        for lam in levels[-1]:
-            for b in lam.addible_boxes():
-                nxt.add(lam.add(b))
-        levels.append(sorted(nxt))
-    return levels
+    return [sorted(map(Partition3D, level)) for level in grow(max_boxes, _addible)]
+
+
+class C3:
+    """The C^3 crystal truncated at level_cap boxes: level n of the basis
+    lists the plane partitions with n boxes, and each box is one atom."""
+
+    kind = "c3"
+    tag = "c3"
+
+    def __init__(self, params, level_cap):
+        self.params = params
+        self.level_cap = level_cap
+
+    def to_json(self):
+        return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
+
+    def basis(self):
+        return enumerate_plane_partitions(self.level_cap, cap=max(DEFAULT_CAP, self.level_cap))
+
+    def steps(self, lam):
+        """(lam + box, weight) per addible box; Resonance on a collision."""
+        return [(lam.add(b), x) for b, x in addible_weights(lam, self.params)]
+
+    def removable(self, lam):
+        return [box_weight(b, self.params) for b in lam.removable_boxes()]
+
+    def stone_factors(self, lam):
+        """One bond factor per box."""
+        return [f for b in lam for f in box_factors(box_weight(b, self.params), self.params)]
+
+    def lowering(self, lam):
+        """(constant, factors) of the lowering factor F(z)."""
+        p = self.params
+        xs = [box_weight(b, p) for b in lam]
+        return p.one, [(x - hb, 1) for x in xs for hb in p.hbars] + [(x, -1) for x in xs]
+
+    def head(self, lam):
+        """(constant, factors) of h_rat over the stone product: 1/(z-chi)."""
+        return self.params.one, [(self.params.chi, -1)]
+
+    def expected_shift(self):
+        """(l, z1) of the shift: l = -1 at the framing weight."""
+        return -1, self.params.chi

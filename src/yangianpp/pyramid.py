@@ -13,14 +13,16 @@ weights: a white sits directly below the blacks one layer up whose weight
 exceeds it by q or h; a black sits directly below the whites one layer up at
 weight offset 0 or t.  A pyramid partition is an upward-closed subset; adding
 or removing happens through equal-weight black/white pairs
-(black (k; a, c) with white (k+1; a, c)).
+(black (k; a, c) with white (k+1; a, c)).  `Conifold` is everything the
+representation needs to know about this geometry.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import CapExceeded, Resonance
+from .errors import CapExceeded
+from .partitions3d import box_factors, distinct_weights, grow
 
 Stone = namedtuple("Stone", ["color", "k", "a", "c"])  # color: 'B' | 'W'
 
@@ -48,24 +50,14 @@ class ERC:
         if m > cap:
             raise CapExceeded(f"length {m} exceeds cap {cap}")
         self.m = m
-        blacks, whites = [], []
-        for k in range(m):
-            for a in range(k + 1):
-                for c in range(k, m):
-                    blacks.append(Stone("B", k, a, c))
-        for k in range(1, m):
-            for a in range(k):
-                for c in range(k, m):
-                    whites.append(Stone("W", k, a, c))
+        blacks = [Stone("B", k, a, c) for k in range(m) for a in range(k + 1) for c in range(k, m)]
+        whites = [Stone("W", k, a, c) for k in range(1, m) for a in range(k) for c in range(k, m)]
         self.blacks = tuple(blacks)
         self.whites = tuple(whites)
         self.stones = frozenset(blacks) | frozenset(whites)
         # pairs: black (k;a,c) with the equal-weight white one layer below
-        self.pairs = tuple(
-            Pair(b, Stone("W", b.k + 1, b.a, b.c))
-            for b in blacks
-            if Stone("W", b.k + 1, b.a, b.c) in self.stones
-        )
+        below = ((b, Stone("W", b.k + 1, b.a, b.c)) for b in blacks)
+        self.pairs = tuple(Pair(b, w) for b, w in below if w in self.stones)
         self._pair_white_of_black = {p.black: p.white for p in self.pairs}
         self._covers = {s: self._directly_above(s) for s in self.stones}
 
@@ -215,46 +207,99 @@ def black_only_count(pi: PyramidPartition, erc: ERC) -> int:
     return n
 
 
-def pair_weights(pi: PyramidPartition, erc: ERC, params, which="addible"):
-    """(pair, weight) list for addible or removable pairs; Resonance on collision."""
-    pairs = addible_pairs(pi, erc) if which == "addible" else removable_pairs(pi, erc)
-    ws = [(p, stone_weight(p.black, params)) for p in pairs]
-    if len({w for _, w in ws}) != len(ws):
-        raise Resonance(f"{which} pairs of {pi!r} share a weight")
-    return ws
-
-
 def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_CAP):
     """All pyramid partitions of length m with at most max_stones stones.
 
     Returns a dict keyed by (#black, #white) with canonically ordered lists,
     optionally filtered to one sector.  Enumeration is by single-stone
     addition (a stone may be added once everything directly above it is
-    present), which reaches exactly the upward-closed subsets.
+    present), which reaches exactly the upward-closed subsets.  With a
+    sector s, growth stops at (max_stones+s)//2 blacks and (max_stones-s)//2
+    whites: every pyramid of the sector lies within those bounds, and so do
+    all its sub-pyramids.
     """
     erc = build_erc(m, cap=cap)
     if max_stones > len(erc.stones):
-        raise CapExceeded(
-            f"max_stones {max_stones} exceeds ERC size {len(erc.stones)}"
-        )
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    for _ in range(max_stones):
-        nxt = []
-        for cur in frontier:
-            for s in erc.stones - cur:
-                if all(c in cur for c in erc.covers(s)):
-                    new = cur | {s}
-                    if new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
-        frontier = nxt
+        raise CapExceeded(f"max_stones {max_stones} exceeds ERC size {len(erc.stones)}")
+    nb = nw = max_stones
+    if sector is not None:
+        nb, nw = (max_stones + sector) // 2, (max_stones - sector) // 2
+
+    def addible(cur):
+        b = sum(s.color == "B" for s in cur)
+        room = {"B": b < nb, "W": len(cur) - b < nw}
+        return [s for s in erc.stones - cur if room[s.color] and all(c in cur for c in erc.covers(s))]
+
+    pis = (PyramidPartition(m, fs) for level in grow(max_stones, addible) for fs in level)
     groups = {}
-    for fs in seen:
-        pi = PyramidPartition(m, fs)
-        if sector is not None and pi.sector != sector:
-            continue
+    for pi in sorted(pi for pi in pis if sector is None or pi.sector == sector):
         groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
-    for v in groups.values():
-        v.sort()
     return dict(sorted(groups.items()))
+
+
+class Conifold:
+    """The resolved-conifold crystal: the length-m pyramid partitions of one
+    sector (#black - #white), graded by their number of whites up to
+    level_cap.  Each raising step adds one equal-weight black/white pair."""
+
+    kind = "conifold"
+
+    def __init__(self, params, level_cap, m, sector):
+        self.params = params
+        self.level_cap = level_cap
+        self.m = m
+        self.sector = sector
+        self.erc = build_erc(m, cap=max(DEFAULT_CAP, m))
+        self.tag = f"conifold:{m}(sector {sector})"
+
+    def to_json(self):
+        return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json(),
+                "m": self.m, "sector": self.sector}
+
+    def basis(self):
+        max_stones = min(self.sector + 2 * self.level_cap, len(self.erc.stones))
+        groups = enumerate_pyramids(self.m, max_stones, sector=self.sector, cap=max(DEFAULT_CAP, self.m))
+        return [groups.get((self.sector + nw, nw), []) for nw in range(self.level_cap + 1)]
+
+    def steps(self, pi):
+        """(pi + pair, weight) per addible pair; Resonance on a collision."""
+        ws = [(pi.with_pair(p), stone_weight(p.black, self.params)) for p in addible_pairs(pi, self.erc)]
+        return distinct_weights(ws, f"addible pairs of {pi!r}")
+
+    def removable(self, pi):
+        return [stone_weight(p.black, self.params) for p in removable_pairs(pi, self.erc)]
+
+    def stone_factors(self, pi):
+        """A box bond factor (in t, q, h) per completed pair, and
+        (z-x)(z-x+q)(z-x+h)/(z-x-t) per black whose paired white is absent."""
+        p, present = self.params, set(pi.stones)
+        factors = []
+        for st in pi.blacks():
+            x = stone_weight(st, p)
+            if self.erc.pair_white_of(st) in present:
+                factors += box_factors(x, p)
+            else:
+                factors += [(x, 1), (x - p.q, 1), (x - p.h, 1), (x + p.t, -1)]
+        return factors
+
+    def lowering(self, pi):
+        """(constant, factors) of the lowering factor F(z)."""
+        p = self.params
+        factors = [(p.chi + i * p.t, 1) for i in range(self.m + 1)]
+        for s in pi:
+            x = stone_weight(s, p)
+            if s.color == "B":
+                factors += [(x - p.q, 1), (x - p.h, 1)]
+            else:
+                factors += [(x - p.t, 1), (x, -1)]
+        return (-1) ** (self.m + 1) * p.one, factors
+
+    def head(self, pi):
+        """(constant, factors) of h_rat over the stone product:
+        (-1)^(unpaired blacks + m + 1) * (z - chi - m*t)."""
+        sign = (-1) ** (black_only_count(pi, self.erc) + self.m + 1)
+        return sign * self.params.one, [(self.params.chi + self.m * self.params.t, 1)]
+
+    def expected_shift(self):
+        """(l, z1) of the shift: l = +1 at chi + m*t."""
+        return +1, self.params.chi + self.m * self.params.t

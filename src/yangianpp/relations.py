@@ -339,9 +339,6 @@ def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
 def check_pole_support(rep: Representation) -> RelationReport:
     """Pole set of h(z) on each basis vector equals the addible plus
     removable weights exactly, with all poles simple."""
-    from . import partitions3d as p3
-    from . import pyramid as pyr
-
     start = time.monotonic()
     g = rep.geometry
     domain = 0
@@ -352,18 +349,8 @@ def check_pole_support(rep: Representation) -> RelationReport:
         if any(e < -1 for _, e in h.factors):
             worst = worst or (1, f"level {n}: {lab!r}")
             continue
-        poles = set(h.poles())
-        if g.kind == "c3":
-            expected = {x for _, x in p3.addible_weights(lab, g.params)} | {
-                p3.box_weight(b, g.params) for b in lab.removable_boxes()
-            }
-        else:
-            expected = {
-                x for _, x in pyr.pair_weights(lab, rep.basis.erc, g.params, "addible")
-            } | {
-                x for _, x in pyr.pair_weights(lab, rep.basis.erc, g.params, "removable")
-            }
-        if poles != expected and worst is None:
+        expected = {x for _, x in g.steps(lab)} | set(g.removable(lab))
+        if set(h.poles()) != expected and worst is None:
             worst = (1, f"level {n}: {lab!r}")
     return _report("pole-support", start, domain, worst)
 
@@ -387,18 +374,16 @@ def check_shift(rep: Representation, expect=None) -> RelationReport:
     )
 
 
-def expected_shift(geometry: Geometry):
-    p = geometry.params
-    if geometry.kind == "c3":
-        return (-1, p.chi)
-    return (+1, p.chi + geometry.m * p.t)
+def expected_shift(geometry):
+    """The geometry's own statement of its shift (l, z1)."""
+    return geometry.expected_shift()
 
 
 #: The relation groups `which` may name, besides "all".
 GROUPS = ("ef", "ee", "serre", "psi", "poles", "shift")
 
 
-def run_suite(geometry: Geometry, imax: int = 2, nmax: int = 3, which=("all",)):
+def run_suite(geometry, imax: int = 2, nmax: int = 3, which=("all",)):
     """Run the requested checks on one specialization.
 
     Returns (reports, shift) where shift is the detected (l, z1) when the
@@ -506,5 +491,4 @@ def full_suite(
         reports, sh = run_suite(geometry, imax=imax, which=which)
         all_reports.append(reports)
         shift = shift or sh
-    tag = kind if kind == "c3" else f"conifold:{m}(sector {sector})"
-    return SuiteBundle(tag, params_json, all_reports, shift)
+    return SuiteBundle(geometry.tag, params_json, all_reports, shift)

@@ -1,6 +1,6 @@
 """Fixed-point representations: raising/lowering operators and the diagonal
-rational series, for the 3D-partition geometry ("c3") and the length-m
-pyramid geometry ("conifold").
+rational series, on the crystal of a geometry: `partitions3d.C3` (3D
+partitions) or `pyramid.Conifold` (length-m pyramid partitions).
 
 Matrix coefficients come from equivariant residue calculus.  On a transition
 lam -> lam + box (or + pair) at spectral position x, the diagonal series
@@ -27,65 +27,34 @@ from dataclasses import dataclass, field
 from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import InconsistentShift, Resonance
-from .exact import LinForm, Params, parse_rational, rational_str, to_mode
+from .exact import LinForm, parse_rational, rational_str, to_mode
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Which fixed-point representation to build, and how far."""
-
-    kind: str  # "c3" | "conifold"
-    params: Params
-    level_cap: int  # max level N (boxes for c3, pairs above the floor for conifold)
-    m: int = 0  # conifold length
-    sector: int = 0  # conifold only: #black - #white
-
-    def __post_init__(self):
-        if self.kind not in ("c3", "conifold"):
-            raise ValueError(f"unknown geometry {self.kind!r}")
-        if self.kind == "conifold" and self.m < 1:
-            raise ValueError("conifold geometry needs m >= 1")
-        if self.level_cap < 0:
-            raise ValueError("level cap must be nonnegative")
-
-    def to_json(self):
-        out = {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
-        if self.kind == "conifold":
-            out["m"] = self.m
-            out["sector"] = self.sector
-        return out
+def Geometry(kind, params, level_cap, m=0, sector=0):
+    """The crystal to build a representation on, truncated at level N
+    (boxes for c3, pairs above the floor for conifold): a `C3`, or a
+    length-m `Conifold` of one sector (#black - #white)."""
+    if level_cap < 0:
+        raise ValueError("level cap must be nonnegative")
+    if kind == "c3":
+        return p3.C3(params, level_cap)
+    if kind == "conifold":
+        return pyr.Conifold(params, level_cap, m, sector)
+    raise ValueError(f"unknown geometry {kind!r}")
 
 
 class FixedPointBasis:
-    """Canonically ordered fixed-point labels, graded by level.
+    """The geometry's canonically ordered fixed-point labels, graded by level.
 
-    c3: level n lists the plane partitions with n boxes.  conifold: level n
-    lists the sector's pyramid partitions with n whites (each raising step
-    adds one black/white pair).
+    An empty basis is a ValueError: a check of nothing would pass vacuously.
     """
 
-    def __init__(self, geometry: Geometry):
+    def __init__(self, geometry):
         self.geometry = geometry
-        g = geometry
-        if g.kind == "c3":
-            self.erc = None
-            self.levels = [
-                list(L) for L in p3.enumerate_plane_partitions(g.level_cap, cap=max(10, g.level_cap))
-            ]
-        else:
-            self.erc = pyr.build_erc(g.m, cap=max(pyr.DEFAULT_CAP, g.m))
-            max_stones = g.sector + 2 * g.level_cap
-            max_stones = min(max_stones, len(self.erc.stones))
-            groups = pyr.enumerate_pyramids(
-                g.m, max_stones, sector=g.sector, cap=max(pyr.DEFAULT_CAP, g.m)
-            )
-            self.levels = [[] for _ in range(g.level_cap + 1)]
-            for (_, nw), pis in groups.items():
-                if nw <= g.level_cap:
-                    self.levels[nw] = list(pis)
-        self._index = [
-            {lab: i for i, lab in enumerate(level)} for level in self.levels
-        ]
+        self.levels = geometry.basis()
+        if not any(self.levels):
+            raise ValueError("empty basis")
+        self._index = [{lab: i for i, lab in enumerate(level)} for level in self.levels]
 
     @property
     def top_level(self) -> int:
@@ -104,6 +73,9 @@ class FixedPointBasis:
         for n, L in enumerate(self.levels):
             for lab in L:
                 yield n, lab
+
+    def to_json(self):
+        return [[lab.to_json() for lab in L] for L in self.levels]
 
 
 @dataclass
@@ -204,82 +176,31 @@ class SparseOperator:
 # ---------------------------------------------------------------------------
 
 
-def lowering_form(label, geometry: Geometry) -> LinForm:
+def lowering_form(label, geometry) -> LinForm:
     """Lowering factor F(z): products over the stones/boxes of the smaller label."""
-    p = geometry.params
-    if geometry.kind == "c3":
-        factors = []
-        for b in label:
-            x = p3.box_weight(b, p)
-            factors += [(x - hb, 1) for hb in p.hbars] + [(x, -1)]
-        return LinForm(p.one, factors)
-    factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
-    for s in label:
-        x = pyr.stone_weight(s, p)
-        if s.color == "B":
-            factors += [(x - p.q, 1), (x - p.h, 1)]
-        else:
-            factors += [(x - p.t, 1), (x, -1)]
-    return LinForm((-1) ** (geometry.m + 1) * p.one, factors)
-
-
-def _box_factors(x, params):
-    return [(x - hb, 1) for hb in params.hbars] + [(x + hb, -1) for hb in params.hbars]
-
-
-def _black_only_factors(x, params):
-    return [(x, 1), (x - params.q, 1), (x - params.h, 1), (x + params.t, -1)]
+    return LinForm(*geometry.lowering(label))
 
 
 def box_local_factor(x, params) -> LinForm:
     """Per-box factor of the diagonal series: prod (z-x+h_i)/(z-x-h_i)."""
-    return LinForm(1, _box_factors(x, params))
+    return LinForm(1, p3.box_factors(x, params))
 
 
-def black_only_factor(x, params) -> LinForm:
-    """(z-x)(z-x+q)(z-x+h)/(z-x-t), the contribution of an unpaired black."""
-    return LinForm(1, _black_only_factors(x, params))
+def stone_product(label, geometry) -> LinForm:
+    """The label-dependent part of the diagonal series: one local factor
+    per atom of the label, as the geometry lists them.  This is also the
+    eigenvalue of the diagonal psi-series."""
+    return LinForm(geometry.params.one, geometry.stone_factors(label))
 
 
-def stone_product(label, geometry: Geometry, erc=None) -> LinForm:
-    """The label-dependent part of the diagonal series.
+def h_rat(label, geometry) -> LinForm:
+    """Diagonal rational series h(z) on a basis vector: the geometry's head
+    times the stone product.
 
-    c3: product of box_local_factor over the boxes.  conifold: one
-    box_local_factor (in t, q, h) per completed pair plus one
-    black_only_factor per unpaired black.  This is also the eigenvalue of
-    the diagonal psi-series.  The factor lists are joined and merged once.
-    """
-    p = geometry.params
-    if geometry.kind == "c3":
-        factors = [fac for b in label for fac in _box_factors(p3.box_weight(b, p), p)]
-    else:
-        erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
-        s = set(label.stones)
-        factors = []
-        for st in label.stones:
-            if st.color != "B":
-                continue
-            w = erc.pair_white_of(st)
-            local = _box_factors if w is not None and w in s else _black_only_factors
-            factors += local(pyr.stone_weight(st, p), p)
-    return LinForm(p.one, factors)
-
-
-def h_rat(label, geometry: Geometry, erc=None) -> LinForm:
-    """Diagonal rational series h(z) on a basis vector.
-
-    c3: (1/(z-chi)) * stone product.  conifold:
-    (-1)^(black only) * (-1)^(m+1) * (z-chi-m*t) * stone product.
     Over the smaller label of a transition this is the diagonal integrand,
     the raising integrand times lowering_form, which the tests assert.
     """
-    p = geometry.params
-    if geometry.kind == "c3":
-        return LinForm(p.one, [(p.chi, -1)]) * stone_product(label, geometry)
-    erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
-    sign = (-1) ** (pyr.black_only_count(label, erc) + geometry.m + 1)
-    head = LinForm(sign * p.one, [(p.chi + geometry.m * p.t, 1)])
-    return head * stone_product(label, geometry, erc=erc)
+    return LinForm(*geometry.head(label)) * stone_product(label, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +212,7 @@ class Representation:
     """Basis plus cached transition data and diagonal series; builds
     e_i / f_j on demand."""
 
-    def __init__(self, geometry: Geometry):
+    def __init__(self, geometry):
         self.geometry = geometry
         self.basis = FixedPointBasis(geometry)
         self._trans = {}  # level n -> list of (si, ti, x, rho, fhat)
@@ -310,11 +231,7 @@ class Representation:
             g, basis = self.geometry, self.basis
             out = []
             for si, lab in enumerate(basis.level(n)):
-                if g.kind == "c3":
-                    steps = [(lab.add(b), x) for b, x in p3.addible_weights(lab, g.params)]
-                else:
-                    pairs = pyr.pair_weights(lab, basis.erc, g.params, which="addible")
-                    steps = [(lab.with_pair(pair), x) for pair, x in pairs]
+                steps = g.steps(lab)
                 h = self.h_rat(lab)
                 low = lowering_form(lab, g)
                 for tgt, x in steps:
@@ -348,7 +265,7 @@ class Representation:
         """h_rat(label), built on the first call for the label and cached."""
         h = self._h.get(label)
         if h is None:
-            h = self._h[label] = h_rat(label, self.geometry, erc=self.basis.erc)
+            h = self._h[label] = h_rat(label, self.geometry)
         return h
 
 
@@ -359,11 +276,9 @@ def detect_shift(rep):
     single linear factor (z - z1)^(+-1) with unit constant, identical across
     the whole basis.  Returns (l, z1).
     """
-    geometry = rep.geometry
-    basis = rep.basis
     found = None
-    for n, lab in basis:
-        resid = rep.h_rat(lab) / stone_product(lab, geometry, erc=basis.erc)
+    for n, lab in rep.basis:
+        resid = rep.h_rat(lab) / stone_product(lab, rep.geometry)
         fac = resid.factors
         if len(fac) != 1 or abs(fac[0][1]) != 1 or resid.const not in (1, -1):
             raise InconsistentShift(
@@ -376,8 +291,6 @@ def detect_shift(rep):
             raise InconsistentShift(
                 f"shift {found} vs ({l}, {rational_str(z1)}) at {lab!r}"
             )
-    if found is None:
-        raise InconsistentShift("empty basis")
     return found
 
 
@@ -388,12 +301,12 @@ def detect_shift(rep):
 
 def operators_to_json(rep: Representation, imax: int):
     """Deterministic JSON blob with the basis and e_0..imax, f_0..imax."""
-    basis = rep.basis
-    labels = [[lab.to_json() for lab in L] for L in basis.levels]
+    if imax < 0:
+        raise ValueError(f"imax must be nonnegative, got {imax}")
     return {
         "geometry": rep.geometry.to_json(),
         "params": rep.geometry.params.to_json(),
-        "basis": {"levels": labels},
+        "basis": {"levels": rep.basis.to_json()},
         "operators": {
             "e": {str(i): rep.build_e(i).to_json() for i in range(imax + 1)},
             "f": {str(j): rep.build_f(j).to_json() for j in range(imax + 1)},

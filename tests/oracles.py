@@ -82,7 +82,7 @@ def first_resonance(h1, h2, bound):
     return None
 
 
-def integrand_e(label, geometry, erc=None):
+def integrand_e(label, geometry):
     """Raising integrand E(z): products over the stones/boxes of the source label.
 
     E(z) times the lowering factor is the diagonal integrand h_rat(label);
@@ -96,8 +96,7 @@ def integrand_e(label, geometry, erc=None):
             x = p3.box_weight(b, p)
             f = f * LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars])
         return f
-    erc = erc or pyr.build_erc(geometry.m, cap=max(pyr.DEFAULT_CAP, geometry.m))
-    sign = (-1) ** pyr.black_only_count(label, erc)
+    sign = (-1) ** pyr.black_only_count(label, geometry.erc)
     f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)])
     for s in label:
         x = pyr.stone_weight(s, p)

@@ -22,7 +22,7 @@ from yangianpp import (
     random_params,
 )
 from yangianpp.partitions3d import Partition3D
-from yangianpp.pyramid import PyramidPartition, pair_weights
+from yangianpp.pyramid import PyramidPartition
 from yangianpp.relations import full_suite
 from yangianpp.reps import h_rat
 
@@ -104,12 +104,10 @@ def _pole_support_conifold(params):
         g = Geometry("conifold", params, 4, m=m, sector=0)
         for pis in groups.values():
             for pi in pis:
-                h = h_rat(pi, g, erc=erc)
+                h = h_rat(pi, g)
                 if any(e < -1 for _, e in h.factors):
                     return False
-                expected = {x for _, x in pair_weights(pi, erc, params, "addible")} | {
-                    x for _, x in pair_weights(pi, erc, params, "removable")
-                }
+                expected = {x for _, x in g.steps(pi)} | set(g.removable(pi))
                 if set(h.poles()) != expected:
                     return False
     return True
@@ -208,7 +206,7 @@ def test_criterion_08_residue_closure():
                 break
             stones.add(rng.choice(sorted(options)))
         pi = PyramidPartition(m, stones)
-        h = h_rat(pi, Geometry("conifold", params, 4, m=m, sector=0), erc=erc)
+        h = h_rat(pi, Geometry("conifold", params, 4, m=m, sector=0))
         for k in range(4):
             total = h.residue_at_infinity(k)
             for a in h.poles():

@@ -299,8 +299,12 @@ def test_rep_check_incomplete_operator_file_fails(op_file, capsys, edit, missing
         lambda blob: blob.pop("params"),
         lambda blob: blob["params"].pop("h1"),
         lambda blob: blob["operators"].pop("f"),
+        lambda blob: blob["geometry"].pop("kind"),
+        lambda blob: blob["geometry"].pop("N"),
+        lambda blob: blob.pop("basis"),
     ],
-    ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family"],
+    ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family", "no-kind", "no-N",
+         "no-basis"],
 )
 def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit):
     if edit is None:
@@ -311,3 +315,39 @@ def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit
         op_file.write_text(json.dumps(blob))
     code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
     assert code == 2 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize(
+    "edit,level",
+    [
+        (lambda levels: levels[1].clear(), 1),
+        (lambda levels: levels[2].reverse(), 2),
+        (lambda levels: levels.pop(), 3),
+        (lambda levels: levels.append([]), 4),
+    ],
+    ids=["level-1-emptied", "level-2-reordered", "top-level-dropped", "extra-level"],
+)
+def test_rep_check_operator_file_with_altered_basis_fails(op_file, capsys, edit, level):
+    blob = json.loads(op_file.read_text())
+    edit(blob["basis"]["levels"])
+    op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 1 and f"basis level {level} disagrees" in err and "verified" not in out
+
+
+def test_rep_build_negative_imax_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "ops.json"
+    code, out, err = run(capsys, "rep", "build", "--geometry", "c3", "--level", "2",
+                         "--imax", "-1", "--out", str(out_file))
+    assert code == 2 and err.startswith("error: ") and "imax must be nonnegative" in err
+    assert out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("command", [["rep", "build"], ["rep", "check"], ["shift"]],
+                         ids=" ".join)
+def test_empty_basis_is_usage_error(tmp_path, capsys, command):
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, *command, "--geometry", "conifold:3", "--sector", "9",
+                         "--level", "2", "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.startswith("error: ") and "empty basis" in err

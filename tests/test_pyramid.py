@@ -3,13 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import upward_closed_subsets
-from yangianpp import CapExceeded, build_erc, enumerate_pyramids
+from yangianpp import CapExceeded, Geometry, build_erc, enumerate_pyramids
 from yangianpp.pyramid import (
     PyramidPartition,
     Stone,
     addible_pairs,
     black_only_count,
-    pair_weights,
     removable_pairs,
     stone_weight,
 )
@@ -84,6 +83,22 @@ def test_enumeration_matches_subset_oracle(m):
     groups = enumerate_pyramids(m, min(8, len(erc.stones)))
     ours = {frozenset(pi.stones) for pis in groups.values() for pi in pis}
     assert ours == oracle
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sector_enumeration_matches_subset_oracle(m):
+    """Sector-bounded growth keeps exactly the oracle's subsets of the sector."""
+    erc = build_erc(m)
+    subsets = upward_closed_subsets(erc)
+    for max_stones in range(min(8, len(erc.stones)) + 1):
+        for sector in (-1, 0, 1, 2, 3):
+            oracle = {
+                fs for fs in subsets
+                if len(fs) <= max_stones and 2 * sum(s.color == "B" for s in fs) - len(fs) == sector
+            }
+            groups = enumerate_pyramids(m, max_stones, sector=sector)
+            ours = [frozenset(pi.stones) for pis in groups.values() for pi in pis]
+            assert len(ours) == len(oracle) and set(ours) == oracle, (max_stones, sector)
 
 
 def test_addible_pairs_examples(params):
@@ -173,11 +188,11 @@ def test_addible_implies_black_condition(params):
 
 
 def test_pair_weight_distinctness(params):
-    erc = build_erc(3)
+    g = Geometry("conifold", params, 4, m=3, sector=0)
     groups = enumerate_pyramids(3, 8)
     for pis in groups.values():
         for pi in pis:
-            ws = [x for _, x in pair_weights(pi, erc, params, "addible")]
+            ws = [x for _, x in g.steps(pi)]
             assert len(set(ws)) == len(ws)
 
 

@@ -81,7 +81,7 @@ def test_h_rat_equals_raising_times_lowering(c3, coni2):
     for g in (c3, coni2):
         rep = Representation(g)
         for _, lab in rep.basis:
-            assert integrand_e(lab, g, erc=rep.basis.erc) * lowering_form(lab, g) == rep.h_rat(lab)
+            assert integrand_e(lab, g) * lowering_form(lab, g) == rep.h_rat(lab)
 
 
 def test_psi_eigenvalue(c3, params):
@@ -104,30 +104,30 @@ def test_psi_recursion_direction(c3, params):
 # ---------------------------------------------------------------------------
 
 
-def oracle_split(label, x, geometry, erc=None):
+def oracle_split(label, x, geometry):
     """(rho, fhat) by definition: the residue at x of integrand_e times the
     lowering factor, and the reduced evaluation of that factor at x."""
     low = lowering_form(label, geometry)
-    return (integrand_e(label, geometry, erc=erc) * low).residue_at(x), low.eval_reduced(x)
+    return (integrand_e(label, geometry) * low).residue_at(x), low.eval_reduced(x)
 
 
-def matcoef_e(label, x, i, geometry, erc=None):
+def matcoef_e(label, x, i, geometry):
     """<label| e_i |label + (box/pair at weight x)>, read from the split.
 
     Equals Res_{z=x} z^i * integrand_e wherever that naive reading is
     nondegenerate; defined through the balanced residue split in general.
     """
-    rho, fhat = oracle_split(label, x, geometry, erc=erc)
+    rho, fhat = oracle_split(label, x, geometry)
     return x**i * rho / fhat
 
 
-def matcoef_f(label, x, j, geometry, erc=None):
+def matcoef_f(label, x, j, geometry):
     """<label + (box/pair at weight x)| f_j |label>, read from the split.
 
     Equals z^j * lowering_form evaluated at x wherever no factor vanishes;
     the reduced evaluation keeps it finite and nonzero in general.
     """
-    _, fhat = oracle_split(label, x, geometry, erc=erc)
+    _, fhat = oracle_split(label, x, geometry)
     return x**j * fhat
 
 
@@ -145,7 +145,7 @@ def test_transitions_match_oracle_split(kind, m, sector, steps, mode):
         for si, ti, x, rho, fhat in rep.transitions(n):
             lab = rep.basis.level(n)[si]
             assert set(lab) < set(rep.basis.level(n + 1)[ti])
-            assert (rho, fhat) == oracle_split(lab, x, rep.geometry, erc=rep.basis.erc)
+            assert (rho, fhat) == oracle_split(lab, x, rep.geometry)
             count += 1
     assert count == steps
 
@@ -263,7 +263,7 @@ def test_detect_shift_conifold(params, m, sector):
 def test_stone_product_divides_h_exactly(coni2):
     rep = Representation(coni2)
     for _, lab in rep.basis:
-        resid = rep.h_rat(lab) / stone_product(lab, coni2, erc=rep.basis.erc)
+        resid = rep.h_rat(lab) / stone_product(lab, coni2)
         assert len(resid.factors) == 1 and abs(resid.factors[0][1]) == 1
 
 
