@@ -16,7 +16,7 @@ from .errors import (
     SignInconsistent,
     YangianppError,
 )
-from .exact import Fp, LinForm, Params, random_params
+from .exact import LinForm, Params, random_params
 from .partitions3d import Partition3D, box_weight, enumerate_plane_partitions
 from .pyramid import ERC, PyramidPartition, Stone, build_erc, enumerate_pyramids
 from .relations import OperatorSet, RelationReport, full_suite, run_suite
@@ -35,7 +35,6 @@ __all__ = [
     "DenominatorNotCancelled",
     "ERC",
     "FixedPointBasis",
-    "Fp",
     "Geometry",
     "InconsistentShift",
     "Kernel",

@@ -15,7 +15,7 @@ import sys
 from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import CapExceeded, DenominatorNotCancelled, RelationFailure, Resonance, YangianppError
-from .exact import Params, parse_rational, random_params, rational_str
+from .exact import QQ, Params, random_params
 from .relations import GROUPS, full_suite
 from .reps import Geometry, Representation, SparseOperator, detect_shift, dump_operators
 
@@ -40,7 +40,7 @@ def _params_from_args(args) -> Params:
     raw = getattr(args, "params", "random")
     if raw == "random":
         return random_params(getattr(args, "seed", 2024), mode=mode)
-    h1, h2, chi = (parse_rational(x) for x in raw.split(","))
+    h1, h2, chi = raw.split(",")
     return Params.make(h1, h2, chi, mode=mode)
 
 
@@ -106,30 +106,38 @@ def _verify_operator_file(path, args) -> int:
     """Recompute the basis and operators for the stored config and compare.
 
     The e and f families must both hold exactly the keys 0..k; a file that
-    cannot be read or lacks a section is a usage error.
+    cannot be read, lacks a section or holds one of the wrong type is a
+    usage error.
     """
     try:
         with open(path) as fh:
             data = json.load(fh)
         g, pj, stored = data["geometry"], data["params"], data["operators"]
         kind, level, labels = g["kind"], g["N"], data["basis"]["levels"]
+        m, sector = g.get("m", 0), g.get("sector", 0)
+        if not all(type(v) is int for v in (level, m, sector)):
+            raise TypeError("geometry N, m and sector must be integers")
         families = {fam: stored[fam] for fam in ("e", "f")}
+        if not (isinstance(labels, list) and all(isinstance(ops, dict) for ops in families.values())):
+            raise TypeError("basis levels must be a list and each operator family an object")
         # h1/h2/chi are the source rationals; older prime-field files store
         # residues instead, which map to the same field elements
-        h1, h2, chi = (parse_rational(pj[k]) for k in ("h1", "h2", "chi"))
+        h1, h2, chi = (QQ.of(pj[k]) for k in ("h1", "h2", "chi"))
+        mode = pj.get("mode", "rational")
     except OSError as exc:
         raise ValueError(f"cannot read operator file: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"operator file has no {exc} entry") from exc
+    except TypeError as exc:
+        raise ValueError(f"operator file has a malformed section: {exc}") from exc
     count = max(len(families["e"]), len(families["f"]), 1)
     for fam, ops in families.items():
         missing = [i for i in range(count) if str(i) not in ops]
         if missing:
             print(f"operator file incomplete: {fam}_{missing[0]} is missing", file=sys.stderr)
             return EXIT_RELATION
-    mode = pj.get("mode", "rational")
     params = Params.make(h1, h2, chi, mode=mode)
-    geometry = Geometry(kind, params, level, m=g.get("m", 0), sector=g.get("sector", 0))
+    geometry = Geometry(kind, params, level, m=m, sector=sector)
     rep = Representation(geometry)
     for n, (ours, theirs) in enumerate(itertools.zip_longest(rep.basis.to_json(), labels)):
         if ours != theirs:
@@ -137,7 +145,7 @@ def _verify_operator_file(path, args) -> int:
             return EXIT_RELATION
     for fam, builder in (("e", rep.build_e), ("f", rep.build_f)):
         for key, opjson in families[fam].items():
-            if builder(int(key)).to_json() != SparseOperator.from_json(opjson, mode).to_json():
+            if builder(int(key)).to_json() != SparseOperator.from_json(opjson, params.field).to_json():
                 print(
                     f"operator file mismatch: {fam}_{key} disagrees with recomputation",
                     file=sys.stderr,
@@ -179,7 +187,7 @@ def cmd_shift(args) -> int:
     geometry = Geometry(kind, params, args.level, m=m, sector=args.sector)
     rep = Representation(geometry)
     l, z1 = detect_shift(rep)
-    _emit({"l": l, "z1": rational_str(z1)}, args)
+    _emit({"l": l, "z1": params.field.str(z1)}, args)
     return EXIT_OK
 
 
@@ -191,7 +199,7 @@ def _parse_kernel(s: str, params):
     if s == "c3":
         return Kernel.c3(params)
     if s.startswith("jordan:"):
-        return Kernel.jordan(parse_rational(s.split(":", 1)[1]))
+        return Kernel.jordan(QQ.of(s.split(":", 1)[1]))
     raise ValueError(f"kernel must be a1, c3 or jordan:c, got {s!r}")
 
 
@@ -220,7 +228,7 @@ def cmd_shuffle(args) -> int:
         out = {
             "variables": prod.v,
             "terms": {
-                ",".join(map(str, e)): rational_str(c) for e, c in sorted(prod.poly.terms.items())
+                ",".join(map(str, e)): kernel.field.str(c) for e, c in sorted(prod.poly.terms.items())
             },
         }
         _emit(out, args)
@@ -232,7 +240,7 @@ def cmd_shuffle(args) -> int:
     elif args.kernel == "c3":
         reports.append(check_c3_ee(params, imax=2))
     elif args.kernel.startswith("jordan:"):
-        reports.append(check_jordan_ee(parse_rational(args.kernel.split(":", 1)[1])))
+        reports.append(check_jordan_ee(kernel.numerator_weights[0]))
     _emit({"relations": [r.to_json() for r in reports]}, args)
     return EXIT_OK if all(r.status == "pass" for r in reports) else EXIT_RELATION
 

@@ -1,18 +1,22 @@
-"""Exact scalar arithmetic and factored rational functions in one variable.
+"""Exact scalar fields and factored rational functions in one variable.
 
 Everything downstream (operator matrix coefficients, diagonal series,
-relation checks) reduces to arithmetic in this module.  Scalars are either
-arbitrary-precision rationals (`fractions.Fraction`) or elements of a fixed
-prime field used as a fast verification mode.  Univariate rational functions
-are kept in fully factored form: a constant times a product of (z - root)^e
-with exact roots, so products, quotients and residues never lose the factor
-structure.
+relation checks) reduces to arithmetic in this module.  A scalar mode is a
+field object: `QQ`, the rationals as `fractions.Fraction`, or `GFP`, the
+prime field GF(PRIME) as plain ints in [0, PRIME) used as a fast
+verification mode.  The type of a scalar names its field.  Scalars combine
+with the plain + - * operators; the field object alone maps rationals into
+the mode, reduces, inverts, and serializes.  Prime values may leave [0,
+PRIME) inside a computation and are reduced wherever they are stored or
+compared.  Univariate rational functions are kept in fully factored form: a
+constant times a product of (z - root)^e with exact roots, so products,
+quotients and residues never lose the factor structure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PoleAtPoint, Resonance, RetrySpecialization
@@ -23,165 +27,116 @@ from .errors import PoleAtPoint, Resonance, RetrySpecialization
 PRIME = (1 << 61) - 1
 
 
-class Fp:
-    """Element of GF(PRIME).
+class RationalField:
+    """The rationals: scalars are `Fraction`s (ints mix in exactly), and
+    values need no reduction."""
 
-    Supports mixed arithmetic with ints; never with Fraction (conversion
-    between modes happens once, at parameter specialization).
-    """
+    mode = "rational"
+    zero, one = Fraction(0), Fraction(1)
 
-    __slots__ = ("v",)
+    def of(self, x):
+        """A rational (int, Fraction or 'p/q' string) as a scalar."""
+        return Fraction(x)
 
-    def __init__(self, v):
-        self.v = v.v if isinstance(v, Fp) else int(v) % PRIME
+    def reduce(self, x):
+        return x
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Fp):
-            return other
-        if isinstance(other, int):
-            return Fp(other)
-        return None
+    def nonzero(self, terms):
+        """The nonzero entries of a dict of scalars, reduced."""
+        return {k: v for k, v in terms.items() if v}
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.v + o.v)
+    def inv(self, x):
+        return Fraction(x.denominator, x.numerator)
 
-    __radd__ = __add__
+    def power(self, x, e: int):
+        return x**e if e >= 0 else self.inv(x) ** -e
 
-    def __neg__(self):
-        return Fp(-self.v)
+    def str(self, x) -> str:
+        return f"{x.numerator}/{x.denominator}"
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.v == 0:
-            raise RetrySpecialization("division by zero mod PRIME")
-        return Fp(self.v * pow(o.v, PRIME - 2, PRIME))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o.__truediv__(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.v == 0:
-                raise RetrySpecialization("inverting zero mod PRIME")
-            return Fp(pow(pow(self.v, PRIME - 2, PRIME), -n, PRIME))
-        return Fp(pow(self.v, n, PRIME))
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % PRIME
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Fp", self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"Fp({self.v})"
+    def factor_key(self, factor):
+        """(root, exponent) factors sort by root numerator, then denominator."""
+        return factor[0].numerator, factor[0].denominator
 
 
-def _div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
+class PrimeField:
+    """GF(PRIME): scalars are ints, reduced into [0, PRIME) when stored."""
+
+    mode = "prime-field"
+    zero, one = 0, 1
+    factor_key = None  # distinct residues sort as ints
+
+    def of(self, x):
+        """A rational (int, Fraction or 'p/q' string) as a residue."""
+        fr = Fraction(x)
+        if fr.denominator % PRIME == 0:
+            raise RetrySpecialization("denominator divisible by PRIME")
+        return fr.numerator * pow(fr.denominator, -1, PRIME) % PRIME
+
+    def reduce(self, x):
+        return x % PRIME
+
+    def nonzero(self, terms):
+        """The nonzero entries of a dict of scalars, reduced."""
+        return {k: r for k, v in terms.items() if (r := v % PRIME)}
+
+    def inv(self, x):
+        x %= PRIME
+        if not x:
+            raise RetrySpecialization("inverting zero mod PRIME")
+        return pow(x, -1, PRIME)
+
+    def power(self, x, e: int):
+        return pow(x if e >= 0 else self.inv(x), abs(e), PRIME)
+
+    def str(self, x) -> str:
+        return str(x % PRIME)
 
 
-def _pow(b, e: int):
-    """b**e, exact for negative e even when b is a plain int."""
-    if e >= 0 or not isinstance(b, int):
-        return b**e
-    return Fraction(1, b ** (-e))
-
-
-def scalar_key(x):
-    """Canonical sort key for roots of one mode."""
-    if isinstance(x, Fp):
-        return (1, x.v, 1)
-    fr = Fraction(x)
-    return (0, fr.numerator, fr.denominator)
+QQ = RationalField()
+GFP = PrimeField()
+FIELDS = {field.mode: field for field in (QQ, GFP)}
 
 
 def rational_str(x) -> str:
-    """Serialize an exact scalar as 'p/q' (or the residue in prime mode)."""
-    if isinstance(x, Fp):
-        return str(x.v)
-    fr = Fraction(x)
-    return f"{fr.numerator}/{fr.denominator}"
+    """Serialize a scalar whose type names its field: a Fraction as 'p/q',
+    an int as its residue mod PRIME."""
+    return (GFP if type(x) is int else QQ).str(x)
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def to_mode(x, mode: str):
-    """Map an exact rational into the scalar domain of the given mode."""
-    fr = Fraction(x)
-    if mode == "rational":
-        return fr
-    if mode == "prime-field":
-        if fr.denominator % PRIME == 0:
-            raise RetrySpecialization("denominator divisible by PRIME")
-        return Fp(fr.numerator) / Fp(fr.denominator)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _product_coeffs(lead, factors, n):
+def _product_coeffs(lead, factors, n, field):
     """Coefficients c_0..c_n of lead * prod (1 - r*w)^e over (r, e) in factors.
 
     Newton's identities: with the power sums p_k = sum e*r^k, the
     logarithmic derivative gives k*c_k = -sum_{j=1..k} p_j*c_{k-j}.
     """
-    p = [sum(e * r**k for r, e in factors) for k in range(1, n + 1)]
+    reduce = field.reduce
+    p = [reduce(sum(e * r**k for r, e in factors)) for k in range(1, n + 1)]
     c = [lead]
     for k in range(1, n + 1):
-        c.append(_div(-sum(p[j - 1] * c[k - j] for j in range(1, k + 1)), k))
+        c.append(reduce(-sum(p[j - 1] * c[k - j] for j in range(1, k + 1)) * field.inv(k)))
     return c
 
 
 class LinForm:
-    """const * prod (z - root)^exponent, stored exactly.
+    """const * prod (z - root)^exponent over one field, stored exactly.
 
-    Roots are pairwise distinct scalars of one mode; exponents are nonzero
-    integers.  Construction merges equal roots and drops exponent zero, so
-    cancellation is automatic and exact.  The merge keys a dict by root: the
-    roots of one form share one scalar type (int/Fraction or Fp, never
-    both), so hashing agrees with ==.
+    Roots are pairwise distinct scalars; exponents are nonzero integers.
+    Construction reduces the constant and the roots, merges equal roots and
+    drops exponent zero, so cancellation is automatic and exact.
     """
 
-    __slots__ = ("const", "factors")
+    __slots__ = ("const", "factors", "field")
 
-    def __init__(self, const, factors=()):
+    def __init__(self, const, factors=(), field=QQ):
+        reduce = field.reduce
         merged = {}
         for root, e in factors:
+            root = reduce(root)
             merged[root] = merged.get(root, 0) + e
-        self.const = const
-        self.factors = tuple(
-            sorted(((r, e) for r, e in merged.items() if e != 0), key=lambda t: scalar_key(t[0]))
-        )
+        self.field = field
+        self.const = reduce(const)
+        self.factors = tuple(sorted(((r, e) for r, e in merged.items() if e), key=field.factor_key))
 
     # -- structure -----------------------------------------------------------
 
@@ -198,30 +153,16 @@ class LinForm:
         """Degree at infinity: numerator degree minus denominator degree."""
         return sum(e for _, e in self.factors)
 
-    def is_zero(self) -> bool:
-        return self.const == 0
-
     # -- arithmetic ------------------------------------------------------------
 
-    def __mul__(self, other):
-        if not isinstance(other, LinForm):
-            return LinForm(self.const * other, self.factors)
-        return LinForm(self.const * other.const, self.factors + other.factors)
+    def __mul__(self, other: "LinForm"):
+        return LinForm(self.const * other.const, self.factors + other.factors, self.field)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, LinForm):
-            return LinForm(_div(self.const, other), self.factors)
-        if other.is_zero():
+    def __truediv__(self, other: "LinForm"):
+        if other.const == 0:
             raise ZeroDivisionError("division by the zero form")
         inv = tuple((r, -e) for r, e in other.factors)
-        return LinForm(_div(self.const, other.const), self.factors + inv)
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return LinForm(self.const**0)
-        return LinForm(_pow(self.const, n), [(r, e * n) for r, e in self.factors])
+        return LinForm(self.const * self.field.inv(other.const), self.factors + inv, self.field)
 
     def __eq__(self, other):
         return (
@@ -234,24 +175,27 @@ class LinForm:
         return hash((self.const, self.factors))
 
     def __repr__(self):
-        parts = [rational_str(self.const)]
+        show = self.field.str
+        parts = [show(self.const)]
         for r, e in self.factors:
-            parts.append(f"(z - {rational_str(r)})^{e}")
+            parts.append(f"(z - {show(r)})^{e}")
         return " * ".join(parts)
 
     # -- evaluation and residues -----------------------------------------------
 
     def eval(self, z0):
         """Evaluate at z0; PoleAtPoint if z0 sits on a negative-exponent root."""
+        f = self.field
+        z0 = f.reduce(z0)
         v = self.const
         for r, e in self.factors:
             d = z0 - r
             if d == 0:
                 if e < 0:
-                    raise PoleAtPoint(f"evaluation at pole z = {rational_str(z0)}")
-                return self.const * 0
-            v = v * _pow(d, e)
-        return v
+                    raise PoleAtPoint(f"evaluation at pole z = {f.str(z0)}")
+                return f.zero
+            v = v * f.power(d, e)
+        return f.reduce(v)
 
     def eval_reduced(self, z0):
         """Evaluate with every (z - z0) factor deleted first.
@@ -259,13 +203,14 @@ class LinForm:
         Equals eval(z0) whenever no factor vanishes there; at a zero or pole
         it returns the nonzero leading coefficient of the local expansion.
         """
+        f = self.field
+        z0 = f.reduce(z0)
         v = self.const
         for r, e in self.factors:
             d = z0 - r
-            if d == 0:
-                continue
-            v = v * _pow(d, e)
-        return v
+            if d != 0:
+                v = v * f.power(d, e)
+        return f.reduce(v)
 
     def residue_at(self, a, power: int = 0):
         """Res_{z=a} of z^power * self, exact; 0 when a is not a pole.
@@ -274,15 +219,17 @@ class LinForm:
         eval_reduced(a) * prod_{r != a} (1 - u/(r - a))^e, and the residue
         is its u^(m-1) coefficient; a simple pole needs no series.
         """
-        form = self if power == 0 else self * LinForm(1, [(a * 0, power)])
+        f = self.field
+        a = f.reduce(a)
+        form = self if power == 0 else self * LinForm(f.one, [(f.zero, power)], f)
         m = -form.exponent_of(a)
         if m <= 0:
-            return self.const * 0
+            return f.zero
         lead = form.eval_reduced(a)
         if m == 1:
             return lead
-        roots = [(_pow(r - a, -1), e) for r, e in form.factors if r != a]
-        return _product_coeffs(lead, roots, m - 1)[m - 1]
+        roots = [(f.inv(r - a), e) for r, e in form.factors if r != a]
+        return _product_coeffs(lead, roots, m - 1, f)[m - 1]
 
     def residue_at_infinity(self, power: int = 0):
         """-(coefficient of z^-1 in z^power * self).
@@ -298,23 +245,10 @@ class LinForm:
         With w = 1/z the form is const * z^degree * prod (1 - r*w)^e, so the
         coefficient of z^-1 in z^p * self sits at w^(degree + p + 1).
         """
+        f = self.field
         ks = [self.degree() + p + 1 for p in powers]
-        series = _product_coeffs(self.const, self.factors, max(ks, default=0))
-        zero = self.const * 0
-        return [-series[k] if k >= 0 else zero for k in ks]
-
-    def to_json(self):
-        return {
-            "const": rational_str(self.const),
-            "factors": [[rational_str(r), e] for r, e in self.factors],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            parse_rational(obj["const"]),
-            [(parse_rational(r), int(e)) for r, e in obj["factors"]],
-        )
+        series = _product_coeffs(self.const, self.factors, max(ks, default=0), f)
+        return [f.reduce(-series[k]) if k >= 0 else f.zero for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -322,40 +256,40 @@ class LinForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Params:
     """Exact specialization of the deformation parameters and framing weight.
 
     h1 + h2 + h3 = 0 always; the conifold aliases are t = h1, q = h2,
     h = h3.  Genericity demands no relation a*h1 + b*h2 = 0 for integers
-    with |a|, |b| <= resonance_bound (not both zero).  `source` keeps the
-    rationals (h1, h2, chi) that `make` mapped into the mode, so a
-    prime-field specialization serializes as the draw it came from.
+    with |a|, |b| <= resonance_bound (not both zero).  `field` is the scalar
+    field of the mode; `source` keeps the rationals (h1, h2, chi) that
+    `make` mapped into it, so a prime-field specialization serializes as the
+    draw it came from.
     """
 
     h1: object
     h2: object
     h3: object
     chi: object
-    mode: str = "rational"
+    field: object = QQ
     resonance_bound: int = 64
-    source: tuple = field(default=None, init=False, repr=False, compare=False)
+    source: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, h1, h2, chi, mode="rational", resonance_bound=64):
+        if mode not in FIELDS:
+            raise ValueError(f"unknown mode {mode!r}")
         h1, h2, chi = Fraction(h1), Fraction(h2), Fraction(chi)
         _check_generic(h1, h2, resonance_bound)
-        h3 = -h1 - h2
-        params = cls(
-            to_mode(h1, mode),
-            to_mode(h2, mode),
-            to_mode(h3, mode),
-            to_mode(chi, mode),
-            mode,
-            resonance_bound,
-        )
+        f = FIELDS[mode]
+        params = cls(f.of(h1), f.of(h2), f.of(-h1 - h2), f.of(chi), f, resonance_bound)
         object.__setattr__(params, "source", (h1, h2, chi))
         return params
+
+    @property
+    def mode(self) -> str:
+        return self.field.mode
 
     # conifold aliases
     @property
@@ -371,21 +305,16 @@ class Params:
         return self.h3
 
     @property
-    def one(self):
-        """The unit scalar of the mode."""
-        return to_mode(1, self.mode)
-
-    @property
     def hbars(self):
         return (self.h1, self.h2, self.h3)
 
     @property
     def sigma2(self):
-        return self.h1 * self.h2 + self.h1 * self.h3 + self.h2 * self.h3
+        return self.field.reduce(self.h1 * self.h2 + self.h1 * self.h3 + self.h2 * self.h3)
 
     @property
     def sigma3(self):
-        return self.h1 * self.h2 * self.h3
+        return self.field.reduce(self.h1 * self.h2 * self.h3)
 
     def to_json(self):
         """The mode and the source rationals (mode values when built directly)."""

@@ -106,7 +106,7 @@ class Partition3D:
 def box_weight(box, params):
     """Equivariant weight chi + i*h1 + j*h2 + k*h3 of a box."""
     i, j, k = box
-    return params.chi + i * params.h1 + j * params.h2 + k * params.h3
+    return params.field.reduce(params.chi + i * params.h1 + j * params.h2 + k * params.h3)
 
 
 def box_factors(x, params):
@@ -172,11 +172,11 @@ class C3:
         """(constant, factors) of the lowering factor F(z)."""
         p = self.params
         xs = [box_weight(b, p) for b in lam]
-        return p.one, [(x - hb, 1) for x in xs for hb in p.hbars] + [(x, -1) for x in xs]
+        return p.field.one, [(x - hb, 1) for x in xs for hb in p.hbars] + [(x, -1) for x in xs]
 
     def head(self, lam):
         """(constant, factors) of h_rat over the stone product: 1/(z-chi)."""
-        return self.params.one, [(self.params.chi, -1)]
+        return self.params.field.one, [(self.params.chi, -1)]
 
     def expected_shift(self):
         """(l, z1) of the shift: l = -1 at the framing weight."""

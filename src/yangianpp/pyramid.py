@@ -34,7 +34,7 @@ DEFAULT_CAP = 5
 def stone_weight(s: Stone, params):
     q, h, t = params.q, params.h, params.t
     b = (s.k - s.a) if s.color == "B" else (s.k - 1 - s.a)
-    return params.chi + s.a * q + b * h + s.c * t
+    return params.field.reduce(params.chi + s.a * q + b * h + s.c * t)
 
 
 def stone_layer(s: Stone) -> int:
@@ -292,14 +292,16 @@ class Conifold:
                 factors += [(x - p.q, 1), (x - p.h, 1)]
             else:
                 factors += [(x - p.t, 1), (x, -1)]
-        return (-1) ** (self.m + 1) * p.one, factors
+        return (-1) ** (self.m + 1) * p.field.one, factors
 
     def head(self, pi):
         """(constant, factors) of h_rat over the stone product:
         (-1)^(unpaired blacks + m + 1) * (z - chi - m*t)."""
+        p = self.params
         sign = (-1) ** (black_only_count(pi, self.erc) + self.m + 1)
-        return sign * self.params.one, [(self.params.chi + self.m * self.params.t, 1)]
+        return sign * p.field.one, [(p.chi + self.m * p.t, 1)]
 
     def expected_shift(self):
         """(l, z1) of the shift: l = +1 at chi + m*t."""
-        return +1, self.params.chi + self.m * self.params.t
+        p = self.params
+        return +1, p.field.reduce(p.chi + self.m * p.t)

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InconsistentShift, SignInconsistent
-from .exact import rational_str
+from .exact import QQ, rational_str
 from .reps import (
     Geometry,
     Representation,
@@ -156,7 +156,7 @@ def evaluate(terms, get, leaf=None):
         else:
             x, c = leaf(a), tails[0][0]
         if out is None:
-            out = SparseOperator(x.shift)
+            out = SparseOperator(x.shift, field=x.field)
         out.accumulate(x, c)
     return out
 
@@ -172,7 +172,7 @@ def _cut_leaves(get, levels):
     def leaf(a):
         if a not in cut:
             op = get(a)
-            cut[a] = SparseOperator(op.shift, {n: op.blocks[n] for n in levels if n in op.blocks})
+            cut[a] = SparseOperator(op.shift, {n: op.blocks[n] for n in levels if n in op.blocks}, op.field)
         return cut[a]
 
     return leaf
@@ -194,15 +194,16 @@ def _entry(rep, n, shift, tgt, src):
     return f"level {n}, entry ({tgt},{src}): {labels}"
 
 
-def _report(relation, start, domain, worst, detail=""):
-    """worst is None or (discrepancy, where) of the first failing cell."""
+def _report(relation, start, domain, worst, detail="", field=QQ):
+    """worst is None or (discrepancy, where) of the first failing cell; the
+    discrepancy is a scalar of `field` (a rational 1 for a failed property)."""
     dt = time.monotonic() - start
     if domain == 0:
         return RelationReport(relation, "empty-domain", 0, "0", dt)
     if worst is None:
         return RelationReport(relation, "pass", domain, "0", dt, detail)
     v, where = worst
-    return RelationReport(relation, "fail", domain, rational_str(v), dt, detail=where)
+    return RelationReport(relation, "fail", domain, field.str(v), dt, detail=where)
 
 
 def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
@@ -225,7 +226,8 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
         for (n, k, v), (_, _, u) in zip(diag, prev):
             if v != u and worst is None:
                 worst = (v - u, f"{name} - {first}, {_entry(rep, n, 0, k, k)}")
-    return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst)
+    field = rep.geometry.params.field
+    return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst, field=field)
 
 
 def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> RelationReport:
@@ -237,6 +239,7 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
     """
     start = time.monotonic()
     rep = ops.rep
+    field = rep.geometry.params.field
     levels = _nonempty(rep, range(0, ops.top))
     res_inf = {  # label -> Res_inf z^nn h for nn = 0..nmax
         lab: rep.h_rat(lab).residues_at_infinity(range(nmax + 1))
@@ -249,24 +252,24 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
         for n in levels:
             diag = comm.diagonal(n, len(rep.basis.level(n)))
             for idx, lab in enumerate(rep.basis.level(n)):
-                pairs.append((n, idx, nn, diag[idx], infinity_sign * res_inf[lab][nn]))
+                pairs.append((n, idx, nn, diag[idx], field.reduce(infinity_sign * res_inf[lab][nn])))
     domain = len(pairs)
     signs = set()
     for n, idx, nn, lhs, rhs in pairs:
         if rhs != 0 and lhs != 0:
             if lhs == rhs:
                 signs.add(1)
-            elif lhs == -rhs:
+            elif lhs == field.reduce(-rhs):
                 signs.add(-1)
     if signs == {1, -1}:
         raise SignInconsistent("reference states demand opposite global signs")
     eps = signs.pop() if signs else 1
     worst = None
     for n, idx, nn, lhs, rhs in pairs:
-        if lhs != eps * rhs:
+        if lhs != field.reduce(eps * rhs):
             worst = (lhs - eps * rhs, f"[e_0,f_{nn}], {_entry(rep, n, 0, idx, idx)}")
             break
-    return _report("ef-matches-h", start, domain, worst, detail=f"eps={eps:+d}")
+    return _report("ef-matches-h", start, domain, worst, detail=f"eps={eps:+d}", field=field)
 
 
 def _check(relation, ops, get, levels, instances):
@@ -282,7 +285,8 @@ def _check(relation, ops, get, levels, instances):
         if hit and worst is None:
             n, (i, j), v = hit
             worst = (v, f"{name}, {_entry(ops.rep, n, combo.shift, i, j)}")
-    return _report(relation, start, len(levels) * len(instances), worst)
+    field = ops.rep.geometry.params.field
+    return _report(relation, start, len(levels) * len(instances), worst, field=field)
 
 
 def _quads(imax, s2, s3):
@@ -370,7 +374,7 @@ def check_shift(rep: Representation, expect=None) -> RelationReport:
         rep.basis.size(),
         "0" if ok else "1",
         time.monotonic() - start,
-        detail=f"l={l:+d}, z1={rational_str(z1)}",
+        detail=f"l={l:+d}, z1={rep.geometry.params.field.str(z1)}",
     )
 
 

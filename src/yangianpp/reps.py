@@ -21,13 +21,13 @@ h1 + h2 + h3 = 0, where the naive split degenerates.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
 
 from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import InconsistentShift, Resonance
-from .exact import LinForm, parse_rational, rational_str, to_mode
+from .exact import QQ, LinForm
 
 
 def Geometry(kind, params, level_cap, m=0, sector=0):
@@ -78,16 +78,18 @@ class FixedPointBasis:
         return [[lab.to_json() for lab in L] for L in self.levels]
 
 
-@dataclass
+@dataclasses.dataclass
 class SparseOperator:
     """Level-graded sparse matrix with a fixed level shift.
 
-    blocks[n] maps (target_index, source_index) -> scalar for sources at
-    level n and targets at level n + shift; zero entries are omitted.
+    blocks[n] maps (target_index, source_index) -> scalar of `field` for
+    sources at level n and targets at level n + shift; zero entries are
+    omitted.
     """
 
     shift: int
-    blocks: dict = field(default_factory=dict)
+    blocks: dict = dataclasses.field(default_factory=dict)
+    field: object = QQ
 
     def entry(self, n, tgt, src):
         return self.blocks.get(n, {}).get((tgt, src))
@@ -95,6 +97,8 @@ class SparseOperator:
     def add_entry(self, n, tgt, src, value):
         """Add value at (tgt, src) of block n: a new key stores value itself,
         an existing one adds onto its entry, and a zero sum drops the key."""
+        reduce = self.field.reduce
+        value = reduce(value)
         if value == 0:
             return
         blk = self.blocks.setdefault(n, {})
@@ -103,7 +107,7 @@ class SparseOperator:
         if old is None:
             blk[key] = value
             return
-        v = old + value
+        v = reduce(old + value)
         if v == 0:
             del blk[key]
         else:
@@ -115,7 +119,9 @@ class SparseOperator:
         Products of nonzero entries are nonzero, so each block is summed
         in a plain dict and only cancelled sums are dropped at the end.
         """
-        out = SparseOperator(self.shift + other.shift)
+        self._check_field(other)
+        out = SparseOperator(self.shift + other.shift, field=self.field)
+        nonzero = self.field.nonzero
         for n, blk in other.blocks.items():
             mid = n + other.shift
             ablk = self.blocks.get(mid)
@@ -131,15 +137,27 @@ class SparseOperator:
                     old = acc.get(key)
                     acc[key] = av * bv if old is None else old + av * bv
             if acc:
-                out.blocks[n] = {key: v for key, v in acc.items() if v != 0}
+                out.blocks[n] = nonzero(acc)
         return out
 
     def accumulate(self, other: "SparseOperator", c):
-        """self += c * other, in place; c == 1 adds the entries as they are."""
+        """self += c * other, in place; c == 1 adds the entries as they are.
+        Each touched block is summed in place and reduced once."""
+        self._check_field(other)
         unit = c == 1
         for n, blk in other.blocks.items():
-            for (i, j), v in blk.items():
-                self.add_entry(n, i, j, v if unit else c * v)
+            if not blk:
+                continue
+            mine = self.blocks.setdefault(n, {})
+            for key, v in blk.items():
+                old = mine.get(key)
+                w = v if unit else c * v
+                mine[key] = w if old is None else old + w
+            self.blocks[n] = self.field.nonzero(mine)
+
+    def _check_field(self, other):
+        if other.field is not self.field:
+            raise ValueError(f"operators over {self.field.mode} and {other.field.mode} scalars")
 
     def first_nonzero_on(self, levels):
         for n in levels:
@@ -149,25 +167,25 @@ class SparseOperator:
 
     def diagonal(self, n, size):
         blk = self.blocks.get(n, {})
-        return [blk.get((i, i), 0) for i in range(size)]
+        return [blk.get((i, i), self.field.zero) for i in range(size)]
 
     def to_json(self):
         levels = []
         for n in sorted(self.blocks):
             entries = [
-                [i, j, rational_str(v)] for (i, j), v in sorted(self.blocks[n].items())
+                [i, j, self.field.str(v)] for (i, j), v in sorted(self.blocks[n].items())
             ]
             levels.append({"n": n, "entries": entries})
         return {"shift": self.shift, "levels": levels}
 
     @classmethod
-    def from_json(cls, obj, mode):
-        """Inverse of to_json, reading entries as scalars of `mode`."""
-        op = cls(int(obj["shift"]))
+    def from_json(cls, obj, field):
+        """Inverse of to_json, reading entries as scalars of `field`."""
+        op = cls(int(obj["shift"]), field=field)
         for lev in obj["levels"]:
             n = int(lev["n"])
             for i, j, v in lev["entries"]:
-                op.add_entry(n, int(i), int(j), to_mode(parse_rational(v), mode))
+                op.add_entry(n, int(i), int(j), field.of(v))
         return op
 
 
@@ -178,19 +196,20 @@ class SparseOperator:
 
 def lowering_form(label, geometry) -> LinForm:
     """Lowering factor F(z): products over the stones/boxes of the smaller label."""
-    return LinForm(*geometry.lowering(label))
+    return LinForm(*geometry.lowering(label), geometry.params.field)
 
 
 def box_local_factor(x, params) -> LinForm:
     """Per-box factor of the diagonal series: prod (z-x+h_i)/(z-x-h_i)."""
-    return LinForm(1, p3.box_factors(x, params))
+    return LinForm(params.field.one, p3.box_factors(x, params), params.field)
 
 
 def stone_product(label, geometry) -> LinForm:
     """The label-dependent part of the diagonal series: one local factor
     per atom of the label, as the geometry lists them.  This is also the
     eigenvalue of the diagonal psi-series."""
-    return LinForm(geometry.params.one, geometry.stone_factors(label))
+    field = geometry.params.field
+    return LinForm(field.one, geometry.stone_factors(label), field)
 
 
 def h_rat(label, geometry) -> LinForm:
@@ -200,7 +219,7 @@ def h_rat(label, geometry) -> LinForm:
     Over the smaller label of a transition this is the diagonal integrand,
     the raising integrand times lowering_form, which the tests assert.
     """
-    return LinForm(*geometry.head(label)) * stone_product(label, geometry)
+    return LinForm(*geometry.head(label), geometry.params.field) * stone_product(label, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +257,7 @@ class Representation:
                     order = -h.exponent_of(x)
                     if order > 1:
                         raise Resonance(
-                            f"diagonal integrand has a pole of order {order} at {rational_str(x)}"
+                            f"diagonal integrand has a pole of order {order} at {g.params.field.str(x)}"
                         )
                     # the enumeration is complete per level, so tgt has an index
                     ti = basis.index(n + 1, tgt)
@@ -247,14 +266,15 @@ class Representation:
         return self._trans[n]
 
     def build_e(self, i: int) -> SparseOperator:
-        op = SparseOperator(+1)
+        field = self.geometry.params.field
+        op = SparseOperator(+1, field=field)
         for n in range(self.basis.top_level):
             for si, ti, x, rho, fhat in self.transitions(n):
-                op.add_entry(n, ti, si, x**i * rho / fhat)
+                op.add_entry(n, ti, si, x**i * rho * field.inv(fhat))
         return op
 
     def build_f(self, j: int) -> SparseOperator:
-        op = SparseOperator(-1)
+        op = SparseOperator(-1, field=self.geometry.params.field)
         for n in range(self.basis.top_level):
             for si, ti, x, rho, fhat in self.transitions(n):
                 # source of f is the level-(n+1) target of the raising step
@@ -276,11 +296,13 @@ def detect_shift(rep):
     single linear factor (z - z1)^(+-1) with unit constant, identical across
     the whole basis.  Returns (l, z1).
     """
+    field = rep.geometry.params.field
+    signs = (field.one, field.reduce(-1))
     found = None
     for n, lab in rep.basis:
         resid = rep.h_rat(lab) / stone_product(lab, rep.geometry)
         fac = resid.factors
-        if len(fac) != 1 or abs(fac[0][1]) != 1 or resid.const not in (1, -1):
+        if len(fac) != 1 or abs(fac[0][1]) != 1 or resid.const not in signs:
             raise InconsistentShift(
                 f"residual factor {resid!r} of {lab!r} is not a signed linear factor"
             )
@@ -289,7 +311,7 @@ def detect_shift(rep):
             found = (l, z1)
         elif found != (l, z1):
             raise InconsistentShift(
-                f"shift {found} vs ({l}, {rational_str(z1)}) at {lab!r}"
+                f"shift {found} vs ({l}, {field.str(z1)}) at {lab!r}"
             )
     return found
 

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import DenominatorNotCancelled
-from .exact import LinForm
+from .exact import QQ, LinForm
 from .relations import RelationReport, quad_terms
 
 
@@ -45,19 +45,21 @@ def _add_term(terms, e, c):
 
 
 class MPoly:
-    """Multivariate polynomial: {exponent tuple: scalar}, zero terms dropped."""
+    """Multivariate polynomial over `field`: {exponent tuple: scalar}, zero
+    terms dropped."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "field")
 
-    def __init__(self, nvars, terms=()):
+    def __init__(self, nvars, terms=(), field=QQ):
         self.nvars = nvars
+        self.field = field
         d = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
             if c == 0:
                 continue
             _add_term(d, tuple(e), c)
-        self.terms = {e: c for e, c in d.items() if c != 0}
+        self.terms = field.nonzero(d)
 
     @classmethod
     def constant(cls, nvars, c):
@@ -74,21 +76,21 @@ class MPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MPoly(self.nvars, out)
+        return MPoly(self.nvars, out, self.field)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return MPoly(self.nvars, out)
+        return MPoly(self.nvars, out, self.field)
 
     def __mul__(self, scalar):
-        return MPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+        return MPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.field)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()}, self.field)
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -101,7 +103,7 @@ class MPoly:
             for i, p in enumerate(positions):
                 ne[p] = e[i]
             out[tuple(ne)] = c
-        return MPoly(nvars, out)
+        return MPoly(nvars, out, self.field)
 
     def mul_linear(self, i, j, w):
         """Multiply in place by (x_i - x_j + w)."""
@@ -115,7 +117,7 @@ class MPoly:
             _add_term(out, tuple(up), -c)
             if w:
                 _add_term(out, e, c * w)
-        self.terms = {e: c for e, c in out.items() if c != 0}
+        self.terms = self.field.nonzero(out)
 
     def divide_exact_linear(self, i, j):
         """Exact division by (x_i - x_j); DenominatorNotCancelled if inexact.
@@ -135,6 +137,8 @@ class MPoly:
             if c is None or c == 0:
                 continue
             if e[i] == 0:
+                if self.field.reduce(c) == 0:  # a prime sum that vanishes mod PRIME
+                    continue
                 raise DenominatorNotCancelled(
                     f"polynomial not divisible by (x_{i} - x_{j})"
                 )
@@ -157,7 +161,7 @@ class MPoly:
                     rem.pop(se)
                 else:
                     rem[se] = tot
-        return MPoly(self.nvars, out)
+        return MPoly(self.nvars, out, self.field)
 
     def is_symmetric(self):
         """Invariance under all adjacent transpositions (hence all of S_v)."""
@@ -228,10 +232,12 @@ class SymPoly:
 
 @dataclass(frozen=True)
 class Kernel:
-    """fac(x|y) = prod_a (x - y + w_a) * (x - y)^(-denominator_exponent)."""
+    """fac(x|y) = prod_a (x - y + w_a) * (x - y)^(-denominator_exponent),
+    with weights and products in `field`."""
 
     numerator_weights: tuple
     denominator_exponent: int = 1
+    field: object = QQ
 
     @classmethod
     def a1(cls):
@@ -243,15 +249,16 @@ class Kernel:
 
     @classmethod
     def c3(cls, params):
-        return cls(params.hbars, 1)
+        return cls(params.hbars, 1, params.field)
 
     def conjugation_ratio(self, z, x) -> LinForm:
         """fac(z|x)/fac(x|z) as a factored form in z, for scalar x."""
-        num = LinForm(1, [(x - w, 1) for w in self.numerator_weights])
-        den = LinForm((-1) ** len(self.numerator_weights), [(x + w, 1) for w in self.numerator_weights])
+        f = self.field
+        num = LinForm(f.one, [(x - w, 1) for w in self.numerator_weights], f)
+        den = LinForm((-1) ** len(self.numerator_weights), [(x + w, 1) for w in self.numerator_weights], f)
         ratio = num / den
         if self.denominator_exponent:
-            ratio = ratio * LinForm(-1)  # (z-x)/(x-z)
+            ratio = ratio * LinForm(-1, (), f)  # (z-x)/(x-z)
         return ratio
 
 
@@ -266,13 +273,14 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
     """
     v1, v2 = f.v, g.v
     v = v1 + v2
-    if v1 == 0:
-        return SymPoly(g.poly * next(iter(f.poly.terms.values()), 0)) if f.poly.terms else SymPoly(MPoly(v2))
-    if v2 == 0:
-        return SymPoly(f.poly * next(iter(g.poly.terms.values()), 0)) if g.poly.terms else SymPoly(MPoly(v1))
+    field = kernel.field
+    if v1 == 0 or v2 == 0:  # a constant factor scales the other one
+        const, other = (f, g) if v1 == 0 else (g, f)
+        c = next(iter(const.poly.terms.values()), 0)
+        return SymPoly(MPoly(other.v, {e: x * c for e, x in other.poly.terms.items()}, field))
     delta = kernel.denominator_exponent
     # A0 = f(x_S) g(x_T) prod_{s<v1<=t} num(x_s - x_t) * V_S * V_T for S = {0..v1-1}
-    base = MPoly(v, {ef + eg: cf * cg for ef, cf in f.poly.terms.items() for eg, cg in g.poly.terms.items()})
+    base = MPoly(v, {ef + eg: cf * cg for ef, cf in f.poly.terms.items() for eg, cg in g.poly.terms.items()}, field)
     for s in range(v1):
         for t in range(v1, v):
             for w in kernel.numerator_weights:
@@ -289,7 +297,7 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
         negate = delta and sum(s > t for s in S for t in T) % 2
         for e, c in base.embed(v, list(S) + T).terms.items():
             _add_term(total, e, -c if negate else c)
-    total = MPoly(v, total)
+    total = MPoly(v, total, field)
     if delta:
         for i, j in itertools.combinations(range(v), 2):
             total = total.divide_exact_linear(i, j)
@@ -342,7 +350,7 @@ def check_c3_ee(params, imax: int, sigma2_sign: int = -1, sigma3_sign: int = +1)
     for m in range(imax + 1):
         for n in range(imax + 1):
             domain += 1
-            combo = SymPoly(MPoly(2))
+            combo = SymPoly(MPoly(2, field=k.field))
             for c, (a, b) in quad_terms(m, n, s2, s3):
                 combo = combo + c * shuffle_mul(e(a), e(b), k)
             if not combo.is_zero() and worst is None:

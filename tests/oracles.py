@@ -91,19 +91,19 @@ def integrand_e(label, geometry):
     """
     p = geometry.params
     if geometry.kind == "c3":
-        f = LinForm(1, [(p.chi, -1)])
+        f = LinForm(1, [(p.chi, -1)], p.field)
         for b in label:
             x = p3.box_weight(b, p)
-            f = f * LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars])
+            f = f * LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars], p.field)
         return f
     sign = (-1) ** pyr.black_only_count(label, geometry.erc)
-    f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)])
+    f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)], p.field)
     for s in label:
         x = pyr.stone_weight(s, p)
         if s.color == "B":
-            f = f * LinForm(1, [(x, 1), (x + p.t, -1)])
+            f = f * LinForm(1, [(x, 1), (x + p.t, -1)], p.field)
         else:
-            f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)])
+            f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)], p.field)
     return f
 
 

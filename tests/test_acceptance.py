@@ -266,7 +266,7 @@ def test_criterion_10_mode_cross_check():
             ok = ok and detect_shift(rep) == (-1, params.chi)
             for m in (1, 2, 3):
                 repc = Representation(Geometry("conifold", params, 2, m=m, sector=1))
-                ok = ok and detect_shift(repc) == (+1, params.chi + m * params.t)
+                ok = ok and detect_shift(repc) == (+1, params.field.reduce(params.chi + m * params.t))
     combined_ok = (t_rat + t_fp) < 2 * t_rat + 1.0  # prime-field adds < 1x
     _stamp(10, ok and combined_ok,
            f"mode cross-check (rational {t_rat:.1f}s, prime {t_fp:.1f}s)", t0)

@@ -302,9 +302,13 @@ def test_rep_check_incomplete_operator_file_fails(op_file, capsys, edit, missing
         lambda blob: blob["geometry"].pop("kind"),
         lambda blob: blob["geometry"].pop("N"),
         lambda blob: blob.pop("basis"),
+        lambda blob: blob.update(geometry=["c3"]),
+        lambda blob: blob["geometry"].update(N="2"),
+        lambda blob: blob["operators"].update(e=["0", "1"]),
+        lambda blob: blob["basis"].update(levels=5),
     ],
     ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family", "no-kind", "no-N",
-         "no-basis"],
+         "no-basis", "geometry-list", "N-string", "e-family-list", "levels-int"],
 )
 def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit):
     if edit is None:

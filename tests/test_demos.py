@@ -1,21 +1,14 @@
-"""Every demo runs to completion."""
+"""Every demo runs to completion and prints what tests/golden_reports.json
+pins for it."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from test_golden_reports import DEMOS, GOLDEN, demo_sha256
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
+    golden = json.loads(GOLDEN.read_text())
+    assert demo_sha256(demo) == golden[f"demo {demo.name}"]["sha256"]

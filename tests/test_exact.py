@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 from oracles import first_resonance, partial_fraction_residue, sympy_residue
 from yangianpp import LinForm, Params, PoleAtPoint, Resonance
 from yangianpp.errors import RetrySpecialization
-from yangianpp.exact import (
-    PRIME,
-    Fp,
-    _product_coeffs,
-    parse_rational,
-    rational_str,
-    scalar_key,
-    to_mode,
-)
+from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _product_coeffs, rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +138,11 @@ def test_expand_finite_center_pole_requires_offset():
 
 
 def test_product_coeffs_convolution():
-    a = _product_coeffs(F(1), [(F(1), -2)], 2)  # (1 - w)^-2
-    b = _product_coeffs(F(1), [(F(1), 1)], 2)  # 1 - w
+    a = _product_coeffs(F(1), [(F(1), -2)], 2, QQ)  # (1 - w)^-2
+    b = _product_coeffs(F(1), [(F(1), 1)], 2, QQ)  # 1 - w
     assert a == [1, 2, 3] and b == [1, -1, 0]
-    assert _product_coeffs(F(1), [(F(1), -1)], 2) == [1, 1, 1]  # a * b
-    assert _product_coeffs(F(1), [(F(1), -1), (F(1), 1)], 2) == [1, 0, 0]  # b^-1 * b
+    assert _product_coeffs(F(1), [(F(1), -1)], 2, QQ) == [1, 1, 1]  # a * b
+    assert _product_coeffs(F(1), [(F(1), -1), (F(1), 1)], 2, QQ) == [1, 0, 0]  # b^-1 * b
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +182,13 @@ def test_residue_theorem_random(form, k):
 def test_batched_residues_at_infinity(mode, form, nmax):
     """One series serves every power; a power whose index degree + p + 1 is
     negative gives 0, and the finite residues balance each value."""
-    reduce = lambda x: to_mode(x, mode)
-    form = LinForm(reduce(form.const), [(reduce(r), e) for r, e in form.factors])
+    field = FIELDS[mode]
+    form = LinForm(field.of(form.const), [(field.of(r), e) for r, e in form.factors], field)
     batch = form.residues_at_infinity(range(nmax + 1))
     assert batch == [form.residue_at_infinity(p) for p in range(nmax + 1)]
     for p, value in enumerate(batch):
         assert type(value) is type(form.const)
-        assert value == -sum(form.residue_at(a, p) for a in form.poles())
+        assert value == field.reduce(-sum(form.residue_at(a, p) for a in form.poles()))
         if form.degree() + p + 1 < 0:
             assert value == 0
 
@@ -247,8 +239,8 @@ def test_expand_multiplicative(f, g):
     K = 6
     fg = f * g
     # const * prod (1 - r*w)^e is multiplicative, whatever the degrees
-    assert _product_coeffs(fg.const, fg.factors, K) == convolve(
-        _product_coeffs(f.const, f.factors, K), _product_coeffs(g.const, g.factors, K)
+    assert _product_coeffs(fg.const, fg.factors, K, QQ) == convolve(
+        _product_coeffs(f.const, f.factors, K, QQ), _product_coeffs(g.const, g.factors, K, QQ)
     )
     # tails at infinity multiply as series in 1/z when both degrees are negative
     if f.degree() < 0 and g.degree() < 0:
@@ -276,30 +268,38 @@ def test_integer_forms_give_exact_residues(power):
 # ---------------------------------------------------------------------------
 
 
-def test_fp_arithmetic_and_division():
-    a, b = Fp(10), Fp(4)
-    assert a + b == 14 and a * b == 40
-    assert (a / b) * b == a
-    assert Fp(3) ** -1 * Fp(3) == 1
+def test_prime_field_arithmetic_and_inversion():
+    a, b = GFP.of(10), GFP.of(4)
+    assert GFP.reduce(a + b) == 14 and GFP.reduce(a * b) == 40
+    assert GFP.reduce(a - b * 3) == PRIME - 2
+    assert GFP.reduce(a * GFP.inv(b) * b) == a
+    assert GFP.of(F(1, 3)) == GFP.inv(3) and GFP.reduce(GFP.of(F(1, 3)) * 3) == 1
+    assert GFP.power(3, -2) == GFP.inv(9) and GFP.power(3, 0) == 1
+    for x in (a, b, GFP.inv(b), GFP.of(F(-7, 5)), GFP.power(b, -3)):
+        assert type(x) is int and 0 <= x < PRIME
+    for zero in (0, PRIME, -PRIME):
+        with pytest.raises(RetrySpecialization):
+            GFP.inv(zero)
     with pytest.raises(RetrySpecialization):
-        a / Fp(0)
+        GFP.power(0, -1)
+
+
+@pytest.mark.parametrize("rational", [F(1, PRIME), F(3, 2 * PRIME), "5/" + str(PRIME)])
+def test_prime_field_refuses_denominator_divisible_by_prime(rational):
+    with pytest.raises(RetrySpecialization):
+        GFP.of(rational)
 
 
 def test_mode_reduction_commutes_with_residues():
     roots = [F(1, 2), F(-3), F(5)]
     f_q = LinForm(F(2, 3), [(roots[0], -2), (roots[1], -1), (roots[2], 1)])
-    f_p = LinForm(
-        to_mode(F(2, 3), "prime-field"),
-        [(to_mode(r, "prime-field"), e) for (r, e) in zip(roots, (-2, -1, 1))],
-    )
-    for a_q, a_p in zip(roots[:2], f_p.poles()):
-        pass
+    f_p = LinForm(GFP.of(F(2, 3)), [(GFP.of(r), e) for (r, e) in zip(roots, (-2, -1, 1))], GFP)
     for r_q, e in f_q.factors:
         if e < 0:
-            lhs = to_mode(f_q.residue_at(r_q, 2), "prime-field")
-            rhs = f_p.residue_at(to_mode(r_q, "prime-field"), 2)
+            lhs = GFP.of(f_q.residue_at(r_q, 2))
+            rhs = f_p.residue_at(GFP.of(r_q), 2)
             assert lhs == rhs
-    assert to_mode(f_q.residue_at_infinity(1), "prime-field") == f_p.residue_at_infinity(1)
+    assert GFP.of(f_q.residue_at_infinity(1)) == f_p.residue_at_infinity(1)
 
 
 def test_prime_is_large():
@@ -309,8 +309,8 @@ def test_prime_is_large():
 @given(lin_forms(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_prime_field_agrees_on_random_forms(form, k):
-    reduce = lambda x: to_mode(x, "prime-field")
-    form_p = LinForm(reduce(form.const), [(reduce(r), e) for r, e in form.factors])
+    reduce = GFP.of
+    form_p = LinForm(reduce(form.const), [(reduce(r), e) for r, e in form.factors], GFP)
     assert reduce(form.residue_at_infinity(k)) == form_p.residue_at_infinity(k)
     for a in form.poles():
         assert reduce(form.residue_at(a, k)) == form_p.residue_at(reduce(a), k)
@@ -332,14 +332,16 @@ def test_one_factor_list_equals_product(mode, a, b, const):
     """One list merges like a product: repeated roots add their exponents,
     cancelled roots vanish, the rest come sorted and distinct."""
     b = b + [(r, -e) for r, e in a[: len(a) // 2]]  # cancel part of a
-    in_mode = lambda fs: [(to_mode(r, mode), e) for r, e in fs]
-    c, both = to_mode(const, mode), in_mode(a + b)
-    whole = LinForm(c, both)
-    assert whole == LinForm(c, in_mode(a)) * LinForm(1, in_mode(b))
+    field = FIELDS[mode]
+    in_mode = lambda fs: [(field.of(r), e) for r, e in fs]
+    c, both = field.of(const), in_mode(a + b)
+    whole = LinForm(c, both, field)
+    assert whole == LinForm(c, in_mode(a), field) * LinForm(field.one, in_mode(b), field)
     for r, _ in both:
         assert whole.exponent_of(r) == sum(e for r2, e in both if r2 == r)
-    roots = [r for r, _ in whole.factors]
-    assert roots == sorted(set(roots), key=scalar_key)
+    factors = list(whole.factors)
+    assert factors == sorted(factors, key=field.factor_key)
+    assert len({r for r, _ in factors}) == len(factors)
     assert all(e != 0 for _, e in whole.factors)
 
 
@@ -373,9 +375,7 @@ def test_params_resonance_rejected():
 
 def test_rational_serialization_roundtrip():
     x = F(-22, 7)
-    assert parse_rational(rational_str(x)) == x
-
-
-def test_linform_json_roundtrip():
-    f = LinForm(F(3, 5), [(F(1, 2), -2), (F(-4), 1)])
-    assert LinForm.from_json(f.to_json()) == f
+    assert QQ.str(x) == rational_str(x) == "-22/7"
+    assert QQ.of(rational_str(x)) == x
+    r = GFP.of(x)
+    assert GFP.str(r) == rational_str(r) == str(r) and GFP.of(GFP.str(r)) == r

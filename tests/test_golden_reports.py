@@ -5,7 +5,10 @@ c3 N=5 and conifold m in {2, 3} x sectors {1, 2} N=4, both modes, seed 2024;
 the SHA-256 of the `rep build` files for c3 N=5 and conifold m=3 x sectors
 {1, 2} N=4 at `--imax 2`, both modes; and the `enum` outputs for plane
 partitions up to 6 boxes and length-3 pyramids up to 8 stones, in every
-sector and in sectors 1 and 2.
+sector and in sectors 1 and 2; `shuffle mul` of `x x^2` and `1 x` and the
+`shuffle check` reports (without `time`) for the kernels c3, a1 and
+jordan:3/2; and the SHA-256 of each demo's stdout, which
+tests/test_demos.py compares.
 A change that should leave every output alone must pass this unchanged.
 Regenerate the file only when an output change is intended:
 
@@ -16,6 +19,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +29,8 @@ import pytest
 from yangianpp.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 GEOMETRIES = [("c3", "1", "5")] + [
     (f"conifold:{m}", str(sector), "4") for m in (2, 3) for sector in (1, 2)
@@ -34,6 +41,8 @@ ENUMS = [
     ["enum", "pp", "--max-boxes", "6"],
     ["enum", "pyramid", "--length", "3", "--max-stones", "8"],
 ] + [["enum", "pyramid", "--length", "3", "--max-stones", "8", "--sector", s] for s in ("1", "2")]
+KERNELS = ("c3", "a1", "jordan:3/2")
+OPERANDS = (("x", "x^2"), ("1", "x"))
 
 
 def runs():
@@ -48,6 +57,19 @@ def runs():
             yield ["rep", "build", "--geometry", geometry, "--sector", sector, "--level", level,
                    "--imax", "2", "--mode", mode, "--seed", "2024"]
     yield from ENUMS
+    for kernel in KERNELS:
+        for left, right in OPERANDS:
+            yield ["shuffle", "mul", left, right, "--kernel", kernel, "--seed", "2024"]
+        yield ["shuffle", "check", "--kernel", kernel, "--seed", "2024"]
+
+
+def demo_sha256(demo):
+    """SHA-256 of one demo's stdout, run on this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(proc.stdout).hexdigest()
 
 
 def canonical(argv):
@@ -65,7 +87,9 @@ def canonical(argv):
 
 
 def generate():
-    return {" ".join(argv): canonical(argv) for argv in runs()}
+    out = {" ".join(argv): canonical(argv) for argv in runs()}
+    out.update({f"demo {d.name}": {"sha256": demo_sha256(d)} for d in DEMOS})
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +103,8 @@ def test_output_matches_golden(golden, argv):
 
 
 def test_golden_covers_every_run(golden):
-    assert sorted(golden) == sorted(" ".join(argv) for argv in runs())
+    want = [" ".join(argv) for argv in runs()] + [f"demo {d.name}" for d in DEMOS]
+    assert sorted(golden) == sorted(want)
 
 
 if __name__ == "__main__":

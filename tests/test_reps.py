@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from oracles import integrand_e
 from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
-from yangianpp.exact import to_mode
+from yangianpp.exact import FIELDS, GFP, PRIME, QQ
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_bracket
+from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
 from yangianpp.reps import (
     SparseOperator,
     box_local_factor,
@@ -270,7 +271,7 @@ def test_stone_product_divides_h_exactly(coni2):
 def test_operator_json_roundtrip(c3):
     rep = Representation(c3)
     op = rep.build_e(1)
-    assert SparseOperator.from_json(op.to_json(), "rational").to_json() == op.to_json()
+    assert SparseOperator.from_json(op.to_json(), QQ).to_json() == op.to_json()
 
 
 def test_operator_dump_deterministic(params):
@@ -299,16 +300,37 @@ def test_prime_field_mode_builds_same_support(params, params_fp):
      ("conifold", 3, 2, 4)],
 )
 def test_no_foreign_scalar_types(kind, m, sector, level, mode):
-    """Every transition scalar and every e/f entry has the type of the step
-    weights: no int (the c3 vacuum's rho and fhat) and no float."""
+    """Every transition scalar, every e/f entry and every h_rat constant and
+    root is a scalar of the mode's field: a Fraction in the rationals, a
+    reduced int in the prime field (no int for the c3 vacuum's rho and fhat,
+    no float).  So is every coefficient of a prime-field c3 shuffle product."""
     params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+    field = FIELDS[mode]
     rep = Representation(Geometry(kind, params, level, m=m, sector=sector))
-    scalar = type(params.chi)
+    scalars = []
     for n in range(rep.basis.top_level):
         for si, ti, x, rho, fhat in rep.transitions(n):
-            assert (type(x), type(rho), type(fhat)) == (scalar,) * 3
+            scalars += [x, rho, fhat]
     for op in (rep.build_e(0), rep.build_e(2), rep.build_f(0), rep.build_f(2)):
-        assert all(type(v) is scalar for blk in op.blocks.values() for v in blk.values())
+        scalars += [v for blk in op.blocks.values() for v in blk.values()]
+    for _, lab in rep.basis:
+        h = rep.h_rat(lab)
+        scalars += [h.const] + [r for r, _ in h.factors]
+    if kind == "c3" and field is GFP:
+        kernel = Kernel.c3(params)
+        for a, b in ((0, 0), (1, 2), (2, 1)):
+            prod = shuffle_mul(SymPoly.power(a), SymPoly.power(b), kernel)
+            scalars += list(prod.poly.terms.values())
+    assert scalars
+    for v in scalars:
+        assert_in_field(v, field)
+
+
+def assert_in_field(v, field):
+    if field is GFP:
+        assert type(v) is int and 0 <= v < PRIME, v
+    else:
+        assert type(v) is F, v
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +344,29 @@ kernel_entries = st.lists(
 )
 
 
-def reference(entries):
+def reference(entries, field):
     """Block -> {(tgt, src): sum}, zero sums and empty blocks dropped."""
     ref = {}
     for n, i, j, v in entries:
         blk = ref.setdefault(n, {})
-        blk[(i, j)] = blk.get((i, j), 0) + v
+        blk[(i, j)] = field.reduce(blk.get((i, j), 0) + v)
     ref = {n: {k: v for k, v in blk.items() if v != 0} for n, blk in ref.items()}
     return {n: blk for n, blk in ref.items() if blk}
 
 
-def built(shift, entries):
-    op = SparseOperator(shift)
+def built(shift, entries, field):
+    op = SparseOperator(shift, field=field)
     for n, i, j, v in entries:
         op.add_entry(n, i, j, v)
     return op
 
 
-def stored(op, scalar):
-    """op's nonempty blocks, after asserting no zero and no foreign type is stored."""
+def stored(op, field):
+    """op's nonempty blocks, after asserting no zero and no foreign scalar is stored."""
     for blk in op.blocks.values():
-        assert all(v != 0 and type(v) is scalar for v in blk.values())
+        for v in blk.values():
+            assert v != 0
+            assert_in_field(v, field)
     return {n: blk for n, blk in op.blocks.items() if blk}
 
 
@@ -351,29 +375,41 @@ def stored(op, scalar):
     [1, -1, 3, "s2"]))
 @settings(max_examples=80, deadline=None)
 def test_sparse_kernel_matches_reference(mode, a, b, cancel, c):
-    in_mode = lambda es: [(n, i, j, to_mode(v, mode)) for n, i, j, v in es]
-    scalar = type(to_mode(1, mode))
-    c = to_mode(F(7, 3), mode) if c == "s2" else c
+    field = FIELDS[mode]
+    in_mode = lambda es: [(n, i, j, field.of(v)) for n, i, j, v in es]
+    c = field.of(F(7, 3)) if c == "s2" else c
     a = in_mode(a + [(n, i, j, -v) for n, i, j, v in a[:cancel]])  # sums that cancel
     b = in_mode(b)
-    assert stored(built(+1, a), scalar) == reference(a)
+    assert stored(built(+1, a, field), field) == reference(a, field)
 
-    acc = built(+1, a)
-    acc.accumulate(built(+1, b), c)
-    assert stored(acc, scalar) == reference(a + [(n, i, j, c * v) for n, i, j, v in b])
+    acc = built(+1, a, field)
+    acc.accumulate(built(+1, b, field), c)
+    assert stored(acc, field) == reference(a + [(n, i, j, c * v) for n, i, j, v in b], field)
 
     # a after b, for a of shift +1 and b of shift -1: sum over the middle index
-    prod = built(+1, a).compose(built(-1, b))
+    prod = built(+1, a, field).compose(built(-1, b, field))
     want = [
         (n, i, k, av * bv)
         for n, j, k, bv in b
         for m, i, j2, av in a
         if m == n - 1 and j2 == j
     ]
-    assert prod.shift == 0 and stored(prod, scalar) == reference(want)
+    assert prod.shift == 0 and stored(prod, field) == reference(want, field)
 
 
 def test_compose_cancellation_leaves_no_entry():
-    a = built(+1, [(0, 0, 0, F(1)), (0, 0, 1, F(1))])
-    b = built(0, [(0, 0, 0, F(2)), (0, 1, 0, F(-2)), (0, 1, 1, F(3))])
+    a = built(+1, [(0, 0, 0, F(1)), (0, 0, 1, F(1))], QQ)
+    b = built(0, [(0, 0, 0, F(2)), (0, 1, 0, F(-2)), (0, 1, 1, F(3))], QQ)
     assert a.compose(b).blocks == {0: {(0, 1): F(3)}}
+
+
+def test_operators_over_different_fields_do_not_mix(params_fp):
+    """A prime-field operator combined with a rational one (the default
+    field) is an error, not a sum left unreduced mod PRIME."""
+    e0 = Representation(Geometry("c3", params_fp, 3)).build_e(0)
+    rational = SparseOperator(e0.shift)
+    with pytest.raises(ValueError, match="rational and prime-field"):
+        rational.accumulate(e0, 1)
+    with pytest.raises(ValueError, match="rational and prime-field"):
+        built(-1, [(1, 0, 0, F(1))], QQ).compose(e0)
+    assert rational.blocks == {}
