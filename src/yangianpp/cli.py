@@ -145,7 +145,11 @@ def _verify_operator_file(path, args) -> int:
             return EXIT_RELATION
     for fam, builder in (("e", rep.build_e), ("f", rep.build_f)):
         for key, opjson in families[fam].items():
-            if builder(int(key)).to_json() != SparseOperator.from_json(opjson, params.field).to_json():
+            try:
+                stored_op = SparseOperator.from_json(opjson, params.field)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"operator file has a malformed {fam}_{key}: {exc!r}") from exc
+            if builder(int(key)).to_json() != stored_op.to_json():
                 print(
                     f"operator file mismatch: {fam}_{key} disagrees with recomputation",
                     file=sys.stderr,

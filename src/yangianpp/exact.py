@@ -16,6 +16,7 @@ quotients and residues never lose the factor structure.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -53,6 +54,16 @@ class RationalField:
 
     def str(self, x) -> str:
         return f"{x.numerator}/{x.denominator}"
+
+    def split(self, x):
+        return x.numerator, x.denominator
+
+    def ratio(self, p, q):
+        return Fraction(p, q)
+
+    def clear(self, blk):
+        d = math.lcm(*(v.denominator for v in blk.values()))
+        return {k: v.numerator * (d // v.denominator) for k, v in blk.items()}, d
 
     def factor_key(self, factor):
         """(root, exponent) factors sort by root numerator, then denominator."""
@@ -92,10 +103,26 @@ class PrimeField:
     def str(self, x) -> str:
         return str(x % PRIME)
 
+    def split(self, x):
+        return x, 1
+
+    def ratio(self, p, q):
+        return p * self.inv(q) % PRIME
+
+    def clear(self, blk):
+        return dict(blk), 1
+
 
 QQ = RationalField()
 GFP = PrimeField()
 FIELDS = {field.mode: field for field in (QQ, GFP)}
+
+
+def same_field(a, b):
+    """a, when the fields a and b are one; a ValueError for two fields."""
+    if a is not b:
+        raise ValueError(f"{a.mode} and {b.mode} scalars do not mix")
+    return a
 
 
 def rational_str(x) -> str:
@@ -156,13 +183,14 @@ class LinForm:
     # -- arithmetic ------------------------------------------------------------
 
     def __mul__(self, other: "LinForm"):
-        return LinForm(self.const * other.const, self.factors + other.factors, self.field)
+        return LinForm(self.const * other.const, self.factors + other.factors, same_field(self.field, other.field))
 
     def __truediv__(self, other: "LinForm"):
+        field = same_field(self.field, other.field)
         if other.const == 0:
             raise ZeroDivisionError("division by the zero form")
         inv = tuple((r, -e) for r, e in other.factors)
-        return LinForm(self.const * self.field.inv(other.const), self.factors + inv, self.field)
+        return LinForm(self.const * field.inv(other.const), self.factors + inv, field)
 
     def __eq__(self, other):
         return (

@@ -24,6 +24,7 @@ variants as negative controls):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ def evaluate(terms, get, leaf=None):
         else:
             x, c = leaf(a), tails[0][0]
         if out is None:
-            out = SparseOperator(x.shift, field=x.field)
+            out = SparseOperator(x.shift, field=x.field, den={})
         out.accumulate(x, c)
     return out
 
@@ -167,25 +168,22 @@ def _cut_leaves(get, levels):
     A check that reads only those source levels takes each word's last
     letter from here: the blocks it drops could only feed unread cells.
     """
-    cut = {}
-
     def leaf(a):
-        if a not in cut:
-            op = get(a)
-            cut[a] = SparseOperator(op.shift, {n: op.blocks[n] for n in levels if n in op.blocks}, op.field)
-        return cut[a]
+        op = get(a)  # shares its blocks and denominators
+        return SparseOperator(op.shift, {n: op.blocks[n] for n in levels if n in op.blocks}, op.field, op.den)
 
-    return leaf
+    return functools.cache(leaf)
 
 
 def _ef_letters(ops):
-    """Letters ("e", i) and ("f", j) looked up on ops."""
-    return lambda g: getattr(ops, g[0])(g[1])
+    """Letters ("e", i) and ("f", j) looked up on ops, each cleared once per
+    lookup, so no cleared copy outlives the check that made the lookup."""
+    return functools.cache(lambda g: getattr(ops, g[0])(g[1]).cleared())
 
 
-def ef_bracket(ops, i, j, leaf=None) -> SparseOperator:
-    """[e_i, f_j] on ops, last letters read from leaf when given."""
-    return evaluate(commutator(gen(("e", i)), gen(("f", j))), _ef_letters(ops), leaf)
+def ef_bracket(ops, i, j, leaf=None, letters=None) -> SparseOperator:
+    """[e_i, f_j] on ops (or on a check's `letters`), last letters from leaf."""
+    return evaluate(commutator(gen(("e", i)), gen(("f", j))), letters or _ef_letters(ops), leaf)
 
 
 def _entry(rep, n, shift, tgt, src):
@@ -211,16 +209,17 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
     start = time.monotonic()
     rep = ops.rep
     levels = _nonempty(rep, range(0, ops.top))  # one raising level of headroom
-    leaf = _cut_leaves(_ef_letters(ops), levels)
+    get = _ef_letters(ops)
+    leaf = _cut_leaves(get, levels)
     worst = None
     by_sum = {}  # i + j -> (first bracket with that sum, its eigenvalues)
     for i, j in itertools.product(range(imax + 1), repeat=2):
-        c = ef_bracket(ops, i, j, leaf)
+        c = ef_bracket(ops, i, j, leaf, get)
         name = f"[e_{i},f_{j}]"
         for n in levels:
-            for (a, b), v in sorted(c.blocks.get(n, {}).items()):
-                if a != b and worst is None:
-                    worst = (v, f"{name} off the diagonal, {_entry(rep, n, 0, a, b)}")
+            off = min(((a, b) for a, b in c.blocks.get(n, {}) if a != b), default=None)
+            if off and worst is None:
+                worst = (c.entry(n, *off), f"{name} off the diagonal, {_entry(rep, n, 0, *off)}")
         diag = [(n, k, v) for n in levels for k, v in enumerate(c.diagonal(n, len(rep.basis.level(n))))]
         first, prev = by_sum.setdefault(i + j, (name, diag))
         for (n, k, v), (_, _, u) in zip(diag, prev):
@@ -245,10 +244,11 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
         lab: rep.h_rat(lab).residues_at_infinity(range(nmax + 1))
         for n in levels for lab in rep.basis.level(n)
     }
-    leaf = _cut_leaves(_ef_letters(ops), levels)
+    get = _ef_letters(ops)
+    leaf = _cut_leaves(get, levels)
     pairs = []  # (level, state index, n, lhs, rhs)
     for nn in range(nmax + 1):
-        comm = ef_bracket(ops, 0, nn, leaf)
+        comm = ef_bracket(ops, 0, nn, leaf, get)
         for n in levels:
             diag = comm.diagonal(n, len(rep.basis.level(n)))
             for idx, lab in enumerate(rep.basis.level(n)):
@@ -277,10 +277,11 @@ def _check(relation, ops, get, levels, instances):
     on every nonempty level of `levels`; instances maps a name to a table."""
     start = time.monotonic()
     levels = _nonempty(ops.rep, levels)
-    leaf = _cut_leaves(get, levels)
+    head = functools.cache(lambda a: get(a).cleared())  # each generator cleared once
+    leaf = _cut_leaves(head, levels)
     worst = None
     for name, terms in instances.items():
-        combo = evaluate(terms, get, leaf)
+        combo = evaluate(terms, head, leaf)
         hit = combo.first_nonzero_on(levels)
         if hit and worst is None:
             n, (i, j), v = hit

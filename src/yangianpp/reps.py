@@ -17,17 +17,20 @@ Wherever E has a simple pole and F is nonvanishing at x, the split
 reproduces the naive Res(z^i E) and z^j F(x) coefficients verbatim; it
 remains finite and correct at the weight collisions forced by
 h1 + h2 + h3 = 0, where the naive split degenerates.
+
+Operators are stored on field scalars; their algebra runs fraction-free.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import InconsistentShift, Resonance
-from .exact import QQ, LinForm
+from .exact import QQ, LinForm, same_field
 
 
 def Geometry(kind, params, level_cap, m=0, sector=0):
@@ -82,49 +85,72 @@ class FixedPointBasis:
 class SparseOperator:
     """Level-graded sparse matrix with a fixed level shift.
 
-    blocks[n] maps (target_index, source_index) -> scalar of `field` for
-    sources at level n and targets at level n + shift; zero entries are
-    omitted.
+    blocks[n] maps (target_index, source_index) -> numerator, for sources at
+    level n and targets at level n + shift (zero entries omitted), over the
+    block's denominator den.get(n, 1).  Built or loaded operators have den
+    None: the numerators are the entries, scalars of `field`.  compose and
+    accumulate run on `cleared()` operands, int numerators over one positive
+    int per block (prime residues over 1); the readers return field scalars.
     """
 
     shift: int
     blocks: dict = dataclasses.field(default_factory=dict)
     field: object = QQ
+    den: dict = None
+
+    def _value(self, n, v):
+        return v if self.den is None else self.field.ratio(v, self.den.get(n, 1))
 
     def entry(self, n, tgt, src):
-        return self.blocks.get(n, {}).get((tgt, src))
+        v = self.blocks.get(n, {}).get((tgt, src))
+        return None if v is None else self._value(n, v)
 
     def add_entry(self, n, tgt, src, value):
         """Add value at (tgt, src) of block n: a new key stores value itself,
         an existing one adds onto its entry, and a zero sum drops the key."""
-        reduce = self.field.reduce
-        value = reduce(value)
+        if self.den is not None:
+            return self.accumulate(SparseOperator(self.shift, {n: {(tgt, src): value}}, self.field), 1)
+        value = self.field.reduce(value)
         if value == 0:
             return
         blk = self.blocks.setdefault(n, {})
         key = (tgt, src)
-        old = blk.get(key)
-        if old is None:
-            blk[key] = value
-            return
-        v = reduce(old + value)
+        v = value if key not in blk else self.field.reduce(blk[key] + value)
         if v == 0:
             del blk[key]
         else:
             blk[key] = v
 
+    def cleared(self) -> "SparseOperator":
+        """This operator on int numerators over one denominator per block."""
+        if self.den is not None:
+            return self
+        out = SparseOperator(self.shift, field=self.field, den={})
+        for n, blk in self.blocks.items():
+            out._store(n, *self.field.clear(blk))
+        return out
+
+    def _store(self, n, blk, d):
+        """Set block n to the numerators blk over d, both divided by their gcd."""
+        g = math.gcd(d, *blk.values()) if d != 1 else 1
+        self.blocks[n] = {key: v // g for key, v in blk.items()} if g != 1 else blk
+        self.den.pop(n, None)
+        if d != g:
+            self.den[n] = d // g
+
     def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """self applied after other; blocks outside the truncation vanish.
+        """self applied after other, cleared; blocks outside the truncation vanish.
 
         Products of nonzero entries are nonzero, so each block is summed
         in a plain dict and only cancelled sums are dropped at the end.
         """
-        self._check_field(other)
-        out = SparseOperator(self.shift + other.shift, field=self.field)
+        same_field(self.field, other.field)
+        a, b = self.cleared(), other.cleared()
+        out = SparseOperator(self.shift + other.shift, field=self.field, den={})
         nonzero = self.field.nonzero
-        for n, blk in other.blocks.items():
+        for n, blk in b.blocks.items():
             mid = n + other.shift
-            ablk = self.blocks.get(mid)
+            ablk = a.blocks.get(mid)
             if not ablk:
                 continue
             col = {}
@@ -137,43 +163,44 @@ class SparseOperator:
                     old = acc.get(key)
                     acc[key] = av * bv if old is None else old + av * bv
             if acc:
-                out.blocks[n] = nonzero(acc)
+                out._store(n, nonzero(acc), a.den.get(mid, 1) * b.den.get(n, 1))
         return out
 
     def accumulate(self, other: "SparseOperator", c):
-        """self += c * other, in place; c == 1 adds the entries as they are.
-        Each touched block is summed in place and reduced once."""
-        self._check_field(other)
-        unit = c == 1
+        """self += c * other in place, self cleared first; each touched block is
+        summed over the lcm of both denominators (c's included), then reduced."""
+        same_field(self.field, other.field)
+        vars(self).update(vars(self.cleared()))  # a no-op once cleared
+        other = other.cleared()
+        cp, cq = self.field.split(c)
         for n, blk in other.blocks.items():
             if not blk:
                 continue
-            mine = self.blocks.setdefault(n, {})
+            d, dc = self.den.get(n, 1), other.den.get(n, 1) * cq
+            lcm = math.lcm(d, dc)
+            s, t = lcm // d, lcm // dc * cp
+            mine = self.blocks.get(n, {})
+            mine = {key: v * s for key, v in mine.items()} if s != 1 else mine
             for key, v in blk.items():
                 old = mine.get(key)
-                w = v if unit else c * v
+                w = v if t == 1 else t * v
                 mine[key] = w if old is None else old + w
-            self.blocks[n] = self.field.nonzero(mine)
-
-    def _check_field(self, other):
-        if other.field is not self.field:
-            raise ValueError(f"operators over {self.field.mode} and {other.field.mode} scalars")
+            self._store(n, self.field.nonzero(mine), lcm)
 
     def first_nonzero_on(self, levels):
         for n in levels:
-            for (i, j), v in sorted(self.blocks.get(n, {}).items()):
-                return n, (i, j), v
-        return None
+            for key in sorted(self.blocks.get(n, {})):
+                return n, key, self.entry(n, *key)
 
     def diagonal(self, n, size):
         blk = self.blocks.get(n, {})
-        return [blk.get((i, i), self.field.zero) for i in range(size)]
+        return [self._value(n, blk.get((i, i), self.field.zero)) for i in range(size)]
 
     def to_json(self):
         levels = []
         for n in sorted(self.blocks):
             entries = [
-                [i, j, self.field.str(v)] for (i, j), v in sorted(self.blocks[n].items())
+                [i, j, self.field.str(self._value(n, v))] for (i, j), v in sorted(self.blocks[n].items())
             ]
             levels.append({"n": n, "entries": entries})
         return {"shift": self.shift, "levels": levels}

@@ -306,9 +306,14 @@ def test_rep_check_incomplete_operator_file_fails(op_file, capsys, edit, missing
         lambda blob: blob["geometry"].update(N="2"),
         lambda blob: blob["operators"].update(e=["0", "1"]),
         lambda blob: blob["basis"].update(levels=5),
+        lambda blob: blob["operators"]["e"]["0"].pop("shift"),
+        lambda blob: blob["operators"]["e"]["0"]["levels"][0].pop("n"),
+        lambda blob: blob["operators"]["f"]["1"]["levels"][0].pop("entries"),
+        lambda blob: blob["operators"]["e"]["0"]["levels"][0]["entries"][0].pop(),
     ],
     ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family", "no-kind", "no-N",
-         "no-basis", "geometry-list", "N-string", "e-family-list", "levels-int"],
+         "no-basis", "geometry-list", "N-string", "e-family-list", "levels-int", "op-no-shift",
+         "level-no-n", "level-no-entries", "entry-two-values"],
 )
 def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit):
     if edit is None:

@@ -379,3 +379,18 @@ def test_rational_serialization_roundtrip():
     assert QQ.of(rational_str(x)) == x
     r = GFP.of(x)
     assert GFP.str(r) == rational_str(r) == str(r) and GFP.of(GFP.str(r)) == r
+
+
+def test_linform_refuses_mixed_fields(params_fp):
+    """A rational form times or over a prime-field h_rat (c3, N=2) is an
+    error, not a rational form holding a residue."""
+    from yangianpp import Geometry, Representation
+
+    rep = Representation(Geometry("c3", params_fp, 2))
+    h = rep.h_rat(rep.basis.level(1)[0])
+    rational = LinForm(1, [(params_fp.chi, -1)])
+    for combine in (lambda: rational * h, lambda: rational / h, lambda: h * rational, lambda: h / rational):
+        with pytest.raises(ValueError, match="^rational and prime-field scalars do not mix$|"
+                           "^prime-field and rational scalars do not mix$"):
+            combine()
+    assert (LinForm(1, [(params_fp.chi, -1)], GFP) * h).field is GFP

@@ -150,17 +150,37 @@ def test_failing_ee_detail_names_instance_and_level(c3_ops):
     assert ", level " in r.detail and "Partition3D" in r.detail and " -> " in r.detail
 
 
+def _bump_last(op, n):
+    """A copy of op with its last level-n entry raised by 1."""
+    bumped = SparseOperator(op.shift, {k: dict(b) for k, b in op.blocks.items()}, op.field)
+    bumped.add_entry(n, *max(bumped.blocks[n]), 1)
+    return bumped
+
+
 class _BumpedE0Level2(OperatorSet):
     """e_0 with its last level-2 entry raised by 1: level 2 lies inside the
     checked window of ee-quadratic, serre-e and ef-diagonal at N=5."""
 
     def e(self, i):
         op = super().e(i)
-        if i != 0:
-            return op
-        bumped = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()})
-        bumped.add_entry(2, *max(bumped.blocks[2]), 1)
-        return bumped
+        return _bump_last(op, 2) if i == 0 else op
+
+
+class _BumpedF0Level3(OperatorSet):
+    """f_0 with its last level-3 entry raised by 1: level 3 lies inside the
+    checked window of ff-quadratic, serre-f and ef-diagonal at N=5."""
+
+    def f(self, j):
+        op = super().f(j)
+        return _bump_last(op, 3) if j == 0 else op
+
+
+@pytest.fixture(scope="module")
+def c3_ops_by_mode(c3_ops):
+    from yangianpp import Params
+
+    params = Params.make(F(101, 13), F(47, 7), F(7), mode="prime-field")
+    return {"rational": c3_ops, "prime-field": OperatorSet(Representation(Geometry("c3", params, 5)))}
 
 
 BUMPED_LEVEL2 = {  # relation -> (check, discrepancy, detail) as first reported
@@ -185,10 +205,64 @@ BUMPED_LEVEL2 = {  # relation -> (check, discrepancy, detail) as first reported
 }
 
 
+BUMPED_F0_LEVEL3 = {  # relation -> (check, discrepancy, detail) as first reported
+    "ff-quadratic": (
+        check_ff,
+        "283868783920/5274997",
+        "(m,n)=(0,0), level 3, entry (0,5): Partition3D([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) -> "
+        "Partition3D([(0, 0, 0)])",
+    ),
+    "serre-f": (
+        check_serre_f,
+        "217802136/8281",
+        "(i1,i2,i3)=(0,0,0), level 3, entry (0,5): Partition3D([(0, 0, 0), (1, 0, 0), "
+        "(2, 0, 0)]) -> Partition3D([])",
+    ),
+    "ef-diagonal": (
+        check_ef_diag,
+        "9796423/1403071174608",
+        "[e_0,f_0] off the diagonal, level 3, entry (2,5): Partition3D([(0, 0, 0), (1, 0, 0), "
+        "(2, 0, 0)]) -> Partition3D([(0, 0, 0), (0, 0, 1), (1, 0, 0)])",
+    ),
+}
+
+#: The same failures in the prime field: the bumped entry and every
+#: discrepancy are residues mod PRIME, the failing cell is the same.
+BUMPED_PRIME_DISCREPANCY = {
+    ("e", "ee-quadratic"): "129762975930029908",
+    ("e", "serre-e"): "1209215387949070177",
+    ("e", "ef-diagonal"): "758753700869830926",
+    ("f", "ff-quadratic"): "752254717008785841",
+    ("f", "serre-f"): "555785852721984172",
+    ("f", "ef-diagonal"): "675220133410887276",
+}
+
+BUMPED = {"e": (_BumpedE0Level2, BUMPED_LEVEL2), "f": (_BumpedF0Level3, BUMPED_F0_LEVEL3)}
+
+
 @pytest.mark.parametrize("relation", sorted(BUMPED_LEVEL2))
 def test_bumped_e0_inside_window_fails_with_same_detail(c3_ops, relation):
     check, discrepancy, detail = BUMPED_LEVEL2[relation]
     r = check(_BumpedE0Level2(c3_ops.rep), 1)
+    assert (r.relation, r.status, r.discrepancy, r.detail) == (
+        relation, "fail", discrepancy, detail
+    )
+
+
+@pytest.mark.parametrize("mode,family,relation", [
+    (mode, family, relation)
+    for mode in ("rational", "prime-field")
+    for family, relation in sorted(BUMPED_PRIME_DISCREPANCY)
+    if (mode, family) != ("rational", "e")  # the test above
+])
+def test_bumped_generator_fails_with_pinned_report(c3_ops_by_mode, mode, family, relation):
+    """f_0 bumped in both fields, and e_0 bumped in the prime field, fail
+    with the pinned (status, discrepancy, detail)."""
+    bump, pins = BUMPED[family]
+    check, discrepancy, detail = pins[relation]
+    if mode == "prime-field":
+        discrepancy = BUMPED_PRIME_DISCREPANCY[family, relation]
+    r = check(bump(c3_ops_by_mode[mode].rep), 1)
     assert (r.relation, r.status, r.discrepancy, r.detail) == (
         relation, "fail", discrepancy, detail
     )
@@ -207,8 +281,9 @@ def test_cut_leaves_keep_every_checked_cell(c3_ops, family, levels, table):
     full = evaluate(table, get)
     cut = evaluate(table, get, _cut_leaves(get, levels))
     assert set(cut.blocks) <= set(levels)
+    entries = lambda op, n: {k: op.entry(n, *k) for k in op.blocks.get(n, {})}
     for n in levels:
-        assert cut.blocks.get(n, {}) == full.blocks.get(n, {})
+        assert entries(cut, n) == entries(full, n)
 
 
 def test_suite_builds_h_rat_once_per_label(monkeypatch):
