@@ -207,16 +207,16 @@ def _parse_kernel(s: str, params):
     raise ValueError(f"kernel must be a1, c3 or jordan:c, got {s!r}")
 
 
-def _parse_sym(expr: str):
+def _parse_sym(expr: str, field):
     from .shuffle import SymPoly
 
     expr = expr.strip()
     if expr == "1":
-        return SymPoly.power(0)
+        return SymPoly.power(0, field=field)
     if expr == "x":
-        return SymPoly.power(1)
+        return SymPoly.power(1, field=field)
     if expr.startswith("x^"):
-        return SymPoly.power(int(expr[2:]))
+        return SymPoly.power(int(expr[2:]), field=field)
     raise ValueError(f"cannot parse shuffle operand {expr!r} (use 1, x or x^k)")
 
 
@@ -226,8 +226,8 @@ def cmd_shuffle(args) -> int:
     params = _params_from_args(args)
     kernel = _parse_kernel(args.kernel, params)
     if args.action == "mul":
-        f = _parse_sym(args.left)
-        g = _parse_sym(args.right)
+        f = _parse_sym(args.left, kernel.field)
+        g = _parse_sym(args.right, kernel.field)
         prod = shuffle_mul(f, g, kernel)
         out = {
             "variables": prod.v,

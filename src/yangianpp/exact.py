@@ -107,7 +107,7 @@ class PrimeField:
         return x, 1
 
     def ratio(self, p, q):
-        return p * self.inv(q) % PRIME
+        return p % PRIME if q == 1 else p * self.inv(q) % PRIME
 
     def clear(self, blk):
         return dict(blk), 1

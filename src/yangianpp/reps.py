@@ -132,11 +132,16 @@ class SparseOperator:
 
     def _store(self, n, blk, d):
         """Set block n to the numerators blk over d, both divided by their gcd."""
-        g = math.gcd(d, *blk.values()) if d != 1 else 1
-        self.blocks[n] = {key: v // g for key, v in blk.items()} if g != 1 else blk
-        self.den.pop(n, None)
-        if d != g:
-            self.den[n] = d // g
+        if d != 1:
+            g = math.gcd(d, *blk.values())
+            if g != 1:
+                blk = {key: v // g for key, v in blk.items()}
+                d //= g
+        self.blocks[n] = blk
+        if d != 1:
+            self.den[n] = d
+        elif self.den:
+            self.den.pop(n, None)
 
     def compose(self, other: "SparseOperator") -> "SparseOperator":
         """self applied after other, cleared; blocks outside the truncation vanish.
@@ -177,8 +182,11 @@ class SparseOperator:
             if not blk:
                 continue
             d, dc = self.den.get(n, 1), other.den.get(n, 1) * cq
-            lcm = math.lcm(d, dc)
-            s, t = lcm // d, lcm // dc * cp
+            if d == dc:  # every block of the prime field, whose denominators are 1
+                lcm, s, t = d, 1, cp
+            else:
+                lcm = math.lcm(d, dc)
+                s, t = lcm // d, lcm // dc * cp
             mine = self.blocks.get(n, {})
             mine = {key: v * s for key, v in mine.items()} if s != 1 else mine
             for key, v in blk.items():

@@ -11,7 +11,9 @@ The product is computed from one splitting: the numerator over the common
 Vandermonde denominator is expanded once for S = {0..v1-1}, every other
 splitting's numerator is its order-preserving relabelling x_S, x_T with
 the sign of the crossing pairs it reorders, and the summed numerator is
-divided by the Vandermonde exactly, one linear factor at a time.
+divided by the Vandermonde exactly, one linear factor at a time, by
+synthetic division.  All of it runs on int numerators over one int
+denominator, which is divided out once at the end.
 
 Presets: "a1" has no numerator weights (fac = 1/(x-y)); "jordan:c" has one
 weight c; "c3" has weights (h1, h2, h3).  The presets are reconstructed from
@@ -27,9 +29,10 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DenominatorNotCancelled
-from .exact import QQ, LinForm
+from .exact import QQ, LinForm, same_field
 from .relations import RelationReport, quad_terms
 
 
@@ -38,36 +41,24 @@ from .relations import RelationReport, quad_terms
 # ---------------------------------------------------------------------------
 
 
-def _add_term(terms, e, c):
-    """terms[e] += c, without adding c to an int 0 first."""
-    prev = terms.get(e)
-    terms[e] = c if prev is None else prev + c
-
-
 class MPoly:
     """Multivariate polynomial over `field`: {exponent tuple: scalar}, zero
-    terms dropped."""
+    terms dropped.  The shuffle product keeps int numerators in it."""
 
     __slots__ = ("nvars", "terms", "field")
 
-    def __init__(self, nvars, terms=(), field=QQ):
+    def __init__(self, nvars, terms=None, field=QQ):
         self.nvars = nvars
         self.field = field
-        d = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for e, c in items:
-            if c == 0:
-                continue
-            _add_term(d, tuple(e), c)
-        self.terms = field.nonzero(d)
+        self.terms = field.nonzero(terms or {})
 
     @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
+    def constant(cls, nvars, c, field=QQ):
+        return cls(nvars, {(0,) * nvars: c}, field)
 
     @classmethod
-    def monomial(cls, nvars, exps, c=1):
-        return cls(nvars, {tuple(exps): c})
+    def monomial(cls, nvars, exps, c=1, field=QQ):
+        return cls(nvars, {tuple(exps): c}, field)
 
     def is_zero(self):
         return not self.terms
@@ -76,13 +67,13 @@ class MPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MPoly(self.nvars, out, self.field)
+        return MPoly(self.nvars, out, same_field(self.field, other.field))
 
     def __sub__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return MPoly(self.nvars, out, self.field)
+        return MPoly(self.nvars, out, same_field(self.field, other.field))
 
     def __mul__(self, scalar):
         return MPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.field)
@@ -105,62 +96,46 @@ class MPoly:
             out[tuple(ne)] = c
         return MPoly(nvars, out, self.field)
 
-    def mul_linear(self, i, j, w):
-        """Multiply in place by (x_i - x_j + w)."""
+    def mul_linear(self, i, j, p=0, q=1):
+        """Multiply in place by (q*x_i - q*x_j + p)."""
         out = {}
+        get = out.get
         for e, c in self.terms.items():
-            up = list(e)
-            up[i] += 1
-            _add_term(out, tuple(up), c)
-            up = list(e)
-            up[j] += 1
-            _add_term(out, tuple(up), -c)
-            if w:
-                _add_term(out, e, c * w)
+            qc = q * c
+            up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            out[up] = get(up, 0) + qc
+            up = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            out[up] = get(up, 0) - qc
+            if p:
+                out[e] = get(e, 0) + p * c
         self.terms = self.field.nonzero(out)
 
     def divide_exact_linear(self, i, j):
         """Exact division by (x_i - x_j); DenominatorNotCancelled if inexact.
 
-        Terms are consumed in descending lex order off a heap (lazy
-        deletion), so each reduction step is logarithmic.
+        Synthetic division: the terms fall into groups with the same
+        exponents of the other variables and the same s = e_i + e_j.  In a
+        group, sum_a c_a x_i^a x_j^(s-a) = (x_i - x_j) sum_a q_a x_i^a
+        x_j^(s-1-a) gives q_(a-1) = c_a + q_a down from q_s = 0, and leaves
+        c_0 + q_0, which must vanish (mod PRIME in the prime field).
         """
-        import heapq
-
-        rem = dict(self.terms)
-        heap = [tuple(-x for x in e) for e in rem]
-        heapq.heapify(heap)
+        groups = {}
+        for e, c in self.terms.items():
+            key = list(e)
+            key[i] += key[j]
+            key[j] = 0
+            groups.setdefault(tuple(key), {})[e[i]] = c
         out = {}
-        while heap:
-            e = tuple(-x for x in heapq.heappop(heap))
-            c = rem.pop(e, None)
-            if c is None or c == 0:
-                continue
-            if e[i] == 0:
-                if self.field.reduce(c) == 0:  # a prime sum that vanishes mod PRIME
-                    continue
-                raise DenominatorNotCancelled(
-                    f"polynomial not divisible by (x_{i} - x_{j})"
-                )
-            qe = list(e)
-            qe[i] -= 1
-            qe = tuple(qe)
-            _add_term(out, qe, c)
-            # subtract c * x^qe * (x_i - x_j): the x_i part cancels the lead,
-            # the x_j part flows back into the remainder (lex-smallerterm)
-            se = list(qe)
-            se[j] += 1
-            se = tuple(se)
-            prev = rem.get(se)
-            if prev is None:
-                rem[se] = c
-                heapq.heappush(heap, tuple(-x for x in se))
-            else:
-                tot = prev + c
-                if tot == 0:
-                    rem.pop(se)
-                else:
-                    rem[se] = tot
+        for key, col in groups.items():
+            s = key[i]
+            e = list(key)
+            q = 0
+            for a in range(s, 0, -1):
+                q += col.get(a, 0)
+                e[i], e[j] = a - 1, s - a
+                out[tuple(e)] = q
+            if self.field.reduce(q + col.get(0, 0)):
+                raise DenominatorNotCancelled(f"polynomial not divisible by (x_{i} - x_{j})")
         return MPoly(self.nvars, out, self.field)
 
     def is_symmetric(self):
@@ -193,13 +168,13 @@ class SymPoly:
         self.poly = poly
 
     @classmethod
-    def one(cls):
-        return cls(MPoly.constant(0, 1))
+    def one(cls, field=QQ):
+        return cls(MPoly.constant(0, field.one, field))
 
     @classmethod
-    def power(cls, r, coeff=1):
-        """x^r in one variable."""
-        return cls(MPoly.monomial(1, (r,), coeff))
+    def power(cls, r, coeff=1, field=QQ):
+        """coeff * x^r in one variable, the rational coeff mapped into `field`."""
+        return cls(MPoly.monomial(1, (r,), field.of(coeff), field))
 
     def orbit_terms(self):
         """Map from sorted (descending) exponent tuples to coefficients."""
@@ -269,39 +244,51 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
     back out exactly; DenominatorNotCancelled signals a wrong kernel or
     asymmetric input.  The numerator is built once, for the splitting
     S = {0..v1-1}; every other splitting's numerator is its signed
-    order-preserving relabelling.
+    order-preserving relabelling.  It runs fraction-free: int numerators
+    over one int denominator, which picks up each operand's and each
+    kernel weight's denominator, divided out once at the end.  Operands of
+    a field other than the kernel's are a ValueError.
     """
+    field = same_field(same_field(kernel.field, f.poly.field), g.poly.field)
     v1, v2 = f.v, g.v
     v = v1 + v2
-    field = kernel.field
     if v1 == 0 or v2 == 0:  # a constant factor scales the other one
         const, other = (f, g) if v1 == 0 else (g, f)
         c = next(iter(const.poly.terms.values()), 0)
         return SymPoly(MPoly(other.v, {e: x * c for e, x in other.poly.terms.items()}, field))
     delta = kernel.denominator_exponent
-    # A0 = f(x_S) g(x_T) prod_{s<v1<=t} num(x_s - x_t) * V_S * V_T for S = {0..v1-1}
-    base = MPoly(v, {ef + eg: cf * cg for ef, cf in f.poly.terms.items() for eg, cg in g.poly.terms.items()}, field)
+    (fn, fd), (gn, gd) = field.clear(f.poly.terms), field.clear(g.poly.terms)
+    den = fd * gd
+    # A0 = f(x_S) g(x_T) prod_{s<v1<=t} num(x_s - x_t) * V_S * V_T for S = {0..v1-1},
+    # each weight w = p/q entering as q*x_s - q*x_t + p
+    base = MPoly(v, {ef + eg: cf * cg for ef, cf in fn.items() for eg, cg in gn.items()}, field)
+    weights = [field.split(w) for w in kernel.numerator_weights]
     for s in range(v1):
         for t in range(v1, v):
-            for w in kernel.numerator_weights:
-                base.mul_linear(s, t, w)
+            for p, q in weights:
+                base.mul_linear(s, t, p, q)
+                den *= q
     if delta:
         # complete the cross denominator to the full Vandermonde
         for i, j in itertools.combinations(range(v), 2):
             if (i < v1) == (j < v1):
-                base.mul_linear(i, j, 0)
+                base.mul_linear(i, j)
     total = {}
+    get = total.get
     for S in itertools.combinations(range(v), v1):
         T = [k for k in range(v) if k not in S]
+        # variable k of base goes to slot (S + T)[k]
+        relabel = itemgetter(*sorted(range(v), key=(list(S) + T).__getitem__))
         # (x_s - x_t) = -(x_t - x_s) for every crossing pair with s > t
-        negate = delta and sum(s > t for s in S for t in T) % 2
-        for e, c in base.embed(v, list(S) + T).terms.items():
-            _add_term(total, e, -c if negate else c)
+        sign = -1 if delta and sum(s > t for s in S for t in T) % 2 else 1
+        for e, c in base.terms.items():
+            e = relabel(e)
+            total[e] = get(e, 0) + sign * c
     total = MPoly(v, total, field)
     if delta:
         for i, j in itertools.combinations(range(v), 2):
             total = total.divide_exact_linear(i, j)
-    return SymPoly(total)
+    return SymPoly(MPoly(v, {e: field.ratio(c, den) for e, c in total.terms.items()}, field))
 
 
 def star_commutator(a, b, kernel):
@@ -346,7 +333,10 @@ def check_c3_ee(params, imax: int, sigma2_sign: int = -1, sigma3_sign: int = +1)
     s2, s3 = -sigma2_sign * params.sigma2, sigma3_sign * params.sigma3
     domain = 0
     worst = None
-    e = SymPoly.power
+
+    def e(r):
+        return SymPoly.power(r, field=k.field)
+
     for m in range(imax + 1):
         for n in range(imax + 1):
             domain += 1
@@ -402,6 +392,7 @@ def check_assoc(kernel: Kernel, trials: int, seed: int = 7) -> RelationReport:
     """
     start = time.monotonic()
     rng = random.Random(seed)
+    field = kernel.field
     detail = ""
     wide = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
     for trial in range(trials):
@@ -410,11 +401,11 @@ def check_assoc(kernel: Kernel, trials: int, seed: int = 7) -> RelationReport:
         v1, v2, v3 = wide[trial // 5 % 3] if trial % 5 == 4 else (1, 1, 1)
         def rand_sym(v):
             if v == 1:
-                return SymPoly.power(rng.randint(0, 2))
+                return SymPoly.power(rng.randint(0, 2), field=field)
             # symmetrized random monomial in two variables
             a, b = sorted((rng.randint(0, 2), rng.randint(0, 2)), reverse=True)
-            m = MPoly.monomial(v, (a, b)) + (MPoly.monomial(v, (b, a)) if a != b else MPoly(v))
-            return SymPoly(m)
+            m = MPoly.monomial(v, (a, b), field.one, field)
+            return SymPoly(m + MPoly.monomial(v, (b, a), field.one, field) if a != b else m)
         f, g, h = rand_sym(v1), rand_sym(v2), rand_sym(v3)
         lhs = shuffle_mul(shuffle_mul(f, g, kernel), h, kernel)
         rhs = shuffle_mul(f, shuffle_mul(g, h, kernel), kernel)

@@ -1,13 +1,16 @@
 import re
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import sympy_shuffle
 from yangianpp import Kernel, Params, SymPoly, shuffle, shuffle_mul
 from yangianpp.errors import DenominatorNotCancelled
-from yangianpp.exact import random_params
+from yangianpp.exact import GFP, PRIME, QQ, random_params
 from yangianpp.reps import box_local_factor
 from yangianpp.shuffle import (
     MPoly,
@@ -27,7 +30,8 @@ def test_a1_x0_star_x1_is_minus_one():
 
 @pytest.fixture
 def iparams():
-    # integer specialization keeps every shuffle coefficient a plain int
+    # Params.make maps these integers to Fractions of denominator 1, so every
+    # kernel weight, and every shuffle coefficient, is an integral Fraction
     return Params.make(101, 47, 7)
 
 
@@ -139,17 +143,101 @@ ORACLE_KERNELS = {
 }
 
 
-@pytest.mark.parametrize("v1,v2", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)])
+# the c3 kernels again, in the prime field
+PRIME_KERNELS = {
+    "c3:101,47,7": Kernel.c3(Params.make(101, 47, 7, mode="prime-field")),
+    "c3:seed2024": Kernel.c3(random_params(2024, mode="prime-field")),
+}
+
+SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
+
+
+@lru_cache(maxsize=None)
+def oracle(kernel, v1, v2):
+    """The sympy product of the oracle inputs of weights v1 and v2, computed
+    once for both fields."""
+    k = ORACLE_KERNELS[kernel]
+    f, g = ORACLE_INPUTS[v1], ORACLE_INPUTS[v2]
+    return sympy_shuffle(f.poly.terms, v1, g.poly.terms, v2, k.numerator_weights, k.denominator_exponent)
+
+
+@pytest.mark.parametrize("v1,v2", SHAPES)
 @pytest.mark.parametrize("kernel", sorted(ORACLE_KERNELS))
 def test_shuffle_mul_matches_sympy_oracle(kernel, v1, v2):
     k = ORACLE_KERNELS[kernel]
     if kernel == "c3:seed2024":
         assert any(F(w).denominator != 1 for w in k.numerator_weights)
-    f, g = ORACLE_INPUTS[v1], ORACLE_INPUTS[v2]
-    want = sympy_shuffle(f.poly.terms, v1, g.poly.terms, v2, k.numerator_weights, k.denominator_exponent)
-    got = shuffle_mul(f, g, k)
+    got = shuffle_mul(ORACLE_INPUTS[v1], ORACLE_INPUTS[v2], k)
     assert got.v == v1 + v2
-    assert got.poly.terms == want
+    assert got.poly.terms == oracle(kernel, v1, v2)
+
+
+@pytest.mark.parametrize("v1,v2", SHAPES)
+@pytest.mark.parametrize("kernel", sorted(PRIME_KERNELS))
+def test_shuffle_mul_matches_sympy_oracle_prime_field(kernel, v1, v2):
+    """The prime-field product is the oracle's rational product mapped
+    through GFP.of, coefficient by coefficient."""
+    k = PRIME_KERNELS[kernel]
+    assert k.numerator_weights == tuple(GFP.of(w) for w in ORACLE_KERNELS[kernel].numerator_weights)
+
+    def residues(sym):
+        return SymPoly(MPoly(sym.v, {e: GFP.of(c) for e, c in sym.poly.terms.items()}, GFP))
+
+    got = shuffle_mul(residues(ORACLE_INPUTS[v1]), residues(ORACLE_INPUTS[v2]), k)
+    assert got.v == v1 + v2
+    assert got.poly.terms == GFP.nonzero({e: GFP.of(c) for e, c in oracle(kernel, v1, v2).items()})
+
+
+def test_operands_of_another_field_are_refused():
+    kernel = Kernel.c3(random_params(2024, mode="prime-field"))
+    half = SymPoly.power(1, F(1, 2))  # a rational operand
+    with pytest.raises(ValueError, match="do not mix"):
+        shuffle_mul(half, SymPoly.power(0), kernel)
+    with pytest.raises(ValueError, match="do not mix"):
+        shuffle_mul(SymPoly.power(0, field=GFP), half, kernel)
+    with pytest.raises(ValueError, match="do not mix"):
+        MPoly(1, {(1,): 1}, GFP) + MPoly(1, {(1,): 1})
+    with pytest.raises(ValueError, match="do not mix"):
+        MPoly(1, {(1,): 1}) - MPoly(1, {(1,): 1}, GFP)
+    # built in the kernel's field, the half is the residue of 1/2
+    prod = shuffle_mul(SymPoly.power(1, F(1, 2), GFP), SymPoly.power(0, field=GFP), kernel)
+    rational = shuffle_mul(half, SymPoly.power(0), Kernel.c3(random_params(2024)))
+    assert prod.poly.terms == {e: GFP.of(c) for e, c in rational.poly.terms.items()}
+    assert all(type(c) is int and 0 <= c < PRIME for c in prod.poly.terms.values())
+
+
+@st.composite
+def linear_division(draw):
+    """(nvars, i, j, coefficient dict of a quotient, exponent of a
+    remainder monomial free of x_i)."""
+    nvars = draw(st.integers(2, 3))
+    i, j = draw(st.permutations(range(nvars)))[:2]
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    quotient = draw(st.dictionaries(exps, st.fractions(-9, 9, max_denominator=4), max_size=6))
+    rest = list(draw(exps))
+    rest[i] = 0
+    return nvars, i, j, quotient, tuple(rest)
+
+
+@pytest.mark.parametrize("field", [QQ, GFP], ids=["rational", "prime-field"])
+@given(linear_division(), st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_linear(field, case, k):
+    nvars, i, j, coeffs, rest = case
+    q = MPoly(nvars, {e: field.of(c) for e, c in coeffs.items()}, field)
+    p = MPoly(nvars, q.terms, field)
+    p.mul_linear(i, j)  # (x_i - x_j) * q
+    assert p.divide_exact_linear(i, j) == q
+    # a remainder free of x_i does not vanish at x_i = x_j
+    with pytest.raises(DenominatorNotCancelled):
+        (p + MPoly.monomial(nvars, rest, field.of(k), field)).divide_exact_linear(i, j)
+    # an unreduced remainder k*PRIME is zero in the prime field only
+    p.terms[rest] = p.terms.get(rest, 0) + k * PRIME
+    if field is GFP:
+        assert p.divide_exact_linear(i, j) == q
+    else:
+        with pytest.raises(DenominatorNotCancelled):
+            p.divide_exact_linear(i, j)
 
 
 def test_assoc_failure_names_trial_shape_and_exponents(iparams, monkeypatch):
