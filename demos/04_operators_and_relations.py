@@ -2,13 +2,13 @@
 
 The commutator [e_i, f_j] must be diagonal with eigenvalues read off the
 diagonal rational series h(z); the quadratic and Serre relations must vanish
-as exact zero matrices on every level the truncation can see.
+exactly on every basis vector of every level the truncation can see.
 """
 
 from fractions import Fraction as F
 
 from yangianpp import Geometry, Params, Representation
-from yangianpp.relations import OperatorSet, ef_bracket, quad_terms, run_suite
+from yangianpp.relations import OperatorSet, ef_vectors, quad_terms, run_suite
 
 params = Params.make(F(101, 13), F(47, 7), F(7))
 
@@ -19,9 +19,10 @@ print("basis sizes:", [len(L) for L in rep.basis.levels])
 
 ops = OperatorSet(rep)
 print("e_0 level-0 block:", ops.e(0).blocks[0])
-comm = ef_bracket(ops, 0, 0)
-print("[e_0,f_0] on the vacuum:", comm.entry(0, 0, 0))
-# every relation is one table of (coefficient, word) pairs over the generators
+# every relation is one table of (coefficient, word) pairs over the generators,
+# applied to one basis vector at a time
+[[vacuum]] = ef_vectors(ops, [(0, 0)], [0])[0]
+print("[e_0,f_0] on the vacuum:", vacuum[0])
 print("quadratic relation (m,n)=(0,1):", len(quad_terms(0, 1, params.sigma2, params.sigma3)), "words")
 
 reports, shift = run_suite(g, imax=2)

@@ -2,13 +2,24 @@
 fixed-point representation.
 
 The (coefficient, word) tables of `quad_terms`, `serre_terms` and
-`commutator` are the single statement of each relation; `evaluate` turns a
-table into one operator, and the shuffle check reads the quadratic table.
+`commutator` are the single statement of each relation, and the shuffle
+check reads the quadratic table.  No check multiplies operators:
+`apply_tables` applies a family's tables to one source basis vector at a
+time, by sparse matrix-vector steps, and a check's cells are the entries of
+those vectors.
 
-Every check runs only on the levels where all intermediate compositions stay
-inside the truncation; pass means every checked matrix entry is exactly
-zero.  Reports carry the domain size so an empty domain can never be
-mistaken for a pass.
+The quadratic and Serre checks evaluate only their generating instance,
+(m,n)=(0,0) and (i1,i2,i3)=(0,0,0).  On operators of power form, e_i =
+x^i e_0 and f_j = x^j f_0 with x the weight of the step, every instance's
+word polynomial along a path is the generating one's times a symmetric
+polynomial of the path's weights, which every path of a cell shares; so
+each check then verifies that power form on every step of its paths, for
+every letter its instances read.
+
+Every check runs only on the levels where all intermediate steps stay
+inside the truncation; pass means every checked cell is exactly zero.
+Reports carry the domain size, (level, instance) cells over every instance,
+so an empty domain can never be mistaken for a pass.
 
 Sign conventions, pinned by direct computation on the representations and by
 the one-vertex shuffle kernel (the tests exercise both, plus the flipped
@@ -30,7 +41,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InconsistentShift, SignInconsistent
-from .exact import QQ, rational_str
+from .exact import QQ, rational_str, same_field
 from .reps import (
     Geometry,
     Representation,
@@ -137,53 +148,66 @@ def serre_terms(i1, i2, i3):
     return _table(t for a, b, c in perms for t in commutator(gen(a), commutator(gen(b), gen(c + 1))))
 
 
-def evaluate(terms, get, leaf=None):
-    """The operator sum of c * X_{w0} ... X_{wk}, X_a = get(a), over a nonempty
-    table of distinct words of one length.
+def ef_terms(i, j):
+    """The table of [e_i, f_j], over the letters ("e", i) and ("f", j)."""
+    return commutator(gen(("e", i)), gen(("f", j)))
 
-    Words are summed by shared prefix, X_a o (sum of the tails after a), so
-    each distinct proper prefix costs one compose.  The last letter of each
-    word, the one acting on the source level, is read from leaf(a) instead
-    when leaf is given.
+
+def apply_tables(tables, get, rep, levels):
+    """Every table applied to every basis vector of each level in `levels`.
+
+    out[n][s][k] is the vector sum c * X_{w0} ... X_{wr} |s> of tables[k],
+    X_a = get(a), for the basis vector s of level n, as {target index:
+    nonzero scalar}.  Words act right to left, by sparse matrix-vector
+    steps over the generators' entries; each word suffix is applied once
+    per source, whichever tables share it.
     """
-    leaf = leaf or get
-    heads = {}
-    for c, word in terms:
-        heads.setdefault(word[0], []).append((c, word[1:]))
-    out = None
-    for a, tails in heads.items():
-        if tails[0][1]:
-            x, c = get(a).compose(evaluate(tails, get, leaf)), 1
-        else:
-            x, c = leaf(a), tails[0][0]
-        if out is None:
-            out = SparseOperator(x.shift, field=x.field, den={})
-        out.accumulate(x, c)
+    field = rep.geometry.params.field
+
+    @functools.cache
+    def columns(a):  # (shift, source level -> source index -> [(target, entry)])
+        op = get(a)
+        same_field(field, op.field)
+        cols = {}
+        for n, blk in op.blocks.items():
+            for (t, s), v in blk.items():
+                cols.setdefault(n, {}).setdefault(s, []).append((t, v))
+        return op.shift, cols
+
+    out = {}
+    for n in levels:
+        out[n] = rows = []
+        for s in range(len(rep.basis.level(n))):
+            memo = {(): (n, {s: 1})}  # word suffix -> (level, vector) of it on s
+            row = []
+            for terms in tables:
+                acc = {}
+                for c, word in terms:
+                    for t, v in _applied(word, memo, columns, field)[1].items():
+                        acc[t] = acc.get(t, 0) + c * v
+                row.append(field.nonzero(acc))
+            rows.append(row)
     return out
 
 
-def _cut_leaves(get, levels):
-    """get(a) cut to the source levels `levels`, each generator cut once.
-
-    A check that reads only those source levels takes each word's last
-    letter from here: the blocks it drops could only feed unread cells.
-    """
-    def leaf(a):
-        op = get(a)  # shares its blocks and denominators
-        return SparseOperator(op.shift, {n: op.blocks[n] for n in levels if n in op.blocks}, op.field, op.den)
-
-    return functools.cache(leaf)
-
-
-def _ef_letters(ops):
-    """Letters ("e", i) and ("f", j) looked up on ops, each cleared once per
-    lookup, so no cleared copy outlives the check that made the lookup."""
-    return functools.cache(lambda g: getattr(ops, g[0])(g[1]).cleared())
+def _applied(word, memo, columns, field):
+    """(level, vector) of word applied to memo[()], each suffix once."""
+    if word not in memo:
+        n, vec = _applied(word[1:], memo, columns, field)
+        shift, cols = columns(word[0])
+        col = cols.get(n, {})
+        acc = {}
+        for s, c in vec.items():
+            for t, v in col.get(s, ()):
+                acc[t] = acc.get(t, 0) + v * c
+        memo[word] = n + shift, field.nonzero(acc)
+    return memo[word]
 
 
-def ef_bracket(ops, i, j, leaf=None, letters=None) -> SparseOperator:
-    """[e_i, f_j] on ops (or on a check's `letters`), last letters from leaf."""
-    return evaluate(commutator(gen(("e", i)), gen(("f", j))), letters or _ef_letters(ops), leaf)
+def ef_vectors(ops, pairs, levels):
+    """apply_tables of [e_i, f_j] for each (i, j) in pairs, on ops."""
+    tables = [ef_terms(i, j) for i, j in pairs]
+    return apply_tables(tables, lambda g: getattr(ops, g[0])(g[1]), ops.rep, levels)
 
 
 def _entry(rep, n, shift, tgt, src):
@@ -208,24 +232,24 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
     """[e_i, f_j] is diagonal and its eigenvalues depend only on i + j."""
     start = time.monotonic()
     rep = ops.rep
+    field = rep.geometry.params.field
     levels = _nonempty(rep, range(0, ops.top))  # one raising level of headroom
-    get = _ef_letters(ops)
-    leaf = _cut_leaves(get, levels)
+    pairs = list(itertools.product(range(imax + 1), repeat=2))
+    vecs = ef_vectors(ops, pairs, levels)
     worst = None
     by_sum = {}  # i + j -> (first bracket with that sum, its eigenvalues)
-    for i, j in itertools.product(range(imax + 1), repeat=2):
-        c = ef_bracket(ops, i, j, leaf, get)
+    for k, (i, j) in enumerate(pairs):
         name = f"[e_{i},f_{j}]"
         for n in levels:
-            off = min(((a, b) for a, b in c.blocks.get(n, {}) if a != b), default=None)
+            off = min(((t, s) for s, row in enumerate(vecs[n]) for t in row[k] if t != s), default=None)
             if off and worst is None:
-                worst = (c.entry(n, *off), f"{name} off the diagonal, {_entry(rep, n, 0, *off)}")
-        diag = [(n, k, v) for n in levels for k, v in enumerate(c.diagonal(n, len(rep.basis.level(n))))]
+                t, s = off
+                worst = (vecs[n][s][k][t], f"{name} off the diagonal, {_entry(rep, n, 0, t, s)}")
+        diag = [(n, s, row[k].get(s, field.zero)) for n in levels for s, row in enumerate(vecs[n])]
         first, prev = by_sum.setdefault(i + j, (name, diag))
-        for (n, k, v), (_, _, u) in zip(diag, prev):
+        for (n, s, v), (_, _, u) in zip(diag, prev):
             if v != u and worst is None:
-                worst = (v - u, f"{name} - {first}, {_entry(rep, n, 0, k, k)}")
-    field = rep.geometry.params.field
+                worst = (v - u, f"{name} - {first}, {_entry(rep, n, 0, s, s)}")
     return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst, field=field)
 
 
@@ -244,15 +268,13 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
         lab: rep.h_rat(lab).residues_at_infinity(range(nmax + 1))
         for n in levels for lab in rep.basis.level(n)
     }
-    get = _ef_letters(ops)
-    leaf = _cut_leaves(get, levels)
+    vecs = ef_vectors(ops, [(0, nn) for nn in range(nmax + 1)], levels)
     pairs = []  # (level, state index, n, lhs, rhs)
     for nn in range(nmax + 1):
-        comm = ef_bracket(ops, 0, nn, leaf, get)
         for n in levels:
-            diag = comm.diagonal(n, len(rep.basis.level(n)))
             for idx, lab in enumerate(rep.basis.level(n)):
-                pairs.append((n, idx, nn, diag[idx], field.reduce(infinity_sign * res_inf[lab][nn])))
+                lhs = vecs[n][idx][nn].get(idx, field.zero)
+                pairs.append((n, idx, nn, lhs, field.reduce(infinity_sign * res_inf[lab][nn])))
     domain = len(pairs)
     signs = set()
     for n, idx, nn, lhs, rhs in pairs:
@@ -272,22 +294,52 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
     return _report("ef-matches-h", start, domain, worst, detail=f"eps={eps:+d}", field=field)
 
 
-def _check(relation, ops, get, levels, instances):
-    """Every instance's table, evaluated on the generators get(i), must vanish
-    on every nonempty level of `levels`; instances maps a name to a table."""
+def _power_form(rep, family, get, levels, letters):
+    """None when X_i = x^i X_0 entrywise, X = `family`, on the steps from
+    every source level in `levels` for every i in `letters`, x the weight
+    of the step; else (discrepancy, where) of the first entry that breaks
+    it.  An entry on no step breaks it too."""
+    field = rep.geometry.params.field
+    base = get(0)
+    for n in levels:
+        if base.shift > 0:  # raising steps from level n, keyed (target, source)
+            steps = {(ti, si): x for si, ti, x, _, _ in rep.transitions(n)}
+        else:  # lowering steps from level n reverse the raising steps from n - 1
+            steps = {(si, ti): x for si, ti, x, _, _ in rep.transitions(n - 1)}
+        x0 = base.blocks.get(n, {})
+        for i in letters:
+            want = field.nonzero({key: x**i * x0[key] for key, x in steps.items() if key in x0})
+            got = get(i).blocks.get(n, {})
+            bad = [key for key in got.keys() | want.keys() if got.get(key) != want.get(key)]
+            if bad:
+                key = min(bad)
+                where = f"{family}_{i} != x^{i} {family}_0, {_entry(rep, n, base.shift, *key)}"
+                return got.get(key, 0) - want.get(key, 0), where
+    return None
+
+
+def _check(relation, ops, family, levels, instances):
+    """A relation family on the generators of `family`, "e" or "f": the
+    generating instance, the first of `instances` (name -> table), on every
+    source of every nonempty level of `levels`; then the power form of every
+    letter the instances read, on every step of those sources' paths."""
     start = time.monotonic()
-    levels = _nonempty(ops.rep, levels)
-    head = functools.cache(lambda a: get(a).cleared())  # each generator cleared once
-    leaf = _cut_leaves(head, levels)
-    worst = None
-    for name, terms in instances.items():
-        combo = evaluate(terms, head, leaf)
-        hit = combo.first_nonzero_on(levels)
-        if hit and worst is None:
-            n, (i, j), v = hit
-            worst = (v, f"{name}, {_entry(ops.rep, n, combo.shift, i, j)}")
-    field = ops.rep.geometry.params.field
-    return _report(relation, start, len(levels) * len(instances), worst, field=field)
+    rep = ops.rep
+    levels = _nonempty(rep, levels)
+    get = functools.cache(getattr(ops, family))
+    shift = get(0).shift
+    name, terms = next(iter(instances.items()))
+    length = len(terms[0][1])
+    vecs = apply_tables([terms], get, rep, levels)
+    cells = [(n, t, s, v) for n in levels for s, (vec,) in enumerate(vecs[n]) for t, v in vec.items()]
+    if cells:
+        n, t, s, v = min(cells)
+        worst = (v, f"{name}, {_entry(rep, n, length * shift, t, s)}")
+    else:
+        steps = sorted({n + r * shift for n in levels for r in range(length)})
+        letters = sorted({a for table in instances.values() for _, word in table for a in word})
+        worst = _power_form(rep, family, get, steps, letters)
+    return _report(relation, start, len(levels) * len(instances), worst, field=rep.geometry.params.field)
 
 
 def _quads(imax, s2, s3):
@@ -302,20 +354,20 @@ def _serres(imax):
 
 def check_ee(ops: OperatorSet, imax: int) -> RelationReport:
     p = ops.rep.geometry.params
-    return _check("ee-quadratic", ops, ops.e, range(0, ops.top - 1), _quads(imax, p.sigma2, p.sigma3))
+    return _check("ee-quadratic", ops, "e", range(0, ops.top - 1), _quads(imax, p.sigma2, p.sigma3))
 
 
 def check_ff(ops: OperatorSet, imax: int) -> RelationReport:
     p = ops.rep.geometry.params
-    return _check("ff-quadratic", ops, ops.f, range(2, ops.top + 1), _quads(imax, p.sigma2, -p.sigma3))
+    return _check("ff-quadratic", ops, "f", range(2, ops.top + 1), _quads(imax, p.sigma2, -p.sigma3))
 
 
 def check_serre_e(ops: OperatorSet, imax: int) -> RelationReport:
-    return _check("serre-e", ops, ops.e, range(0, ops.top - 2), _serres(imax))
+    return _check("serre-e", ops, "e", range(0, ops.top - 2), _serres(imax))
 
 
 def check_serre_f(ops: OperatorSet, imax: int) -> RelationReport:
-    return _check("serre-f", ops, ops.f, range(3, ops.top + 1), _serres(imax))
+    return _check("serre-f", ops, "f", range(3, ops.top + 1), _serres(imax))
 
 
 def check_psi_e_compat(ops: OperatorSet) -> RelationReport:

@@ -18,14 +18,13 @@ reproduces the naive Res(z^i E) and z^j F(x) coefficients verbatim; it
 remains finite and correct at the weight collisions forced by
 h1 + h2 + h3 = 0, where the naive split degenerates.
 
-Operators are stored on field scalars; their algebra runs fraction-free.
+Operators are stored on field scalars.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 from . import partitions3d as p3
 from . import pyramid as pyr
@@ -85,31 +84,21 @@ class FixedPointBasis:
 class SparseOperator:
     """Level-graded sparse matrix with a fixed level shift.
 
-    blocks[n] maps (target_index, source_index) -> numerator, for sources at
-    level n and targets at level n + shift (zero entries omitted), over the
-    block's denominator den.get(n, 1).  Built or loaded operators have den
-    None: the numerators are the entries, scalars of `field`.  compose and
-    accumulate run on `cleared()` operands, int numerators over one positive
-    int per block (prime residues over 1); the readers return field scalars.
+    blocks[n] maps (target_index, source_index) -> scalar of `field`, for
+    sources at level n and targets at level n + shift (zero entries
+    omitted).
     """
 
     shift: int
     blocks: dict = dataclasses.field(default_factory=dict)
     field: object = QQ
-    den: dict = None
-
-    def _value(self, n, v):
-        return v if self.den is None else self.field.ratio(v, self.den.get(n, 1))
 
     def entry(self, n, tgt, src):
-        v = self.blocks.get(n, {}).get((tgt, src))
-        return None if v is None else self._value(n, v)
+        return self.blocks.get(n, {}).get((tgt, src))
 
     def add_entry(self, n, tgt, src, value):
         """Add value at (tgt, src) of block n: a new key stores value itself,
         an existing one adds onto its entry, and a zero sum drops the key."""
-        if self.den is not None:
-            return self.accumulate(SparseOperator(self.shift, {n: {(tgt, src): value}}, self.field), 1)
         value = self.field.reduce(value)
         if value == 0:
             return
@@ -121,41 +110,12 @@ class SparseOperator:
         else:
             blk[key] = v
 
-    def cleared(self) -> "SparseOperator":
-        """This operator on int numerators over one denominator per block."""
-        if self.den is not None:
-            return self
-        out = SparseOperator(self.shift, field=self.field, den={})
-        for n, blk in self.blocks.items():
-            out._store(n, *self.field.clear(blk))
-        return out
-
-    def _store(self, n, blk, d):
-        """Set block n to the numerators blk over d, both divided by their gcd."""
-        if d != 1:
-            g = math.gcd(d, *blk.values())
-            if g != 1:
-                blk = {key: v // g for key, v in blk.items()}
-                d //= g
-        self.blocks[n] = blk
-        if d != 1:
-            self.den[n] = d
-        elif self.den:
-            self.den.pop(n, None)
-
     def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """self applied after other, cleared; blocks outside the truncation vanish.
-
-        Products of nonzero entries are nonzero, so each block is summed
-        in a plain dict and only cancelled sums are dropped at the end.
-        """
+        """self applied after other; blocks outside the truncation vanish."""
         same_field(self.field, other.field)
-        a, b = self.cleared(), other.cleared()
-        out = SparseOperator(self.shift + other.shift, field=self.field, den={})
-        nonzero = self.field.nonzero
-        for n, blk in b.blocks.items():
-            mid = n + other.shift
-            ablk = a.blocks.get(mid)
+        out = SparseOperator(self.shift + other.shift, field=self.field)
+        for n, blk in other.blocks.items():
+            ablk = self.blocks.get(n + other.shift)
             if not ablk:
                 continue
             col = {}
@@ -164,52 +124,16 @@ class SparseOperator:
             acc = {}
             for (i, j), av in ablk.items():
                 for k, bv in col.get(j, ()):
-                    key = (i, k)
-                    old = acc.get(key)
-                    acc[key] = av * bv if old is None else old + av * bv
+                    acc[(i, k)] = acc.get((i, k), 0) + av * bv
+            acc = self.field.nonzero(acc)
             if acc:
-                out._store(n, nonzero(acc), a.den.get(mid, 1) * b.den.get(n, 1))
+                out.blocks[n] = acc
         return out
-
-    def accumulate(self, other: "SparseOperator", c):
-        """self += c * other in place, self cleared first; each touched block is
-        summed over the lcm of both denominators (c's included), then reduced."""
-        same_field(self.field, other.field)
-        vars(self).update(vars(self.cleared()))  # a no-op once cleared
-        other = other.cleared()
-        cp, cq = self.field.split(c)
-        for n, blk in other.blocks.items():
-            if not blk:
-                continue
-            d, dc = self.den.get(n, 1), other.den.get(n, 1) * cq
-            if d == dc:  # every block of the prime field, whose denominators are 1
-                lcm, s, t = d, 1, cp
-            else:
-                lcm = math.lcm(d, dc)
-                s, t = lcm // d, lcm // dc * cp
-            mine = self.blocks.get(n, {})
-            mine = {key: v * s for key, v in mine.items()} if s != 1 else mine
-            for key, v in blk.items():
-                old = mine.get(key)
-                w = v if t == 1 else t * v
-                mine[key] = w if old is None else old + w
-            self._store(n, self.field.nonzero(mine), lcm)
-
-    def first_nonzero_on(self, levels):
-        for n in levels:
-            for key in sorted(self.blocks.get(n, {})):
-                return n, key, self.entry(n, *key)
-
-    def diagonal(self, n, size):
-        blk = self.blocks.get(n, {})
-        return [self._value(n, blk.get((i, i), self.field.zero)) for i in range(size)]
 
     def to_json(self):
         levels = []
         for n in sorted(self.blocks):
-            entries = [
-                [i, j, self.field.str(self._value(n, v))] for (i, j), v in sorted(self.blocks[n].items())
-            ]
+            entries = [[i, j, self.field.str(v)] for (i, j), v in sorted(self.blocks[n].items())]
             levels.append({"n": n, "entries": entries})
         return {"shift": self.shift, "levels": levels}
 

@@ -76,6 +76,10 @@ class MPoly:
         return MPoly(self.nvars, out, same_field(self.field, other.field))
 
     def __mul__(self, scalar):
+        """self times an int or a scalar of self's field; a ValueError for
+        a scalar of another field."""
+        if not isinstance(scalar, (int, type(self.field.one))):
+            raise ValueError(f"{type(scalar).__name__} and {self.field.mode} scalars do not mix")
         return MPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.field)
 
     __rmul__ = __mul__
@@ -157,7 +161,11 @@ class MPoly:
 
 
 class SymPoly:
-    """A symmetric polynomial viewed as a weight-v shuffle element."""
+    """A symmetric polynomial viewed as a weight-v shuffle element.
+
+    The constructor checks symmetry; sums, differences and scalar multiples
+    of SymPolys are symmetric already and skip the check.
+    """
 
     __slots__ = ("v", "poly")
 
@@ -166,6 +174,13 @@ class SymPoly:
             raise DenominatorNotCancelled("shuffle element is not symmetric")
         self.v = poly.nvars
         self.poly = poly
+
+    @classmethod
+    def _symmetric(cls, poly: MPoly):
+        """poly, known to be symmetric, as a SymPoly."""
+        out = cls.__new__(cls)
+        out.v, out.poly = poly.nvars, poly
+        return out
 
     @classmethod
     def one(cls, field=QQ):
@@ -188,13 +203,13 @@ class SymPoly:
         return self.poly.is_zero()
 
     def __add__(self, other):
-        return SymPoly(self.poly + other.poly)
+        return SymPoly._symmetric(self.poly + other.poly)
 
     def __sub__(self, other):
-        return SymPoly(self.poly - other.poly)
+        return SymPoly._symmetric(self.poly - other.poly)
 
     def __mul__(self, scalar):
-        return SymPoly(self.poly * scalar)
+        return SymPoly._symmetric(self.poly * scalar)
 
     __rmul__ = __mul__
 

@@ -1,0 +1,157 @@
+"""Mutation gate: each mutant patches one spot of a temporary copy of
+`src/`, and the fast test it names must fail on that copy.
+
+    python tests/mutants.py                  # every mutant
+    python tests/mutants.py guard-skipped    # the named mutants only
+
+First every named test must pass on the unpatched copy, so a broken test
+cannot pass for a killer.  The exit code is 0 when every mutant is killed,
+1 otherwise.  A surviving mutant is a gap in the tests: strengthen a test
+until it fails, and keep the mutant in the table.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REL = "tests/test_relations.py::"
+
+#: (name, file under src/yangianpp, old text, new text, killing test)
+MUTANTS = [
+    (
+        "guard-skipped",
+        "relations.py",
+        "worst = _power_form(rep, family, get, steps, letters)",
+        "worst = None",
+        REL + "test_power_form_guard_fails_a_letter_only_other_instances_read",
+    ),
+    (
+        "guard-first-step-only",
+        "relations.py",
+        "for n in levels for r in range(length)}",
+        "for n in levels for r in range(1)}",
+        REL + "test_power_form_guard_fails_a_letter_only_other_instances_read",
+    ),
+    (
+        "guard-generating-letters-only",
+        "relations.py",
+        "letters = sorted({a for table in instances.values() for _, word in table for a in word})",
+        "letters = sorted({a for _, word in terms for a in word})",
+        REL + "test_power_form_guard_fails_a_letter_only_other_instances_read",
+    ),
+    (
+        "guard-power-capped",
+        "relations.py",
+        "{key: x**i * x0[key]",
+        "{key: x**min(i, 1) * x0[key]",
+        REL + "test_c3_ee_ff",
+    ),
+    (
+        "ff-sigma3-unflipped",
+        "relations.py",
+        "_quads(imax, p.sigma2, -p.sigma3)",
+        "_quads(imax, p.sigma2, p.sigma3)",
+        REL + "test_c3_ee_ff",
+    ),
+    (
+        "last-failing-cell",
+        "relations.py",
+        "n, t, s, v = min(cells)",
+        "n, t, s, v = max(cells)",
+        REL + "test_bumped_e0_inside_window_fails_with_same_detail",
+    ),
+    (
+        "generating-instance-last",
+        "relations.py",
+        "name, terms = next(iter(instances.items()))",
+        "name, terms = list(instances.items())[-1]",
+        REL + "test_bumped_e0_inside_window_fails_with_same_detail",
+    ),
+    (
+        "prime-cells-unreduced",
+        "relations.py",
+        "row.append(field.nonzero(acc))",
+        "row.append({t: v for t, v in acc.items() if v})",
+        REL + "test_statuses_agree_with_matrix_route",
+    ),
+    (
+        "ef-eigenvalues-unchecked",
+        "relations.py",
+        "if v != u and worst is None:",
+        "if False:",
+        REL + "test_ef_diag_detail_names_level_and_state",
+    ),
+    (
+        "foreign-field-generator-read",
+        "relations.py",
+        "        same_field(field, op.field)\n",
+        "",
+        REL + "test_generators_of_another_field_are_refused",
+    ),
+]
+
+
+def run_test(src, test):
+    """True when `test` passes on the package under `src`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+        cwd=ROOT, env=env, capture_output=True, timeout=600,
+    )
+    return proc.returncode == 0
+
+
+def imported_from(src):
+    """The directory the package is imported from with `src` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import yangianpp; print(yangianpp.__file__)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return Path(out.stdout.strip()).resolve().parent
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        package = src / "yangianpp"
+        if imported_from(src) != package.resolve():
+            print("the copy under test is not the package that imports", file=sys.stderr)
+            return 2
+        for test in sorted({m[4] for m in chosen}):
+            if not run_test(src, test):
+                print(f"{test} fails on the unpatched source", file=sys.stderr)
+                return 1
+        survivors = []
+        for name, file, old, new, test in chosen:
+            path = package / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{name}: the patched text occurs {text.count(old)} times in {file}", file=sys.stderr)
+                return 2
+            path.write_text(text.replace(old, new))
+            try:
+                killed = not run_test(src, test)
+            finally:
+                path.write_text(text)
+            print(f"{'killed ' if killed else 'SURVIVED'} {name}  ({test})")
+            if not killed:
+                survivors.append(name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

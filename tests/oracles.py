@@ -4,7 +4,8 @@ These deliberately avoid the library's incremental algorithms: partitions by
 filtering raw box subsets, pyramids by filtering raw stone subsets, counts by
 the classical generating function, residues by an independent CAS,
 resonances by scanning every integer pair, the raising integrand by one
-product per box.
+product per box, and relations by the matrix route: every word of every
+instance one product of whole operators.
 """
 
 from fractions import Fraction
@@ -12,7 +13,9 @@ from itertools import combinations
 
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
-from yangianpp.exact import LinForm
+from yangianpp.exact import LinForm, same_field
+from yangianpp.relations import ef_terms, quad_terms, serre_terms
+from yangianpp.reps import SparseOperator
 
 
 def plane_partition_subsets(n):
@@ -217,3 +220,84 @@ def sympy_shuffle(f_terms, v1, g_terms, v2, weights, denominator_exponent):
         e: Fraction(int(c.numerator), int(c.denominator)) / Fraction(int(lc.numerator), int(lc.denominator))
         for e, c in total.numer.terms()
     }
+
+
+def operator_sum(terms):
+    """The operator sum of c * X over (c, X) pairs of one shift and field."""
+    terms = list(terms)
+    out = SparseOperator(terms[0][1].shift, field=terms[0][1].field)
+    for c, op in terms:
+        same_field(out.field, op.field)
+        for n, blk in op.blocks.items():
+            for (i, j), v in blk.items():
+                out.add_entry(n, i, j, c * v)
+    return out
+
+
+def evaluate(terms, get):
+    """The operator of a (coefficient, word) table: the sum of
+    c * X_{w0} ... X_{wk}, X_a = get(a), each word one chain of composes."""
+
+    def product(word):
+        op = get(word[-1])
+        for a in reversed(word[:-1]):
+            op = get(a).compose(op)
+        return op
+
+    return operator_sum((c, product(word)) for c, word in terms)
+
+
+def ef_letters(ops):
+    """Letters ("e", i) and ("f", j) looked up on an OperatorSet."""
+    return lambda g: getattr(ops, g[0])(g[1])
+
+
+def ef_bracket(ops, i, j):
+    """[e_i, f_j] as one operator."""
+    return evaluate(ef_terms(i, j), ef_letters(ops))
+
+
+def reference_statuses(ops, imax, nmax):
+    """Relation id -> status of the six operator relations, by the matrix
+    route: every instance of every relation evaluated as an operator and
+    read on every level of the check's window."""
+    rep, top = ops.rep, ops.top
+    p = rep.geometry.params
+    field = p.field
+    nonempty = lambda levels: [n for n in levels if rep.basis.level(n)]
+
+    def vanishing(get, levels, tables):
+        levels = nonempty(levels)
+        if not levels:
+            return "empty-domain"
+        combos = [evaluate(t, get) for t in tables]
+        return "fail" if any(op.blocks.get(n) for op in combos for n in levels) else "pass"
+
+    pairs = [(m, n) for m in range(imax + 1) for n in range(imax + 1)]
+    triples = [(a, b, c) for a in range(imax + 1) for b in range(a, imax + 1) for c in range(b, imax + 1)]
+    quads = lambda s3: [quad_terms(m, n, p.sigma2, s3) for m, n in pairs]
+    out = {
+        "ee-quadratic": vanishing(ops.e, range(0, top - 1), quads(p.sigma3)),
+        "ff-quadratic": vanishing(ops.f, range(2, top + 1), quads(-p.sigma3)),
+        "serre-e": vanishing(ops.e, range(0, top - 2), [serre_terms(*t) for t in triples]),
+        "serre-f": vanishing(ops.f, range(3, top + 1), [serre_terms(*t) for t in triples]),
+    }
+
+    levels = nonempty(range(0, top))
+    sizes = [(n, len(rep.basis.level(n))) for n in levels]
+    diag = lambda op: [op.entry(n, k, k) or field.zero for n, size in sizes for k in range(size)]
+    eigen, ok = {}, True
+    for i, j in pairs:
+        op = ef_bracket(ops, i, j)
+        ok &= all(a == b for n in levels for a, b in op.blocks.get(n, {}))
+        ok &= eigen.setdefault(i + j, diag(op)) == diag(op)
+    out["ef-diagonal"] = ("pass" if ok else "fail") if levels else "empty-domain"
+
+    lhs = [v for nn in range(nmax + 1) for v in diag(ef_bracket(ops, 0, nn))]
+    rhs = [
+        rep.h_rat(lab).residue_at_infinity(nn)
+        for nn in range(nmax + 1) for n in levels for lab in rep.basis.level(n)
+    ]
+    ok = any(all(a == field.reduce(eps * b) for a, b in zip(lhs, rhs)) for eps in (1, -1))
+    out["ef-matches-h"] = ("pass" if ok else "fail") if levels else "empty-domain"
+    return out

@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
+import itertools
+
 import pytest
 
-from yangianpp import Geometry, Representation
+from oracles import ef_letters, evaluate, operator_sum, reference_statuses
+from yangianpp import Geometry, Params, Representation, cli
 from yangianpp.errors import SignInconsistent
-from yangianpp import reps
+from yangianpp import relations, reps
 from yangianpp.exact import random_params
 from yangianpp.relations import (
     OperatorSet,
-    _cut_leaves,
+    apply_tables,
     check_ee,
     check_ef_diag,
     check_ef_matches_h,
@@ -18,7 +21,7 @@ from yangianpp.relations import (
     check_serre_e,
     check_serre_f,
     check_shift,
-    evaluate,
+    ef_terms,
     full_suite,
     quad_terms,
     run_suite,
@@ -117,7 +120,7 @@ def test_conifold_serre_nontrivial_in_sector_two(params):
 
 def test_wrong_sigma2_sign_fails(c3_ops):
     """Negative control: the quadratic relation with the opposite sigma2 sign
-    must not hold (this pins the convention)."""
+    must not hold (this pins the convention); read by the matrix route."""
     p = c3_ops.rep.geometry.params
     combo = evaluate(quad_terms(0, 0, -p.sigma2, p.sigma3), c3_ops.e)  # flips to +sigma2
     levels = range(0, c3_ops.top - 1)
@@ -138,7 +141,7 @@ class _BumpedE0(OperatorSet):
         op = super().e(i)
         if i != 0:
             return op
-        bumped = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()})
+        bumped = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()}, op.field)
         bumped.add_entry(1, *min(bumped.blocks[1]), 1)
         return bumped
 
@@ -268,24 +271,6 @@ def test_bumped_generator_fails_with_pinned_report(c3_ops_by_mode, mode, family,
     )
 
 
-@pytest.mark.parametrize("family,levels,table", [
-    ("e", range(0, 4), quad_terms(1, 0, 2, 3)),
-    ("f", range(2, 6), quad_terms(0, 1, 2, -3)),
-    ("e", range(0, 3), serre_terms(0, 0, 1)),
-    ("f", range(3, 6), serre_terms(1, 0, 0)),
-])
-def test_cut_leaves_keep_every_checked_cell(c3_ops, family, levels, table):
-    """Reading last letters from generators cut to the checked source levels
-    leaves those levels' cells as they are and computes no other level."""
-    get = getattr(c3_ops, family)
-    full = evaluate(table, get)
-    cut = evaluate(table, get, _cut_leaves(get, levels))
-    assert set(cut.blocks) <= set(levels)
-    entries = lambda op, n: {k: op.entry(n, *k) for k in op.blocks.get(n, {})}
-    for n in levels:
-        assert entries(cut, n) == entries(full, n)
-
-
 def test_suite_builds_h_rat_once_per_label(monkeypatch):
     built = []
     build = reps.h_rat
@@ -302,12 +287,7 @@ class _ShiftedF1(OperatorSet):
 
     def f(self, j):
         op = super().f(j)
-        if j != 1:
-            return op
-        out = SparseOperator(op.shift)
-        out.accumulate(op, 1)
-        out.accumulate(super().f(0), 1)
-        return out
+        return operator_sum([(1, op), (1, super().f(0))]) if j == 1 else op
 
 
 def test_ef_diag_detail_names_level_and_state(c3_ops):
@@ -317,6 +297,181 @@ def test_ef_diag_detail_names_level_and_state(c3_ops):
     r = check_ef_diag(_ShiftedF1(c3_ops.rep), 1)
     assert r.status == "fail" and r.discrepancy != "0"
     assert r.detail.startswith("[e_1,f_0] - [e_0,f_1], level 0, entry (0,0)")
+
+
+MODES = ("rational", "prime-field")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shifted_f1_fails_serre_f_through_the_power_form_guard(c3_ops_by_mode, mode):
+    """f_1 + f_0 passes Serre's generating instance, which reads f_0 and f_1
+    alone, but it is not x f_0 on the steps, so the guard fails it."""
+    r = check_serre_f(_ShiftedF1(c3_ops_by_mode[mode].rep), 1)
+    assert r.status == "fail" and r.discrepancy != "0"
+    assert r.detail.startswith("f_1 != x^1 f_0, level 1, entry (0,0): Partition3D([(0, 0, 0)])")
+
+
+class _BumpedE4Level4(OperatorSet):
+    """e_4 with its last level-4 entry raised by 1.  Only non-generating
+    quadratic instances read e_4, and at N=5 a checked path reaches level 4
+    only on its second step."""
+
+    def e(self, i):
+        op = super().e(i)
+        return _bump_last(op, 4) if i == 4 else op
+
+
+class _BumpedF2Level1(OperatorSet):
+    """f_2 with its last level-1 entry raised by 1.  Only non-generating
+    Serre instances read f_2, and a checked path reaches level 1 only on
+    its third step."""
+
+    def f(self, j):
+        op = super().f(j)
+        return _bump_last(op, 1) if j == 2 else op
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bump,check,prefix", [
+    (_BumpedE4Level4, check_ee, "e_4 != x^4 e_0, level 4, entry "),
+    (_BumpedF2Level1, check_serre_f, "f_2 != x^2 f_0, level 1, entry "),
+])
+def test_power_form_guard_fails_a_letter_only_other_instances_read(c3_ops_by_mode, mode, bump, check, prefix):
+    """The generating instance never reads the bumped letter; the guard
+    names it, its level and the labels, and the matrix route fails too."""
+    ops = bump(c3_ops_by_mode[mode].rep)
+    r = check(ops, 1)
+    assert r.status == "fail" and r.discrepancy != "0"
+    assert r.detail.startswith(prefix) and " -> Partition3D(" in r.detail
+    assert reference_statuses(ops, 1, 2)[r.relation] == "fail"
+
+
+class _RationalE0(OperatorSet):
+    """e_0 relabelled as a rational operator, whatever the representation's field."""
+
+    def e(self, i):
+        op = super().e(i)
+        return SparseOperator(op.shift, op.blocks) if i == 0 else op
+
+
+def test_generators_of_another_field_are_refused(c3_ops_by_mode):
+    ops = _RationalE0(c3_ops_by_mode["prime-field"].rep)
+    for check in (check_ee, check_serre_e, check_ef_diag):
+        with pytest.raises(ValueError, match="do not mix"):
+            check(ops, 1)
+
+
+def _statuses(ops, imax, nmax):
+    checks = (check_ef_diag, check_ee, check_ff, check_serre_e, check_serre_f)
+    reports = [chk(ops, imax) for chk in checks] + [check_ef_matches_h(ops, nmax)]
+    return {r.relation: r.status for r in reports}
+
+
+AGREEMENT_CASES = [("c3", level, 0, 0) for level in range(1, 6)] + [
+    ("conifold", level, m, sector) for level, m, sector in ((3, 3, 1), (2, 3, 1), (3, 3, 2), (2, 2, 1))
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind,level,m,sector", AGREEMENT_CASES)
+def test_statuses_agree_with_matrix_route(mode, kind, level, m, sector):
+    params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+    ops = OperatorSet(Representation(Geometry(kind, params, level, m=m, sector=sector)))
+    assert _statuses(ops, 2, 3) == reference_statuses(ops, 2, 3)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("control", [
+    _BumpedE0, _BumpedE0Level2, _BumpedF0Level3, _BumpedE4Level4, _BumpedF2Level1, _ShiftedF1,
+])
+def test_control_statuses_agree_with_matrix_route(c3_ops_by_mode, mode, control):
+    ops = control(c3_ops_by_mode[mode].rep)
+    got = _statuses(ops, 1, 2)
+    assert got == reference_statuses(ops, 1, 2) and "fail" in got.values()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family,table", [
+    ("e", quad_terms(1, 0, 2, 3)),
+    ("f", quad_terms(0, 1, 2, -3)),
+    ("e", serre_terms(0, 0, 1)),
+    ("f", serre_terms(1, 0, 0)),
+    ("ef", ef_terms(1, 2)),
+])
+def test_tables_applied_per_source_are_the_operator_columns(c3_ops_by_mode, mode, family, table):
+    ops = c3_ops_by_mode[mode]
+    get = ef_letters(ops) if family == "ef" else getattr(ops, family)
+    levels = range(0, ops.top + 1)
+    matrix = evaluate(table, get)
+    vecs = apply_tables([table], get, ops.rep, levels)
+    for n in levels:
+        for s, (vec,) in enumerate(vecs[n]):
+            assert vec == {t: v for (t, src), v in matrix.blocks.get(n, {}).items() if src == s}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("flip", [(-1, 1), (1, -1)])
+def test_wrong_sigma_signs_fail_the_quadratic_checks(c3_ops_by_mode, monkeypatch, mode, flip):
+    """The sigma2 and sigma3 flips of the matrix-route controls above,
+    through check_ee and check_ff."""
+    quad = relations.quad_terms
+    monkeypatch.setattr(relations, "quad_terms", lambda m, n, s2, s3: quad(m, n, flip[0] * s2, flip[1] * s3))
+    ops = c3_ops_by_mode[mode]
+    assert check_ee(ops, 1).status == "fail"
+    assert check_ff(ops, 1).status == "fail"
+
+
+def _word_polynomial(table, zs):
+    """A table on power-form generators along one path: the r-th letter to
+    act, X_i, contributes z_r^i."""
+    import sympy as sp
+
+    return sp.expand(sum(c * sp.Mul(*(z**i for z, i in zip(zs, reversed(word)))) for c, word in table))
+
+
+def _symmetric_multiple(table, generating, zs):
+    """True when table's word polynomial is the generating one's times a
+    symmetric polynomial in zs."""
+    import sympy as sp
+
+    q = sp.cancel(_word_polynomial(table, zs) / _word_polynomial(generating, zs))
+    num, den = sp.fraction(q)
+    if den.free_symbols & set(zs):
+        return False
+    swaps = [{a: b, b: a} for a, b in zip(zs, zs[1:])]
+    return all(sp.expand(q - q.subs(swap, simultaneous=True)) == 0 for swap in swaps)
+
+
+def test_instances_are_symmetric_multiples_of_the_generating_instance():
+    """The reduction the quadratic and Serre checks rest on: every instance
+    with indices <= 2 is a symmetric multiple of (0,0) or (0,0,0), for both
+    signs of sigma3; a non-instance table is not."""
+    import sympy as sp
+
+    s2, s3 = sp.symbols("s2 s3")
+    z2, z3 = sp.symbols("z1:3"), sp.symbols("z1:4")
+    for sign in (1, -1):
+        generating = quad_terms(0, 0, s2, sign * s3)
+        for m, n in itertools.product(range(3), repeat=2):
+            assert _symmetric_multiple(quad_terms(m, n, s2, sign * s3), generating, z2), (sign, m, n)
+    for triple in itertools.combinations_with_replacement(range(3), 3):
+        assert _symmetric_multiple(serre_terms(*triple), serre_terms(0, 0, 0), z3), triple
+    assert not _symmetric_multiple(quad_terms(0, 1, s2, -s3), quad_terms(0, 0, s2, s3), z2)
+    assert not _symmetric_multiple([(1, (2, 0, 0))], serre_terms(0, 0, 0), z3)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rep_check_makes_no_compose_call(monkeypatch, capsys, mode):
+    def refuse(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(reps.SparseOperator, "compose", refuse)
+    argv = ["rep", "check", "--level", "4", "--imax", "2", "--specializations", "1", "--mode", mode]
+    assert cli.main(argv) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    assert not any(hasattr(relations, k) for k in ("evaluate", "_cut_leaves", "_ef_letters"))
+    gone = ("den", "cleared", "_store", "accumulate", "first_nonzero_on", "diagonal")
+    assert not any(hasattr(reps.SparseOperator, k) for k in gone)
 
 
 def test_corrupted_operator_fails_ef(c3_ops):

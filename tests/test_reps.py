@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +9,7 @@ from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
 from yangianpp.exact import FIELDS, GFP, PRIME, QQ
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
-from yangianpp.relations import OperatorSet, ef_bracket
+from yangianpp.relations import OperatorSet, ef_vectors
 from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
 from yangianpp.reps import (
     SparseOperator,
@@ -239,8 +238,8 @@ def test_operator_grading(c3):
 
 
 def test_ef_vacuum_commutator(c3):
-    comm = ef_bracket(OperatorSet(Representation(c3)), 0, 0)
-    assert comm.entry(0, 0, 0) == -1  # [e_0, f_0] acts by -1 on the vacuum
+    [[vacuum]] = ef_vectors(OperatorSet(Representation(c3)), [(0, 0)], [0])[0]
+    assert vacuum == {0: -1}  # [e_0, f_0] acts by -1 on the vacuum
 
 
 def test_conifold_m1_operators_vanish(params):
@@ -355,28 +354,17 @@ def reference(entries, field):
     return {n: blk for n, blk in ref.items() if blk}
 
 
-def built(shift, entries, field, clear=False):
-    """The operator summing entries, add_entry by add_entry; cleared() when
-    clear is set."""
+def built(shift, entries, field):
+    """The operator summing entries, add_entry by add_entry."""
     op = SparseOperator(shift, field=field)
     for n, i, j, v in entries:
         op.add_entry(n, i, j, v)
-    return op.cleared() if clear else op
+    return op
 
 
 def stored(op, field):
     """op's nonempty blocks read through entry(), after asserting no zero and
-    no foreign scalar is stored.  A cleared operator must hold int
-    numerators over positive int denominators (prime: residues, no den), and
-    a product or sum must be content-reduced."""
-    if op.den is not None:
-        assert all(type(d) is int and d > 0 for d in op.den.values())
-        if field is GFP:
-            assert op.den == {}
-        for n, blk in op.blocks.items():
-            assert all(type(v) is int for v in blk.values())
-            if field is QQ and blk:
-                assert math.gcd(op.den.get(n, 1), *blk.values()) == 1
+    no foreign scalar is stored."""
     out = {}
     for n, blk in op.blocks.items():
         for i, j in blk:
@@ -388,53 +376,26 @@ def stored(op, field):
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime-field"])
-@given(a=kernel_entries, b=kernel_entries, cancel=st.integers(0, 10), c=st.sampled_from(
-    [1, -1, 3, "s2"]), clear_a=st.booleans(), clear_b=st.booleans())
+@given(a=kernel_entries, b=kernel_entries, cancel=st.integers(0, 10))
 @settings(max_examples=80, deadline=None)
-def test_sparse_kernel_matches_reference(mode, a, b, cancel, c, clear_a, clear_b):
-    """compose and accumulate of cleared, uncleared and mixed operands equal
-    the Fraction reference entry by entry; c = 7/3 gives the sum a
-    denominator of its own."""
+def test_sparse_kernel_matches_reference(mode, a, b, cancel):
+    """add_entry and compose equal the Fraction reference entry by entry."""
     field = FIELDS[mode]
     in_mode = lambda es: [(n, i, j, field.of(v)) for n, i, j, v in es]
-    c = field.of(F(7, 3)) if c == "s2" else c
     a = in_mode(a + [(n, i, j, -v) for n, i, j, v in a[:cancel]])  # sums that cancel
     b = in_mode(b)
     assert stored(built(+1, a, field), field) == reference(a, field)
-    assert stored(built(+1, a, field, clear_a), field) == reference(a, field)
-
-    acc = built(+1, a, field, clear_a)
-    acc.accumulate(built(+1, b, field, clear_b), c)
-    assert acc.den is not None
-    assert stored(acc, field) == reference(a + [(n, i, j, c * v) for n, i, j, v in b], field)
 
     # a after b, for a of shift +1 and b of shift -1: sum over the middle index
-    prod = built(+1, a, field, clear_a).compose(built(-1, b, field, clear_b))
+    prod = built(+1, a, field).compose(built(-1, b, field))
     want = [
         (n, i, k, av * bv)
         for n, j, k, bv in b
         for m, i, j2, av in a
         if m == n - 1 and j2 == j
     ]
-    assert prod.shift == 0 and prod.den is not None
+    assert prod.shift == 0
     assert stored(prod, field) == reference(want, field)
-
-
-@pytest.mark.parametrize("mode", ["rational", "prime-field"])
-def test_cleared_keeps_entries(params, params_fp, mode):
-    """cleared() of a built operator reads the same entries on int
-    numerators; the prime field keeps its residues and no denominator."""
-    p = params if mode == "rational" else params_fp
-    e1 = Representation(Geometry("c3", p, 4)).build_e(1)
-    cleared = e1.cleared()
-    assert e1.den is None and cleared.cleared() is cleared
-    assert cleared.to_json() == e1.to_json()
-    assert stored(cleared, p.field) == stored(e1, p.field)
-    assert (cleared.den == {}) == (mode == "prime-field")
-    i, j = min(e1.blocks[1])  # add_entry on a cleared operator adds the scalar
-    e1.add_entry(1, i, j, p.field.of(F(1, 7)))
-    cleared.add_entry(1, i, j, p.field.of(F(1, 7)))
-    assert stored(cleared, p.field) == stored(e1, p.field)
 
 
 def test_compose_cancellation_leaves_no_entry():
@@ -447,9 +408,5 @@ def test_operators_over_different_fields_do_not_mix(params_fp):
     """A prime-field operator combined with a rational one (the default
     field) is an error, not a sum left unreduced mod PRIME."""
     e0 = Representation(Geometry("c3", params_fp, 3)).build_e(0)
-    rational = SparseOperator(e0.shift)
-    with pytest.raises(ValueError, match="rational and prime-field"):
-        rational.accumulate(e0, 1)
     with pytest.raises(ValueError, match="rational and prime-field"):
         built(-1, [(1, 0, 0, F(1))], QQ).compose(e0)
-    assert rational.blocks == {}

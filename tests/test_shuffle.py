@@ -206,6 +206,37 @@ def test_operands_of_another_field_are_refused():
     assert all(type(c) is int and 0 <= c < PRIME for c in prod.poly.terms.values())
 
 
+def test_scalars_of_another_field_are_refused():
+    """A polynomial times a scalar of another field is an error, as for +
+    and -; ints scale polynomials of either field."""
+    with pytest.raises(ValueError, match="do not mix"):
+        MPoly(1, {(1,): 3}, GFP) * F(1, 2)
+    with pytest.raises(ValueError, match="do not mix"):
+        F(1, 2) * SymPoly.power(1, field=GFP)
+    assert (MPoly(1, {(1,): 3}, GFP) * -1).terms == {(1,): PRIME - 3}
+    assert (2 * MPoly(1, {(1,): F(1, 3)})).terms == {(1,): F(2, 3)}
+    assert (MPoly(1, {(1,): F(1, 3)}) * F(3, 2)).terms == {(1,): F(1, 2)}
+
+
+def test_symmetry_is_checked_on_products_and_outside_input_only(monkeypatch):
+    """Sums, differences and scalar multiples of SymPolys skip the symmetry
+    check; shuffle products and SymPolys built from a polynomial run it,
+    and a non-symmetric polynomial is still refused."""
+    calls = []
+    check = MPoly.is_symmetric
+    monkeypatch.setattr(MPoly, "is_symmetric", lambda self: calls.append(self.nvars) or check(self))
+    a, b = SymPoly.power(1), SymPoly.power(2)
+    assert len(calls) == 2
+    (a + b) - 3 * a
+    a * F(1, 2)
+    assert len(calls) == 2
+    shuffle_mul(a, b, Kernel.a1())
+    assert len(calls) == 3
+    with pytest.raises(DenominatorNotCancelled):
+        SymPoly(MPoly(2, {(2, 0): F(1)}))
+    assert len(calls) == 4
+
+
 @st.composite
 def linear_division(draw):
     """(nvars, i, j, coefficient dict of a quotient, exponent of a
