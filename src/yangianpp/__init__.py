@@ -16,7 +16,7 @@ from .errors import (
     SignInconsistent,
     YangianppError,
 )
-from .exact import LinForm, Params, random_params
+from .exact import Kernel, LinForm, Params, random_params
 from .partitions3d import Partition3D, box_weight, enumerate_plane_partitions
 from .pyramid import ERC, PyramidPartition, Stone, build_erc, enumerate_pyramids
 from .relations import OperatorSet, RelationReport, full_suite, run_suite
@@ -28,7 +28,7 @@ from .reps import (
     detect_shift,
     h_rat,
 )
-from .shuffle import Kernel, SymPoly, shuffle_mul
+from .shuffle import SymPoly, shuffle_mul
 
 __all__ = [
     "CapExceeded",

@@ -15,7 +15,7 @@ import sys
 from . import partitions3d as p3
 from . import pyramid as pyr
 from .errors import CapExceeded, DenominatorNotCancelled, RelationFailure, Resonance, YangianppError
-from .exact import QQ, Params, random_params
+from .exact import QQ, Kernel, Params, random_params
 from .relations import GROUPS, full_suite
 from .reps import Geometry, Representation, SparseOperator, detect_shift, dump_operators
 
@@ -196,8 +196,6 @@ def cmd_shift(args) -> int:
 
 
 def _parse_kernel(s: str, params):
-    from .shuffle import Kernel
-
     if s == "a1":
         return Kernel.a1()
     if s == "c3":

@@ -1,4 +1,4 @@
-"""Exact scalar fields and factored rational functions in one variable.
+"""Exact scalar fields, factored rational functions in z, the bond kernel.
 
 Everything downstream (operator matrix coefficients, diagonal series,
 relation checks) reduces to arithmetic in this module.  A scalar mode is a
@@ -10,7 +10,8 @@ the mode, reduces, inverts, and serializes.  Prime values may leave [0,
 PRIME) inside a computation and are reduced wherever they are stored or
 compared.  Univariate rational functions are kept in fully factored form: a
 constant times a product of (z - root)^e with exact roots, so products,
-quotients and residues never lose the factor structure.
+quotients and residues never lose the factor structure.  `Kernel` states
+the bond once, for the shuffle product and the representations alike.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .errors import PoleAtPoint, Resonance, RetrySpecialization
 #: the 2^60 floor that makes accidental collisions of random data
 #: essentially impossible.
 PRIME = (1 << 61) - 1
+
+#: Largest |a|, |b| of a resonance a*h1 + b*h2 = 0 that `Params.make` rejects.
+RESONANCE_BOUND = 64
 
 
 class RationalField:
@@ -280,7 +284,7 @@ class LinForm:
 
 
 # ---------------------------------------------------------------------------
-# Parameters
+# Parameters and the bond kernel
 # ---------------------------------------------------------------------------
 
 
@@ -289,11 +293,10 @@ class Params:
     """Exact specialization of the deformation parameters and framing weight.
 
     h1 + h2 + h3 = 0 always; the conifold aliases are t = h1, q = h2,
-    h = h3.  Genericity demands no relation a*h1 + b*h2 = 0 for integers
-    with |a|, |b| <= resonance_bound (not both zero).  `field` is the scalar
-    field of the mode; `source` keeps the rationals (h1, h2, chi) that
-    `make` mapped into it, so a prime-field specialization serializes as the
-    draw it came from.
+    h = h3.  `make` rejects a resonance a*h1 + b*h2 = 0 up to
+    RESONANCE_BOUND.  `field` is the scalar field of the mode; `source`
+    keeps the rationals (h1, h2, chi) that `make` mapped into it, so a
+    prime-field specialization serializes as the draw it came from.
     """
 
     h1: object
@@ -301,17 +304,16 @@ class Params:
     h3: object
     chi: object
     field: object = QQ
-    resonance_bound: int = 64
     source: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def make(cls, h1, h2, chi, mode="rational", resonance_bound=64):
+    def make(cls, h1, h2, chi, mode="rational"):
         if mode not in FIELDS:
             raise ValueError(f"unknown mode {mode!r}")
         h1, h2, chi = Fraction(h1), Fraction(h2), Fraction(chi)
-        _check_generic(h1, h2, resonance_bound)
+        _check_generic(h1, h2, RESONANCE_BOUND)
         f = FIELDS[mode]
-        params = cls(f.of(h1), f.of(h2), f.of(-h1 - h2), f.of(chi), f, resonance_bound)
+        params = cls(f.of(h1), f.of(h2), f.of(-h1 - h2), f.of(chi), f)
         object.__setattr__(params, "source", (h1, h2, chi))
         return params
 
@@ -377,7 +379,7 @@ def _check_generic(h1: Fraction, h2: Fraction, bound: int):
         raise Resonance(f"resonance {ratio.denominator}*h1 + {-ratio.numerator}*h2 = 0")
 
 
-def random_params(seed, mode="rational", resonance_bound=64, chi=None):
+def random_params(seed, mode="rational"):
     """Seeded generic parameter draw.
 
     Numerators up to 4 digits and denominators up to 2, rejection-sampled
@@ -389,8 +391,40 @@ def random_params(seed, mode="rational", resonance_bound=64, chi=None):
         h2 = Fraction(rng.randint(1, 9999), rng.randint(1, 99))
         if rng.random() < 0.5:
             h2 = -h2
-        c = Fraction(rng.randint(-9999, 9999), rng.randint(1, 99)) if chi is None else Fraction(chi)
+        chi = Fraction(rng.randint(-9999, 9999), rng.randint(1, 99))
         try:
-            return Params.make(h1, h2, c, mode=mode, resonance_bound=resonance_bound)
+            return Params.make(h1, h2, chi, mode=mode)
         except Resonance:
             continue
+
+
+@dataclasses.dataclass(frozen=True)
+class Kernel:
+    """The bond fac(z|x) = prod_w (z - x + w) / (z - x) over the numerator
+    weights w, in `field`."""
+
+    numerator_weights: tuple
+    field: object = QQ
+
+    @classmethod
+    def a1(cls):
+        return cls(())
+
+    @classmethod
+    def jordan(cls, c):
+        return cls((c,))
+
+    @classmethod
+    def c3(cls, params):
+        return cls(params.hbars, params.field)
+
+    def fac(self, x):
+        """The (root, exponent) factors of fac(z|x) as a form in z."""
+        return [(x - w, 1) for w in self.numerator_weights] + [(x, -1)]
+
+    def ratio(self, x):
+        """(constant, factors) of fac(z|x)/fac(x|z) as a form in z: the
+        (z - x) factors cancel to -1, and x - z + w = -(z - x - w)."""
+        ws = self.numerator_weights
+        return (-1) ** (len(ws) + 1), [(x - w, 1) for w in ws] + [(x + w, -1) for w in ws]
+

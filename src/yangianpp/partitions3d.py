@@ -10,6 +10,7 @@ representation needs to know about this geometry.
 from __future__ import annotations
 
 from .errors import CapExceeded, Resonance
+from .exact import Kernel
 
 DEFAULT_CAP = 10
 
@@ -109,11 +110,6 @@ def box_weight(box, params):
     return params.field.reduce(params.chi + i * params.h1 + j * params.h2 + k * params.h3)
 
 
-def box_factors(x, params):
-    """Factors of prod (z-x+h_i)/(z-x-h_i), the bond factor of an atom at x."""
-    return [(x - hb, 1) for hb in params.hbars] + [(x + hb, -1) for hb in params.hbars]
-
-
 def distinct_weights(ws, what):
     """ws, a list of (item, weight); Resonance if two weights collide."""
     if len({w for _, w in ws}) != len(ws):
@@ -150,6 +146,7 @@ class C3:
     def __init__(self, params, level_cap):
         self.params = params
         self.level_cap = level_cap
+        self.kernel = Kernel.c3(params)
 
     def to_json(self):
         return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
@@ -165,14 +162,12 @@ class C3:
         return [box_weight(b, self.params) for b in lam.removable_boxes()]
 
     def stone_factors(self, lam):
-        """One bond factor per box."""
-        return [f for b in lam for f in box_factors(box_weight(b, self.params), self.params)]
+        """The kernel's ratio form per box; its constant is (-1)^2 = 1."""
+        return [f for b in lam for f in self.kernel.ratio(box_weight(b, self.params))[1]]
 
     def lowering(self, lam):
-        """(constant, factors) of the lowering factor F(z)."""
-        p = self.params
-        xs = [box_weight(b, p) for b in lam]
-        return p.field.one, [(x - hb, 1) for x in xs for hb in p.hbars] + [(x, -1) for x in xs]
+        """(constant, factors) of the lowering factor F(z): fac(z|x) per box."""
+        return self.params.field.one, [f for b in lam for f in self.kernel.fac(box_weight(b, self.params))]
 
     def head(self, lam):
         """(constant, factors) of h_rat over the stone product: 1/(z-chi)."""

@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CapExceeded
-from .partitions3d import box_factors, distinct_weights, grow
+from .exact import Kernel
+from .partitions3d import distinct_weights, grow
 
 Stone = namedtuple("Stone", ["color", "k", "a", "c"])  # color: 'B' | 'W'
 
@@ -250,6 +251,7 @@ class Conifold:
         self.m = m
         self.sector = sector
         self.erc = build_erc(m, cap=max(DEFAULT_CAP, m))
+        self.kernel = Kernel.c3(params)
         self.tag = f"conifold:{m}(sector {sector})"
 
     def to_json(self):
@@ -270,28 +272,28 @@ class Conifold:
         return [stone_weight(p.black, self.params) for p in removable_pairs(pi, self.erc)]
 
     def stone_factors(self, pi):
-        """A box bond factor (in t, q, h) per completed pair, and
+        """The kernel's ratio form (constant 1) per completed pair, and
         (z-x)(z-x+q)(z-x+h)/(z-x-t) per black whose paired white is absent."""
         p, present = self.params, set(pi.stones)
         factors = []
         for st in pi.blacks():
             x = stone_weight(st, p)
             if self.erc.pair_white_of(st) in present:
-                factors += box_factors(x, p)
+                factors += self.kernel.ratio(x)[1]
             else:
                 factors += [(x, 1), (x - p.q, 1), (x - p.h, 1), (x + p.t, -1)]
         return factors
 
     def lowering(self, pi):
-        """(constant, factors) of the lowering factor F(z)."""
-        p = self.params
+        """(constant, factors) of the lowering factor F(z): the kernel's
+        fac(z|x) per completed pair, (z-x+q)(z-x+h) per unpaired black.
+        A white lies directly below its paired black, so is never unpaired."""
+        p, present = self.params, set(pi.stones)
         factors = [(p.chi + i * p.t, 1) for i in range(self.m + 1)]
-        for s in pi:
-            x = stone_weight(s, p)
-            if s.color == "B":
-                factors += [(x - p.q, 1), (x - p.h, 1)]
-            else:
-                factors += [(x - p.t, 1), (x, -1)]
+        for st in pi.blacks():
+            x = stone_weight(st, p)
+            paired = self.erc.pair_white_of(st) in present
+            factors += self.kernel.fac(x) if paired else [(x - p.q, 1), (x - p.h, 1)]
         return (-1) ** (self.m + 1) * p.field.one, factors
 
     def head(self, pi):

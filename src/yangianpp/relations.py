@@ -41,14 +41,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import InconsistentShift, SignInconsistent
-from .exact import QQ, rational_str, same_field
-from .reps import (
-    Geometry,
-    Representation,
-    SparseOperator,
-    box_local_factor,
-    detect_shift,
-)
+from .exact import QQ, LinForm, rational_str, same_field
+from .reps import Geometry, Representation, SparseOperator, detect_shift
 
 
 @dataclass
@@ -253,12 +247,12 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
     return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst, field=field)
 
 
-def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> RelationReport:
+def check_ef_matches_h(ops: OperatorSet, nmax: int) -> RelationReport:
     """Eigenvalue of [e_0, f_n] equals eps * Res_inf z^n h(z) with one global eps.
 
     eps is read off the vacuum (lowest nonempty level); opposite signs at
     different reference states raise SignInconsistent.  Flipping the
-    residue-at-infinity convention via infinity_sign flips eps globally.
+    residue-at-infinity convention flips eps globally.
     """
     start = time.monotonic()
     rep = ops.rep
@@ -274,7 +268,7 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int, infinity_sign: int = 1) -> R
         for n in levels:
             for idx, lab in enumerate(rep.basis.level(n)):
                 lhs = vecs[n][idx][nn].get(idx, field.zero)
-                pairs.append((n, idx, nn, lhs, field.reduce(infinity_sign * res_inf[lab][nn])))
+                pairs.append((n, idx, nn, lhs, res_inf[lab][nn]))
     domain = len(pairs)
     signs = set()
     for n, idx, nn, lhs, rhs in pairs:
@@ -371,7 +365,7 @@ def check_serre_f(ops: OperatorSet, imax: int) -> RelationReport:
 
 
 def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
-    """h(target)/h(source) equals the per-box local factor at the added
+    """h(target)/h(source) equals the geometry kernel's ratio form at the added
     weight, for every raising transition.
 
     This is the entrywise content of the series/raising compatibility
@@ -379,7 +373,7 @@ def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
     """
     start = time.monotonic()
     rep = ops.rep
-    g = rep.geometry
+    kernel = rep.geometry.kernel
     domain = 0
     worst = None
     for n in range(ops.top):
@@ -388,7 +382,7 @@ def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
             src = rep.basis.level(n)[si]
             tgt = rep.basis.level(n + 1)[ti]
             ratio = rep.h_rat(tgt) / rep.h_rat(src)
-            if ratio != box_local_factor(x, g.params) and worst is None:
+            if ratio != LinForm(*kernel.ratio(x), kernel.field) and worst is None:
                 worst = (1, _entry(rep, n, 1, ti, si))
     return _report("psi-e-compat", start, domain, worst)
 

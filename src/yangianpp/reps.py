@@ -158,11 +158,6 @@ def lowering_form(label, geometry) -> LinForm:
     return LinForm(*geometry.lowering(label), geometry.params.field)
 
 
-def box_local_factor(x, params) -> LinForm:
-    """Per-box factor of the diagonal series: prod (z-x+h_i)/(z-x-h_i)."""
-    return LinForm(params.field.one, p3.box_factors(x, params), params.field)
-
-
 def stone_product(label, geometry) -> LinForm:
     """The label-dependent part of the diagonal series: one local factor
     per atom of the label, as the geometry lists them.  This is also the

@@ -3,9 +3,9 @@
 Elements of weight v are symmetric polynomials in v variables; the product
 of f (v1 variables) and g (v2 variables) sums f(x_S) g(x_T) times the kernel
 factor over all order-preserving splittings S|T of the v1+v2 variables.  The
-kernel is fac(x|y) = prod_a (x - y + w_a) / (x - y)^d with d in {0, 1}; the
-sum always clears the denominators and the exact polynomial division is
-asserted, so a non-symmetric input or a wrong kernel fails loudly.
+kernel is fac(x|y) = prod_a (x - y + w_a) / (x - y); the sum always clears
+the denominators and the exact polynomial division is asserted, so a
+non-symmetric input or a wrong kernel fails loudly.
 
 The product is computed from one splitting: the numerator over the common
 Vandermonde denominator is expanded once for S = {0..v1-1}, every other
@@ -15,12 +15,12 @@ divided by the Vandermonde exactly, one linear factor at a time, by
 synthetic division.  All of it runs on int numerators over one int
 denominator, which is divided out once at the end.
 
-Presets: "a1" has no numerator weights (fac = 1/(x-y)); "jordan:c" has one
-weight c; "c3" has weights (h1, h2, h3).  The presets are reconstructed from
-conjugation-ratio constraints: a1 is forced by fac(z|x)/fac(x|z) = -1, c3 by
-the per-box eigenvalue ratio prod (z-x+h_i)/(z-x-h_i), and the jordan weight
-sign is discriminated by the quadratic raising relation (see
-check_jordan_ee), not assumed.
+Presets of `exact.Kernel`: "a1" has no numerator weights (fac = 1/(x-y)),
+forced by the ratio fac(z|x)/fac(x|z) = -1; "jordan:c" has one weight c,
+whose sign the quadratic raising relation discriminates (check_jordan_ee);
+"c3" has weights (h1, h2, h3), whose ratio is the per-box eigenvalue factor
+the representations read from the same kernel.  The relation checks read
+(coefficient, word) tables, X_a = x^a, each word folded from the left.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 
 from .errors import DenominatorNotCancelled
-from .exact import QQ, LinForm, same_field
-from .relations import RelationReport, quad_terms
+from .exact import QQ, Kernel, same_field
+from .relations import RelationReport, commutator, gen, quad_terms
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +83,6 @@ class MPoly:
         return MPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.field)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()}, self.field)
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -156,7 +153,7 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# symmetric elements and kernels
+# symmetric elements
 # ---------------------------------------------------------------------------
 
 
@@ -220,38 +217,6 @@ class SymPoly:
         return f"SymPoly(v={self.v}, {self.poly.terms})"
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """fac(x|y) = prod_a (x - y + w_a) * (x - y)^(-denominator_exponent),
-    with weights and products in `field`."""
-
-    numerator_weights: tuple
-    denominator_exponent: int = 1
-    field: object = QQ
-
-    @classmethod
-    def a1(cls):
-        return cls((), 1)
-
-    @classmethod
-    def jordan(cls, c):
-        return cls((c,), 1)
-
-    @classmethod
-    def c3(cls, params):
-        return cls(params.hbars, 1, params.field)
-
-    def conjugation_ratio(self, z, x) -> LinForm:
-        """fac(z|x)/fac(x|z) as a factored form in z, for scalar x."""
-        f = self.field
-        num = LinForm(f.one, [(x - w, 1) for w in self.numerator_weights], f)
-        den = LinForm((-1) ** len(self.numerator_weights), [(x + w, 1) for w in self.numerator_weights], f)
-        ratio = num / den
-        if self.denominator_exponent:
-            ratio = ratio * LinForm(-1, (), f)  # (z-x)/(x-z)
-        return ratio
-
-
 def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
     """Shuffle product: sum over splittings with the kernel factor.
 
@@ -271,23 +236,19 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
         const, other = (f, g) if v1 == 0 else (g, f)
         c = next(iter(const.poly.terms.values()), 0)
         return SymPoly(MPoly(other.v, {e: x * c for e, x in other.poly.terms.items()}, field))
-    delta = kernel.denominator_exponent
     (fn, fd), (gn, gd) = field.clear(f.poly.terms), field.clear(g.poly.terms)
     den = fd * gd
     # A0 = f(x_S) g(x_T) prod_{s<v1<=t} num(x_s - x_t) * V_S * V_T for S = {0..v1-1},
     # each weight w = p/q entering as q*x_s - q*x_t + p
     base = MPoly(v, {ef + eg: cf * cg for ef, cf in fn.items() for eg, cg in gn.items()}, field)
     weights = [field.split(w) for w in kernel.numerator_weights]
-    for s in range(v1):
-        for t in range(v1, v):
+    for i, j in itertools.combinations(range(v), 2):
+        if i < v1 <= j:
             for p, q in weights:
-                base.mul_linear(s, t, p, q)
+                base.mul_linear(i, j, p, q)
                 den *= q
-    if delta:
-        # complete the cross denominator to the full Vandermonde
-        for i, j in itertools.combinations(range(v), 2):
-            if (i < v1) == (j < v1):
-                base.mul_linear(i, j)
+        else:  # V_S and V_T complete the cross denominator to the Vandermonde
+            base.mul_linear(i, j)
     total = {}
     get = total.get
     for S in itertools.combinations(range(v), v1):
@@ -295,23 +256,14 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
         # variable k of base goes to slot (S + T)[k]
         relabel = itemgetter(*sorted(range(v), key=(list(S) + T).__getitem__))
         # (x_s - x_t) = -(x_t - x_s) for every crossing pair with s > t
-        sign = -1 if delta and sum(s > t for s in S for t in T) % 2 else 1
+        sign = -1 if sum(s > t for s in S for t in T) % 2 else 1
         for e, c in base.terms.items():
             e = relabel(e)
             total[e] = get(e, 0) + sign * c
     total = MPoly(v, total, field)
-    if delta:
-        for i, j in itertools.combinations(range(v), 2):
-            total = total.divide_exact_linear(i, j)
+    for i, j in itertools.combinations(range(v), 2):
+        total = total.divide_exact_linear(i, j)
     return SymPoly(MPoly(v, {e: field.ratio(c, den) for e, c in total.terms.items()}, field))
-
-
-def star_commutator(a, b, kernel):
-    return shuffle_mul(a, b, kernel) - shuffle_mul(b, a, kernel)
-
-
-def star_anticommutator(a, b, kernel):
-    return shuffle_mul(a, b, kernel) + shuffle_mul(b, a, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +271,38 @@ def star_anticommutator(a, b, kernel):
 # ---------------------------------------------------------------------------
 
 
+def _word(word, memo, kernel):
+    """x^a0 * ... * x^ar for word = (a0, ..., ar), folded from the left,
+    each prefix once per memo."""
+    if word not in memo:
+        last = SymPoly.power(word[-1], field=kernel.field)
+        memo[word] = last if len(word) == 1 else shuffle_mul(_word(word[:-1], memo, kernel), last, kernel)
+    return memo[word]
+
+
+def _first_nonzero(instances, kernel, memo):
+    """The first name in `instances`, {name: (coef, word) table}, whose
+    table sums to a nonzero shuffle element; None when all vanish."""
+    for name, terms in instances.items():
+        if not reduce(add, (c * _word(w, memo, kernel) for c, w in terms)).is_zero():
+            return name
+    return None
+
+
+def _report(relation, start, domain, failure, detail=""):
+    """A fail whose detail is `failure` when that is set, else a pass."""
+    dt = time.monotonic() - start
+    if failure:
+        return RelationReport(relation, "fail", domain, "1", dt, failure)
+    return RelationReport(relation, "pass", domain, "0", dt, detail)
+
+
 def check_a1_anticomm(rmax: int) -> RelationReport:
     """x^r1 * x^r2 + x^r2 * x^r1 = 0 for the arrowless kernel."""
     start = time.monotonic()
-    k = Kernel.a1()
-    domain = 0
-    worst = None
-    for r1 in range(rmax + 1):
-        for r2 in range(rmax + 1):
-            domain += 1
-            s = star_anticommutator(SymPoly.power(r1), SymPoly.power(r2), k)
-            if not s.is_zero() and worst is None:
-                worst = (r1, r2)
-    dt = time.monotonic() - start
-    if worst:
-        return RelationReport("a1-anticommutator", "fail", domain, "1", dt, f"(r1,r2)={worst}")
-    return RelationReport("a1-anticommutator", "pass", domain, "0", dt)
+    rs = range(rmax + 1)
+    instances = {f"(r1,r2)={(a, b)}": [(1, (a, b)), (1, (b, a))] for a in rs for b in rs}
+    return _report("a1-anticommutator", start, len(instances), _first_nonzero(instances, Kernel.a1(), {}))
 
 
 def check_c3_ee(params, imax: int, sigma2_sign: int = -1, sigma3_sign: int = +1) -> RelationReport:
@@ -344,26 +312,16 @@ def check_c3_ee(params, imax: int, sigma2_sign: int = -1, sigma3_sign: int = +1)
     control; the defaults are the verified convention.
     """
     start = time.monotonic()
-    k = Kernel.c3(params)
     s2, s3 = -sigma2_sign * params.sigma2, sigma3_sign * params.sigma3
-    domain = 0
-    worst = None
+    ms = range(imax + 1)
+    instances = {f"(m,n)={(m, n)}": quad_terms(m, n, s2, s3) for m in ms for n in ms}
+    return _report("c3-ee-quadratic", start, len(instances), _first_nonzero(instances, Kernel.c3(params), {}))
 
-    def e(r):
-        return SymPoly.power(r, field=k.field)
 
-    for m in range(imax + 1):
-        for n in range(imax + 1):
-            domain += 1
-            combo = SymPoly(MPoly(2, field=k.field))
-            for c, (a, b) in quad_terms(m, n, s2, s3):
-                combo = combo + c * shuffle_mul(e(a), e(b), k)
-            if not combo.is_zero() and worst is None:
-                worst = (m, n)
-    dt = time.monotonic() - start
-    if worst:
-        return RelationReport("c3-ee-quadratic", "fail", domain, "1", dt, f"(m,n)={worst}")
-    return RelationReport("c3-ee-quadratic", "pass", domain, "0", dt)
+def jordan_terms(p, q, s, c):
+    """[X_{p+1}, X_q] - [X_p, X_{q+1}] - s*c (X_p X_q + X_q X_p)."""
+    lower = [(-k, w) for k, w in commutator(gen(p), gen(q + 1))]
+    return commutator(gen(p + 1), gen(q)) + lower + [(-s * c, (p, q)), (-s * c, (q, p))]
 
 
 def check_jordan_ee(c, pmax: int = 2) -> RelationReport:
@@ -374,29 +332,15 @@ def check_jordan_ee(c, pmax: int = 2) -> RelationReport:
     is recorded in the report rather than asserted a priori.
     """
     start = time.monotonic()
-    k = Kernel.jordan(c)
-    e = SymPoly.power
-    surviving = []
-    for s in (+1, -1):
-        ok = True
-        for p in range(pmax + 1):
-            for q in range(pmax + 1):
-                lhs = star_commutator(e(p + 1), e(q), k) - star_commutator(e(p), e(q + 1), k)
-                rhs = (s * c) * star_anticommutator(e(p), e(q), k)
-                if not (lhs - rhs).is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            surviving.append(s)
-    dt = time.monotonic() - start
+    kernel = Kernel.jordan(c)
+    memo = {}
+    ps = range(pmax + 1)
+    instances = {s: {(p, q): jordan_terms(p, q, s, c) for p in ps for q in ps} for s in (+1, -1)}
+    surviving = [s for s, tables in instances.items() if _first_nonzero(tables, kernel, memo) is None]
     domain = 2 * (pmax + 1) ** 2
     if len(surviving) == 1:
-        return RelationReport(
-            "jordan-ee", "pass", domain, "0", dt, detail=f"loop weight sign {surviving[0]:+d}"
-        )
-    return RelationReport("jordan-ee", "fail", domain, "1", dt, detail=str(surviving))
+        return _report("jordan-ee", start, domain, None, f"loop weight sign {surviving[0]:+d}")
+    return _report("jordan-ee", start, domain, str(surviving))
 
 
 def check_assoc(kernel: Kernel, trials: int, seed: int = 7) -> RelationReport:
@@ -427,7 +371,4 @@ def check_assoc(kernel: Kernel, trials: int, seed: int = 7) -> RelationReport:
         if not (lhs - rhs).is_zero() and not detail:
             f_e, g_e, h_e = (max(x.poly.terms) for x in (f, g, h))
             detail = f"trial {trial}, (v1,v2,v3)=({v1},{v2},{v3}), exponents f={f_e} g={g_e} h={h_e}"
-    dt = time.monotonic() - start
-    if detail:
-        return RelationReport("associativity", "fail", trials, "1", dt, detail)
-    return RelationReport("associativity", "pass", trials, "0", dt)
+    return _report("associativity", start, trials, detail)

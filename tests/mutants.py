@@ -21,6 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REL = "tests/test_relations.py::"
+REPS = "tests/test_reps.py::"
+SHUF = "tests/test_shuffle.py::"
 
 #: (name, file under src/yangianpp, old text, new text, killing test)
 MUTANTS = [
@@ -93,6 +95,50 @@ MUTANTS = [
         "        same_field(field, op.field)\n",
         "",
         REL + "test_generators_of_another_field_are_refused",
+    ),
+    # The bond is stated once, in exact.Kernel: one flipped c3 weight must
+    # fail a check on each side, the representations and the shuffle algebra.
+    (
+        "c3-weight-flipped",
+        "exact.py",
+        "return cls(params.hbars, params.field)",
+        "return cls((-params.h1,) + params.hbars[1:], params.field)",
+        REL + "test_c3_ee_ff",
+    ),
+    (
+        "c3-weight-flipped",
+        "exact.py",
+        "return cls(params.hbars, params.field)",
+        "return cls((-params.h1,) + params.hbars[1:], params.field)",
+        SHUF + "test_c3_ee_relation",
+    ),
+    (
+        "ratio-weight-flipped",
+        "exact.py",
+        "ws = self.numerator_weights",
+        "ws = (-self.numerator_weights[0],) + self.numerator_weights[1:]",
+        REPS + "test_geometries_read_the_kernel",
+    ),
+    (
+        "fac-self-loop-dropped",
+        "exact.py",
+        "for w in self.numerator_weights] + [(x, -1)]",
+        "for w in self.numerator_weights]",
+        REPS + "test_h_rat_equals_raising_times_lowering",
+    ),
+    (
+        "fac-weight-sign",
+        "exact.py",
+        "[(x - w, 1) for w in self.numerator_weights]",
+        "[(x + w, 1) for w in self.numerator_weights]",
+        REL + "test_c3_ee_ff",
+    ),
+    (
+        "jordan-sign-term-dropped",
+        "shuffle.py",
+        " + [(-s * c, (p, q)), (-s * c, (q, p))]",
+        "",
+        SHUF + "test_jordan_sign_discrimination",
     ),
 ]
 

@@ -4,8 +4,9 @@ These deliberately avoid the library's incremental algorithms: partitions by
 filtering raw box subsets, pyramids by filtering raw stone subsets, counts by
 the classical generating function, residues by an independent CAS,
 resonances by scanning every integer pair, the raising integrand by one
-product per box, and relations by the matrix route: every word of every
-instance one product of whole operators.
+product per box, the per-box eigenvalue factor written out, and relations
+by the matrix route: every word of every instance one product of whole
+operators.
 """
 
 from fractions import Fraction
@@ -108,6 +109,12 @@ def integrand_e(label, geometry):
         else:
             f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)], p.field)
     return f
+
+
+def box_local_factor(x, params):
+    """Per-box factor of the diagonal series: prod (z-x+h_i)/(z-x-h_i)."""
+    hbars = params.hbars
+    return LinForm(1, [(x - hb, 1) for hb in hbars] + [(x + hb, -1) for hb in hbars], params.field)
 
 
 def sympy_residue(form, a, power=0):

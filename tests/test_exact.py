@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import first_resonance, partial_fraction_residue, sympy_residue
 from yangianpp import LinForm, Params, PoleAtPoint, Resonance
 from yangianpp.errors import RetrySpecialization
-from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _product_coeffs, rational_str
+from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _check_generic, _product_coeffs, rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_params_cy_constraint(params):
 @settings(max_examples=150, deadline=None)
 def test_genericity_gate_matches_scan(h1, h2, bound):
     try:
-        Params.make(h1, h2, F(0), resonance_bound=bound)
+        _check_generic(h1, h2, bound)
         message = None
     except Resonance as exc:
         message = str(exc)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from oracles import ef_letters, evaluate, operator_sum, reference_statuses
-from yangianpp import Geometry, Params, Representation, cli
+from yangianpp import Geometry, LinForm, Params, Representation, cli
 from yangianpp.errors import SignInconsistent
 from yangianpp import relations, reps
 from yangianpp.exact import random_params
@@ -56,8 +56,11 @@ def test_c3_ef_matches_h(c3_ops):
     assert r.status == "pass" and "eps=+1" in r.detail
 
 
-def test_c3_ef_matches_h_convention_flip(c3_ops):
-    r = check_ef_matches_h(c3_ops, 2, infinity_sign=-1)
+def test_c3_ef_matches_h_convention_flip(c3_ops, monkeypatch):
+    """The opposite residue-at-infinity convention flips eps globally."""
+    raw = LinForm.residues_at_infinity
+    monkeypatch.setattr(LinForm, "residues_at_infinity", lambda self, powers: [-r for r in raw(self, powers)])
+    r = check_ef_matches_h(c3_ops, 2)
     assert r.status == "pass" and "eps=-1" in r.detail
 
 

@@ -1,19 +1,19 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import integrand_e
+from oracles import box_local_factor, integrand_e
 from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
-from yangianpp.exact import FIELDS, GFP, PRIME, QQ
+from yangianpp.exact import FIELDS, GFP, PRIME, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_vectors
 from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
 from yangianpp.reps import (
     SparseOperator,
-    box_local_factor,
     h_rat,
     lowering_form,
     operators_to_json,
@@ -98,6 +98,43 @@ def test_psi_recursion_direction(c3, params):
         for b in lam.addible_boxes():
             x = box_weight(b, params)
             assert stone_product(lam.add(b), c3) == stone_product(lam, c3) * box_local_factor(x, params)
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+def test_geometries_read_the_kernel(mode):
+    """C3's lowering factor and stone factors are the products over boxes of
+    the kernel's fac and ratio forms (c3, N <= 6); each completed conifold
+    pair multiplies the stone product by the kernel's ratio form; and the
+    ratio form is fac(z|x)/fac(x|z) pointwise."""
+    params = random_params(2024, mode=mode)
+    field = params.field
+    one = LinForm(1, (), field)
+    c3 = Geometry("c3", params, 6)
+    kernel = c3.kernel
+    assert kernel == Kernel.c3(params)
+    labels = [lab for level in c3.basis() for lab in level]
+    assert len(labels) == 96
+    for lab in labels:
+        xs = [box_weight(b, params) for b in lab]
+        fac = prod((LinForm(1, kernel.fac(x), field) for x in xs), start=one)
+        ratio = prod((LinForm(*kernel.ratio(x), field) for x in xs), start=one)
+        assert LinForm(*c3.lowering(lab), field) == fac
+        assert LinForm(1, c3.stone_factors(lab), field) == ratio
+    for x in {box_weight(b, params) for lab in labels for b in lab}:
+        z = field.reduce(x + field.of(F(7, 3)))
+        fac_zx = LinForm(1, kernel.fac(x), field).eval(z)
+        fac_xz = LinForm(1, kernel.fac(z), field).eval(x)
+        assert LinForm(*kernel.ratio(x), field).eval(z) == field.reduce(fac_zx * field.inv(fac_xz))
+    for m, sector in [(3, 1), (3, 2), (4, 1), (4, 2)]:
+        rep = Representation(Geometry("conifold", params, 4, m=m, sector=sector))
+        g = rep.geometry
+        pairs = 0
+        for n in range(rep.basis.top_level):
+            for si, ti, x, _, _ in rep.transitions(n):
+                src, tgt = rep.basis.level(n)[si], rep.basis.level(n + 1)[ti]
+                assert stone_product(tgt, g) == stone_product(src, g) * LinForm(*g.kernel.ratio(x), field)
+                pairs += 1
+        assert pairs > 0
 
 
 # ---------------------------------------------------------------------------
