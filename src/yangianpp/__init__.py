@@ -13,7 +13,6 @@ from .errors import (
     PoleAtPoint,
     Resonance,
     RetrySpecialization,
-    SignInconsistent,
     YangianppError,
 )
 from .exact import Kernel, LinForm, Params, random_params
@@ -48,7 +47,6 @@ __all__ = [
     "Representation",
     "Resonance",
     "RetrySpecialization",
-    "SignInconsistent",
     "SparseOperator",
     "Stone",
     "SymPoly",

@@ -19,16 +19,13 @@ class Resonance(YangianppError):
 
 
 class RelationFailure(YangianppError):
-    """A relation fails in a way that stops its check; exits like a failed check."""
+    """A relation fails outside any report: `detect_shift` raises it, which
+    the `shift` command calls directly.  Exits like a failed check; the
+    relation checks report their failures as failing cells instead."""
 
 
 class InconsistentShift(RelationFailure):
     """The shift factor of the diagonal series varies across basis vectors."""
-
-
-class SignInconsistent(RelationFailure):
-    """No single global sign makes the commutator eigenvalues match the
-    residue expansion of the diagonal series."""
 
 
 class DenominatorNotCancelled(YangianppError):

@@ -8,18 +8,20 @@ check reads the quadratic table.  No check multiplies operators:
 time, by sparse matrix-vector steps, and a check's cells are the entries of
 those vectors.
 
-The quadratic and Serre checks evaluate only their generating instance,
-(m,n)=(0,0) and (i1,i2,i3)=(0,0,0).  On operators of power form, e_i =
-x^i e_0 and f_j = x^j f_0 with x the weight of the step, every instance's
-word polynomial along a path is the generating one's times a symmetric
-polynomial of the path's weights, which every path of a cell shares; so
-each check then verifies that power form on every step of its paths, for
-every letter its instances read.
+The quadratic, Serre and ef-diagonal checks evaluate only their generating
+instance, (m,n)=(0,0), (i1,i2,i3)=(0,0,0) and [e_0,f_0].  On operators of
+power form, e_i = x^i e_0 and f_j = x^j f_0 with x the weight of the step,
+every instance's word polynomial along a path is the generating one's times
+a polynomial of the path's weights that every path of a cell shares
+(symmetric for one family; x^i y^j for [e_i,f_j], x added and y removed);
+so each check then verifies that power form on every step of its paths,
+for every letter its instances read.
 
 Every check runs only on the levels where all intermediate steps stay
 inside the truncation; pass means every checked cell is exactly zero.
 Reports carry the domain size, (level, instance) cells over every instance,
-so an empty domain can never be mistaken for a pass.
+so an empty domain can never be mistaken for a pass.  No check raises on a
+relation failure: the report names the first failing cell.
 
 Sign conventions, pinned by direct computation on the representations and by
 the one-vertex shuffle kernel (the tests exercise both, plus the flipped
@@ -40,7 +42,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import InconsistentShift, SignInconsistent
+from .errors import InconsistentShift
 from .exact import QQ, LinForm, rational_str, same_field
 from .reps import Geometry, Representation, SparseOperator, detect_shift
 
@@ -223,36 +225,33 @@ def _report(relation, start, domain, worst, detail="", field=QQ):
 
 
 def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
-    """[e_i, f_j] is diagonal and its eigenvalues depend only on i + j."""
+    """[e_i, f_j] is diagonal and its eigenvalues depend only on i + j:
+    [e_0, f_0] is diagonal, and e_i, f_j, i, j <= imax, have power form on
+    the steps of its paths.  On power-form generators a diagonal entry is a
+    sum of (step weight)^(i+j) terms."""
     start = time.monotonic()
     rep = ops.rep
-    field = rep.geometry.params.field
     levels = _nonempty(rep, range(0, ops.top))  # one raising level of headroom
-    pairs = list(itertools.product(range(imax + 1), repeat=2))
-    vecs = ef_vectors(ops, pairs, levels)
-    worst = None
-    by_sum = {}  # i + j -> (first bracket with that sum, its eigenvalues)
-    for k, (i, j) in enumerate(pairs):
-        name = f"[e_{i},f_{j}]"
-        for n in levels:
-            off = min(((t, s) for s, row in enumerate(vecs[n]) for t in row[k] if t != s), default=None)
-            if off and worst is None:
-                t, s = off
-                worst = (vecs[n][s][k][t], f"{name} off the diagonal, {_entry(rep, n, 0, t, s)}")
-        diag = [(n, s, row[k].get(s, field.zero)) for n in levels for s, row in enumerate(vecs[n])]
-        first, prev = by_sum.setdefault(i + j, (name, diag))
-        for (n, s, v), (_, _, u) in zip(diag, prev):
-            if v != u and worst is None:
-                worst = (v - u, f"{name} - {first}, {_entry(rep, n, 0, s, s)}")
-    return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst, field=field)
+    vecs = ef_vectors(ops, [(0, 0)], levels)
+    off = [(n, t, s, v) for n in levels for s, (vec,) in enumerate(vecs[n]) for t, v in vec.items() if t != s]
+    if off:
+        n, t, s, v = min(off)
+        worst = (v, f"[e_0,f_0] off the diagonal, {_entry(rep, n, 0, t, s)}")
+    else:
+        letters = range(imax + 1)
+        raising = sorted({k for n in levels for k in (n - 1, n) if k >= 0})
+        lowering = sorted({k for n in levels for k in (n, n + 1) if k > 0})  # nothing lowers from level 0
+        worst = _power_form(rep, "e", ops.e, raising, letters) or _power_form(rep, "f", ops.f, lowering, letters)
+    return _report("ef-diagonal", start, len(levels) * (imax + 1) ** 2, worst, field=rep.geometry.params.field)
 
 
 def check_ef_matches_h(ops: OperatorSet, nmax: int) -> RelationReport:
     """Eigenvalue of [e_0, f_n] equals eps * Res_inf z^n h(z) with one global eps.
 
-    eps is read off the vacuum (lowest nonempty level); opposite signs at
-    different reference states raise SignInconsistent.  Flipping the
-    residue-at-infinity convention flips eps globally.
+    eps is read off the first cell, in report order, whose two sides are
+    nonzero and equal up to sign: the vacuum's [e_0, f_0] cell first.  A
+    state that demands the other sign fails like any other cell.  Flipping
+    the residue-at-infinity convention flips eps globally.
     """
     start = time.monotonic()
     rep = ops.rep
@@ -263,29 +262,17 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int) -> RelationReport:
         for n in levels for lab in rep.basis.level(n)
     }
     vecs = ef_vectors(ops, [(0, nn) for nn in range(nmax + 1)], levels)
-    pairs = []  # (level, state index, n, lhs, rhs)
-    for nn in range(nmax + 1):
-        for n in levels:
-            for idx, lab in enumerate(rep.basis.level(n)):
-                lhs = vecs[n][idx][nn].get(idx, field.zero)
-                pairs.append((n, idx, nn, lhs, res_inf[lab][nn]))
-    domain = len(pairs)
-    signs = set()
-    for n, idx, nn, lhs, rhs in pairs:
-        if rhs != 0 and lhs != 0:
-            if lhs == rhs:
-                signs.add(1)
-            elif lhs == field.reduce(-rhs):
-                signs.add(-1)
-    if signs == {1, -1}:
-        raise SignInconsistent("reference states demand opposite global signs")
-    eps = signs.pop() if signs else 1
-    worst = None
-    for n, idx, nn, lhs, rhs in pairs:
-        if lhs != field.reduce(eps * rhs):
-            worst = (lhs - eps * rhs, f"[e_0,f_{nn}], {_entry(rep, n, 0, idx, idx)}")
-            break
-    return _report("ef-matches-h", start, domain, worst, detail=f"eps={eps:+d}", field=field)
+    cells = [  # (level, state index, n, lhs, rhs)
+        (n, idx, nn, vecs[n][idx][nn].get(idx, field.zero), res_inf[lab][nn])
+        for nn in range(nmax + 1) for n in levels for idx, lab in enumerate(rep.basis.level(n))
+    ]
+    eps = next((1 if a == b else -1 for *_, a, b in cells if a != 0 and a in (b, field.reduce(-b))), 1)
+    worst = next(
+        ((lhs - eps * rhs, f"[e_0,f_{nn}], {_entry(rep, n, 0, idx, idx)}")
+         for n, idx, nn, lhs, rhs in cells if lhs != field.reduce(eps * rhs)),
+        None,
+    )
+    return _report("ef-matches-h", start, len(cells), worst, detail=f"eps={eps:+d}", field=field)
 
 
 def _power_form(rep, family, get, levels, letters):
@@ -433,8 +420,11 @@ def expected_shift(geometry):
 #: The relation groups `which` may name, besides "all".
 GROUPS = ("ef", "ee", "serre", "psi", "poles", "shift")
 
+#: The suite checks [e_0, f_n] against h for n = 0..NMAX.
+NMAX = 3
 
-def run_suite(geometry, imax: int = 2, nmax: int = 3, which=("all",)):
+
+def run_suite(geometry, imax: int = 2, which=("all",)):
     """Run the requested checks on one specialization.
 
     Returns (reports, shift) where shift is the detected (l, z1) when the
@@ -457,7 +447,7 @@ def run_suite(geometry, imax: int = 2, nmax: int = 3, which=("all",)):
     shift = None
     if want("ef"):
         reports.append(check_ef_diag(ops, imax))
-        reports.append(check_ef_matches_h(ops, nmax))
+        reports.append(check_ef_matches_h(ops, NMAX))
     if want("ee"):
         reports.append(check_ee(ops, imax))
         reports.append(check_ff(ops, imax))

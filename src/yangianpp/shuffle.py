@@ -270,6 +270,11 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
 # relation checks
 # ---------------------------------------------------------------------------
 
+#: check_jordan_ee reads the instances p, q = 0..JORDAN_PMAX.
+JORDAN_PMAX = 2
+#: check_assoc draws its trial inputs from random.Random(ASSOC_SEED).
+ASSOC_SEED = 7
+
 
 def _word(word, memo, kernel):
     """x^a0 * ... * x^ar for word = (a0, ..., ar), folded from the left,
@@ -324,7 +329,7 @@ def jordan_terms(p, q, s, c):
     return commutator(gen(p + 1), gen(q)) + lower + [(-s * c, (p, q)), (-s * c, (q, p))]
 
 
-def check_jordan_ee(c, pmax: int = 2) -> RelationReport:
+def check_jordan_ee(c) -> RelationReport:
     """Discriminate the loop-weight sign for the one-loop kernel.
 
     Tests [e_{p+1}, e_q] - [e_p, e_{q+1}] = s*c (e_p e_q + e_q e_p) for
@@ -334,23 +339,23 @@ def check_jordan_ee(c, pmax: int = 2) -> RelationReport:
     start = time.monotonic()
     kernel = Kernel.jordan(c)
     memo = {}
-    ps = range(pmax + 1)
+    ps = range(JORDAN_PMAX + 1)
     instances = {s: {(p, q): jordan_terms(p, q, s, c) for p in ps for q in ps} for s in (+1, -1)}
     surviving = [s for s, tables in instances.items() if _first_nonzero(tables, kernel, memo) is None]
-    domain = 2 * (pmax + 1) ** 2
+    domain = 2 * len(ps) ** 2
     if len(surviving) == 1:
         return _report("jordan-ee", start, domain, None, f"loop weight sign {surviving[0]:+d}")
     return _report("jordan-ee", start, domain, str(surviving))
 
 
-def check_assoc(kernel: Kernel, trials: int, seed: int = 7) -> RelationReport:
+def check_assoc(kernel: Kernel, trials: int) -> RelationReport:
     """(f*g)*h == f*(g*h) on random monomial inputs.
 
     A failure names the first failing trial, its shape (v1,v2,v3) and the
     leading exponent of each symmetrized monomial input.
     """
     start = time.monotonic()
-    rng = random.Random(seed)
+    rng = random.Random(ASSOC_SEED)
     field = kernel.field
     detail = ""
     wide = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]

@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REL = "tests/test_relations.py::"
 REPS = "tests/test_reps.py::"
 SHUF = "tests/test_shuffle.py::"
+EXACT = "tests/test_exact.py::"
+CLI = "tests/test_cli.py::"
 
 #: (name, file under src/yangianpp, old text, new text, killing test)
 MUTANTS = [
@@ -85,9 +87,30 @@ MUTANTS = [
     (
         "ef-eigenvalues-unchecked",
         "relations.py",
-        "if v != u and worst is None:",
-        "if False:",
+        'worst = _power_form(rep, "e", ops.e, raising, letters) or _power_form(rep, "f", ops.f, lowering, letters)',
+        "worst = None",
         REL + "test_ef_diag_detail_names_level_and_state",
+    ),
+    (
+        "ef-raising-from-level-unchecked",
+        "relations.py",
+        "for k in (n - 1, n) if k >= 0}",
+        "for k in (n - 1,) if k >= 0}",
+        REL + "test_power_form_guard_fails_a_letter_only_other_instances_read",
+    ),
+    (
+        "ef-lowering-from-level-above-unchecked",
+        "relations.py",
+        "for k in (n, n + 1) if k > 0}",
+        "for k in (n,) if k > 0}",
+        REL + "test_power_form_guard_fails_a_letter_only_other_instances_read",
+    ),
+    (
+        "ef-eps-fixed",
+        "relations.py",
+        "eps = next((1 if a == b else -1 for *_, a, b in cells if a != 0 and a in (b, field.reduce(-b))), 1)",
+        "eps = 1",
+        REL + "test_c3_ef_matches_h_convention_flip",
     ),
     (
         "foreign-field-generator-read",
@@ -132,6 +155,35 @@ MUTANTS = [
         "[(x - w, 1) for w in self.numerator_weights]",
         "[(x + w, 1) for w in self.numerator_weights]",
         REL + "test_c3_ee_ff",
+    ),
+    (
+        "residue-index-off-by-one",
+        "exact.py",
+        "ks = [self.degree() + p + 1 for p in powers]",
+        "ks = [self.degree() + p for p in powers]",
+        EXACT + "test_residue_at_infinity_balances_finite_residues",
+    ),
+    (
+        "genericity-bound-exclusive",
+        "exact.py",
+        "if ratio.denominator <= bound and",
+        "if ratio.denominator < bound and",
+        EXACT + "test_genericity_gate_matches_scan",
+    ),
+    (
+        "division-leftover-unchecked",
+        "shuffle.py",
+        "            if self.field.reduce(q + col.get(0, 0)):\n"
+        '                raise DenominatorNotCancelled(f"polynomial not divisible by (x_{i} - x_{j})")\n',
+        "",
+        SHUF + "test_divide_exact_linear",
+    ),
+    (
+        "resonance-exits-as-cap",
+        "cli.py",
+        "return EXIT_RESONANCE",
+        "return EXIT_CAP",
+        CLI + "test_rep_build_resonant_params_exit4",
     ),
     (
         "jordan-sign-term-dropped",

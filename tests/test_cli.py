@@ -216,21 +216,6 @@ def test_inconsistent_shift_is_relation_failure(monkeypatch, capsys):
     assert code == 1 and "shift varies" in err
 
 
-def test_sign_inconsistent_is_relation_failure(monkeypatch, capsys):
-    from yangianpp import relations
-    from yangianpp.errors import SignInconsistent
-
-    def broken(ops, nmax):
-        raise SignInconsistent("reference states demand opposite global signs")
-
-    monkeypatch.setattr(relations, "check_ef_matches_h", broken)
-    code, _, err = run(
-        capsys, "rep", "check", "--geometry", "c3", "--level", "2", "--imax", "0",
-        "--specializations", "1", "--relations", "ef",
-    )
-    assert code == 1 and "opposite global signs" in err
-
-
 def test_check_shift_lets_retry_specialization_through(monkeypatch, capsys):
     from yangianpp import relations
     from yangianpp.errors import RetrySpecialization

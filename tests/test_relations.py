@@ -1,12 +1,12 @@
 from fractions import Fraction as F
 
 import itertools
+import json
 
 import pytest
 
 from oracles import ef_letters, evaluate, operator_sum, reference_statuses
 from yangianpp import Geometry, LinForm, Params, Representation, cli
-from yangianpp.errors import SignInconsistent
 from yangianpp import relations, reps
 from yangianpp.exact import random_params
 from yangianpp.relations import (
@@ -299,7 +299,7 @@ def test_ef_diag_detail_names_level_and_state(c3_ops):
     assert r.detail.startswith("[e_0,f_") and ", level " in r.detail
     r = check_ef_diag(_ShiftedF1(c3_ops.rep), 1)
     assert r.status == "fail" and r.discrepancy != "0"
-    assert r.detail.startswith("[e_1,f_0] - [e_0,f_1], level 0, entry (0,0)")
+    assert r.detail == "f_1 != x^1 f_0, level 1, entry (0,0): Partition3D([(0, 0, 0)]) -> Partition3D([])"
 
 
 MODES = ("rational", "prime-field")
@@ -334,10 +334,30 @@ class _BumpedF2Level1(OperatorSet):
         return _bump_last(op, 1) if j == 2 else op
 
 
+class _BumpedE1Level4(OperatorSet):
+    """e_1 with its last level-4 entry raised by 1.  [e_0, f_0] never reads
+    e_1, and of the checked levels only level 4 raises from level 4."""
+
+    def e(self, i):
+        op = super().e(i)
+        return _bump_last(op, 4) if i == 1 else op
+
+
+class _BumpedF1Level5(OperatorSet):
+    """f_1 with its last level-5 entry raised by 1.  [e_0, f_0] never reads
+    f_1, and of the checked levels only level 4 lowers from level 5."""
+
+    def f(self, j):
+        op = super().f(j)
+        return _bump_last(op, 5) if j == 1 else op
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("bump,check,prefix", [
     (_BumpedE4Level4, check_ee, "e_4 != x^4 e_0, level 4, entry "),
     (_BumpedF2Level1, check_serre_f, "f_2 != x^2 f_0, level 1, entry "),
+    (_BumpedE1Level4, check_ef_diag, "e_1 != x^1 e_0, level 4, entry "),
+    (_BumpedF1Level5, check_ef_diag, "f_1 != x^1 f_0, level 5, entry "),
 ])
 def test_power_form_guard_fails_a_letter_only_other_instances_read(c3_ops_by_mode, mode, bump, check, prefix):
     """The generating instance never reads the bumped letter; the guard
@@ -383,9 +403,54 @@ def test_statuses_agree_with_matrix_route(mode, kind, level, m, sector):
     assert _statuses(ops, 2, 3) == reference_statuses(ops, 2, 3)
 
 
+class _NegatedF(OperatorSet):
+    """Every f_j with its entries from source level 3 up negated.  [e_0, f_0]
+    keeps its eigenvalues up to level 1 and negates them on level 3, so the
+    vacuum and a level-3 state demand opposite signs eps of ef-matches-h."""
+
+    def f(self, j):
+        op = super().f(j)
+        blocks = {n: {k: op.field.reduce(-v) if n >= 3 else v for k, v in b.items()} for n, b in op.blocks.items()}
+        return SparseOperator(op.shift, blocks, op.field)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sign_conflict_fails_a_named_cell(c3_ops_by_mode, mode):
+    """A real sign conflict: eps = +1 is read off the vacuum, a level-3 state
+    demands -1, and the first cell off eps = +1 fails with its level and labels."""
+    ops = _NegatedF(c3_ops_by_mode[mode].rep)
+    rep, field = ops.rep, ops.rep.geometry.params.field
+    vecs = relations.ef_vectors(ops, [(0, 0)], [0, 3])
+
+    def sides(n, k):  # (eigenvalue of [e_0, f_0], Res_inf h) on state k of level n
+        return vecs[n][k][0].get(k, 0), rep.h_rat(rep.basis.level(n)[k]).residue_at_infinity(0)
+
+    lhs, rhs = sides(0, 0)
+    assert lhs == rhs != 0
+    assert any(a == field.reduce(-b) != 0 for a, b in (sides(3, k) for k in range(len(vecs[3]))))
+    r = check_ef_matches_h(ops, 2)
+    assert (r.relation, r.status) == ("ef-matches-h", "fail")
+    assert r.detail == (
+        "[e_0,f_0], level 2, entry (0,0): Partition3D([(0, 0, 0), (0, 0, 1)]) -> "
+        "Partition3D([(0, 0, 0), (0, 0, 1)])"
+    )
+    assert r.discrepancy == {"rational": "9540358/3906225", "prime-field": "1892569545064910705"}[mode]
+
+
+def test_sign_conflict_fails_rep_check(monkeypatch, capsys):
+    """The conflict reaches `rep check` as a failing ef-matches-h report, exit 1."""
+    monkeypatch.setattr(relations, "OperatorSet", _NegatedF)
+    argv = ["rep", "check", "--level", "5", "--imax", "1", "--specializations", "1", "--relations", "ef"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    (report,) = [r for r in json.loads(out)["relations"] if r["id"] == "ef-matches-h"]
+    assert report["status"] == "fail" and report["detail"].startswith("[e_0,f_0], level 2, entry ")
+    assert "FAILED: ef-diagonal, ef-matches-h" in err
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("control", [
-    _BumpedE0, _BumpedE0Level2, _BumpedF0Level3, _BumpedE4Level4, _BumpedF2Level1, _ShiftedF1,
+    _BumpedE0, _BumpedE0Level2, _BumpedF0Level3, _BumpedE4Level4, _BumpedF2Level1, _ShiftedF1, _NegatedF,
 ])
 def test_control_statuses_agree_with_matrix_route(c3_ops_by_mode, mode, control):
     ops = control(c3_ops_by_mode[mode].rep)
@@ -461,6 +526,33 @@ def test_instances_are_symmetric_multiples_of_the_generating_instance():
         assert _symmetric_multiple(serre_terms(*triple), serre_terms(0, 0, 0), z3), triple
     assert not _symmetric_multiple(quad_terms(0, 1, s2, -s3), quad_terms(0, 0, s2, s3), z2)
     assert not _symmetric_multiple([(1, (2, 0, 0))], serre_terms(0, 0, 0), z3)
+
+
+def test_ef_instances_are_cell_multiples_of_the_generating_instance():
+    """The reduction check_ef_diag rests on, derived from ef_terms: on power-
+    form generators both paths of a cell that adds weight x and removes
+    weight y read e_i as x^i e_0 and f_j as y^j f_0, so every [e_i, f_j],
+    i, j <= 2, is x^i y^j times [e_0, f_0] cell by cell; on the diagonal
+    x = y and the factor depends on i + j alone.  A table that reads other
+    letters on its two paths is no such multiple."""
+    import sympy as sp
+
+    x, y, ef, fe = sp.symbols("x y ef fe")  # ef, fe: the cell's e_0 f_0 and f_0 e_0 paths
+
+    def cell(table):
+        path = {"ef": ef, "fe": fe}
+        weight = {"e": x, "f": y}
+        return sp.expand(sum(
+            c * path["".join(g for g, _ in word)] * sp.Mul(*(weight[g] ** k for g, k in word))
+            for c, word in table
+        ))
+
+    generating = cell(ef_terms(0, 0))
+    for i, j in itertools.product(range(3), repeat=2):
+        q = sp.cancel(cell(ef_terms(i, j)) / generating)
+        assert q == x**i * y**j and q.subs(y, x) == x ** (i + j), (i, j)
+    other = [(1, (("e", 1), ("f", 0))), (-1, (("f", 0), ("e", 0)))]
+    assert sp.cancel(cell(other) / generating).free_symbols & {ef, fe}
 
 
 @pytest.mark.parametrize("mode", MODES)
