@@ -147,6 +147,7 @@ class C3:
         self.params = params
         self.level_cap = level_cap
         self.kernel = Kernel.c3(params)
+        self._boxes = {}  # box -> (weight, ratio factors, fac factors)
 
     def to_json(self):
         return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
@@ -159,15 +160,22 @@ class C3:
         return [(lam.add(b), x) for b, x in addible_weights(lam, self.params)]
 
     def removable(self, lam):
-        return [box_weight(b, self.params) for b in lam.removable_boxes()]
+        return [self._box(b)[0] for b in lam.removable_boxes()]
+
+    def _box(self, box):
+        """(weight, ratio factors, fac factors) of a box, computed once."""
+        if box not in self._boxes:
+            x = box_weight(box, self.params)
+            self._boxes[box] = x, self.kernel.ratio(x)[1], self.kernel.fac(x)
+        return self._boxes[box]
 
     def stone_factors(self, lam):
         """The kernel's ratio form per box; its constant is (-1)^2 = 1."""
-        return [f for b in lam for f in self.kernel.ratio(box_weight(b, self.params))[1]]
+        return [f for b in lam for f in self._box(b)[1]]
 
     def lowering(self, lam):
         """(constant, factors) of the lowering factor F(z): fac(z|x) per box."""
-        return self.params.field.one, [f for b in lam for f in self.kernel.fac(box_weight(b, self.params))]
+        return self.params.field.one, [f for b in lam for f in self._box(b)[2]]
 
     def head(self, lam):
         """(constant, factors) of h_rat over the stone product: 1/(z-chi)."""

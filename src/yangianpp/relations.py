@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -156,47 +157,55 @@ def apply_tables(tables, get, rep, levels):
     X_a = get(a), for the basis vector s of level n, as {target index:
     nonzero scalar}.  Words act right to left, by sparse matrix-vector
     steps over the generators' entries; each word suffix is applied once
-    per source, whichever tables share it.
+    per source, whichever tables share it.  Words run on int numerators
+    over one denominator per vector (`field.clear` of each generator
+    block), and a table sums its words over the lcm of their denominators;
+    only a nonzero cell becomes a scalar (`field.ratio`).
     """
     field = rep.geometry.params.field
 
     @functools.cache
-    def columns(a):  # (shift, source level -> source index -> [(target, entry)])
+    def columns(a):  # (shift, source level -> source index -> [(target, numerator)], level -> denominator)
         op = get(a)
         same_field(field, op.field)
-        cols = {}
+        cols, dens = {}, {}
         for n, blk in op.blocks.items():
-            for (t, s), v in blk.items():
+            nums, dens[n] = field.clear(blk)
+            for (t, s), v in nums.items():
                 cols.setdefault(n, {}).setdefault(s, []).append((t, v))
-        return op.shift, cols
+        return op.shift, cols, dens
 
+    splits = [[(*field.split(c), word) for c, word in terms] for terms in tables]
     out = {}
     for n in levels:
         out[n] = rows = []
         for s in range(len(rep.basis.level(n))):
-            memo = {(): (n, {s: 1})}  # word suffix -> (level, vector) of it on s
+            memo = {(): (n, {s: 1}, 1)}  # word suffix -> (level, numerators, denominator) of it on s
             row = []
-            for terms in tables:
+            for terms in splits:
+                words = [(p, q, *_applied(word, memo, columns, field)[1:]) for p, q, word in terms]
+                d = math.lcm(*{q * vd for _, q, _, vd in words})
                 acc = {}
-                for c, word in terms:
-                    for t, v in _applied(word, memo, columns, field)[1].items():
-                        acc[t] = acc.get(t, 0) + c * v
-                row.append(field.nonzero(acc))
+                for p, q, vec, vd in words:
+                    k = p * (d // (q * vd))
+                    for t, v in vec.items():
+                        acc[t] = acc.get(t, 0) + k * v
+                row.append({t: field.ratio(v, d) for t, v in field.nonzero(acc).items()})
             rows.append(row)
     return out
 
 
 def _applied(word, memo, columns, field):
-    """(level, vector) of word applied to memo[()], each suffix once."""
+    """(level, numerators, denominator) of word on memo[()], each suffix once."""
     if word not in memo:
-        n, vec = _applied(word[1:], memo, columns, field)
-        shift, cols = columns(word[0])
-        col = cols.get(n, {})
+        n, vec, d = _applied(word[1:], memo, columns, field)
+        shift, cols, dens = columns(word[0])
+        col, bd = cols.get(n, {}), dens.get(n, 1)
         acc = {}
         for s, c in vec.items():
             for t, v in col.get(s, ()):
                 acc[t] = acc.get(t, 0) + v * c
-        memo[word] = n + shift, field.nonzero(acc)
+        memo[word] = n + shift, field.nonzero(acc), d * bd
     return memo[word]
 
 

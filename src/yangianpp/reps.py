@@ -63,6 +63,8 @@ class FixedPointBasis:
         return len(self.levels) - 1
 
     def level(self, n):
+        if n < 0:
+            raise ValueError(f"level must be nonnegative, got {n}")
         return self.levels[n]
 
     def index(self, n, label) -> int:

@@ -80,9 +80,23 @@ MUTANTS = [
     (
         "prime-cells-unreduced",
         "relations.py",
-        "row.append(field.nonzero(acc))",
-        "row.append({t: v for t, v in acc.items() if v})",
+        "for t, v in field.nonzero(acc).items()})",
+        "for t, v in acc.items() if v})",
         REL + "test_statuses_agree_with_matrix_route",
+    ),
+    (
+        "word-step-block-denominator-dropped",
+        "relations.py",
+        "memo[word] = n + shift, field.nonzero(acc), d * bd",
+        "memo[word] = n + shift, field.nonzero(acc), d",
+        REL + "test_tables_applied_per_source_are_the_operator_columns",
+    ),
+    (
+        "table-sum-lcm-scaling-dropped",
+        "relations.py",
+        "k = p * (d // (q * vd))",
+        "k = p",
+        REL + "test_tables_applied_per_source_are_the_operator_columns",
     ),
     (
         "ef-eigenvalues-unchecked",

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
-from yangianpp.exact import LinForm, same_field
+from yangianpp.exact import GFP, PRIME, LinForm, same_field
 from yangianpp.relations import ef_terms, quad_terms, serre_terms
 from yangianpp.reps import SparseOperator
 
@@ -183,11 +183,13 @@ def sympy_shuffle(f_terms, v1, g_terms, v2, weights, denominator_exponent):
     """Shuffle product of f (v1 variables) and g (v2 variables), as {exponent: Fraction}.
 
     Sums f(x_S) g(x_T) prod_{s in S, t in T} fac(x_s|x_t) over every
-    order-preserving splitting S|T in sympy's field of rational functions,
-    with fac(x|y) = prod_w (x - y + w) / (x - y)^denominator_exponent.  The
-    field reduces every sum to lowest terms by a polynomial gcd, so no
-    common denominator or exact division is written out (sp.cancel on the
-    summed expression takes minutes at four variables).
+    order-preserving splitting S|T, with fac(x|y) = prod_w (x - y + w) /
+    (x - y)^e, e = denominator_exponent, in sympy's polynomial ring: over
+    the common denominator D = prod_{i<j} (x_i - x_j)^e, each splitting's
+    numerator is multiplied by D / den_S, the (x_i - x_j)^e of the pairs it
+    does not split, with the sign of its reversed pairs.  One division by D
+    then gives the product, and a nonzero remainder means the denominators
+    did not cancel.
     """
     import sympy as sp
 
@@ -197,7 +199,6 @@ def sympy_shuffle(f_terms, v1, g_terms, v2, weights, denominator_exponent):
 
     v = v1 + v2
     ring, *xs = sp.ring(",".join(f"x{k}" for k in range(v)), sp.QQ)
-    field = ring.to_field()
 
     def at(terms, vars_):
         out = ring(0)
@@ -208,25 +209,35 @@ def sympy_shuffle(f_terms, v1, g_terms, v2, weights, denominator_exponent):
             out += mono
         return out
 
-    total = field(0)
+    total = ring(0)
     for S in combinations(range(v), v1):
         T = [k for k in range(v) if k not in S]
         num = at(f_terms, [xs[s] for s in S]) * at(g_terms, [xs[t] for t in T])
-        den = ring(1)
         for s in S:
             for t in T:
-                d = xs[s] - xs[t]
                 for w in weights:
-                    num *= d + q(w)
-                den *= d**denominator_exponent
-        total += field(num) / field(den)
-    if not total.denom.is_ground:
-        raise AssertionError(f"denominator {total.denom} did not cancel")
-    lc = total.denom.LC
-    return {
-        e: Fraction(int(c.numerator), int(c.denominator)) / Fraction(int(lc.numerator), int(lc.denominator))
-        for e, c in total.numer.terms()
-    }
+                    num *= xs[s] - xs[t] + q(w)
+        for i, j in combinations(range(v), 2):
+            if (i in S) == (j in S):
+                num *= (xs[i] - xs[j]) ** denominator_exponent
+            elif i in T:  # the splitting's factor is (x_j - x_i)^e
+                num *= (-1) ** denominator_exponent
+        total += num
+    D = ring(1)
+    for i, j in combinations(range(v), 2):
+        D *= (xs[i] - xs[j]) ** denominator_exponent
+    quo, rem = total.div(D)
+    if rem:
+        raise AssertionError(f"denominator {D} did not cancel: remainder {rem}")
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in quo.terms()}
+
+
+def assert_in_field(v, field):
+    """v is a scalar of `field`: a reduced int in the prime field, else a Fraction."""
+    if field is GFP:
+        assert type(v) is int and 0 <= v < PRIME, v
+    else:
+        assert type(v) is Fraction, v
 
 
 def operator_sum(terms):

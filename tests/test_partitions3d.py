@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from oracles import plane_partition_counts_gf, plane_partition_subsets
 from yangianpp import CapExceeded, Params, Partition3D, box_weight, enumerate_plane_partitions
+from yangianpp import partitions3d as p3
+from yangianpp.exact import random_params
 
 
 def test_level_zero_is_empty_partition():
@@ -125,3 +127,23 @@ def test_distinct_addible_weights_and_translate_exclusion(lam):
 def test_json_roundtrip():
     lam = Partition3D([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     assert Partition3D.from_json(lam.to_json()) == lam
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+def test_c3_box_memo_is_the_per_box_kernel_products(monkeypatch, mode):
+    """C3's stone factors, lowering factor and removable weights on all 96
+    labels of N=6 are the per-box kernel lists, factor for factor, with each
+    of their 25 boxes weighed once."""
+    params = random_params(2024, mode=mode)
+    c3 = p3.C3(params, 6)
+    kernel = c3.kernel
+    labels = [lab for level in c3.basis() for lab in level]
+    assert len(labels) == 96
+    weighed = []
+    monkeypatch.setattr(p3, "box_weight", lambda b, p: weighed.append(b) or box_weight(b, p))
+    for lab in labels:
+        xs = [box_weight(b, params) for b in lab]
+        assert c3.stone_factors(lab) == [f for x in xs for f in kernel.ratio(x)[1]]
+        assert c3.lowering(lab) == (params.field.one, [f for x in xs for f in kernel.fac(x)])
+        assert c3.removable(lab) == [box_weight(b, params) for b in lab.removable_boxes()]
+    assert len(weighed) == len(set(weighed)) == len({b for lab in labels for b in lab}) == 25

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import ef_letters, evaluate, operator_sum, reference_statuses
+from oracles import assert_in_field, ef_letters, evaluate, operator_sum, reference_statuses
 from yangianpp import Geometry, LinForm, Params, Representation, cli
 from yangianpp import relations, reps
 from yangianpp.exact import random_params
@@ -458,16 +458,38 @@ def test_control_statuses_agree_with_matrix_route(c3_ops_by_mode, mode, control)
     assert got == reference_statuses(ops, 1, 2) and "fail" in got.values()
 
 
+@pytest.fixture(scope="module")
+def c3_ops_seed2024():
+    """c3 N=5 at the seed-2024 draw: a fractional sigma2, and block
+    denominators that differ by generator and level (1 to 216 digits)."""
+    return {mode: OperatorSet(Representation(Geometry("c3", random_params(2024, mode=mode), 5))) for mode in MODES}
+
+
+COLUMN_CASES = [  # (operator set fixture, family, table of the params)
+    ("c3_ops_by_mode", "e", lambda p: quad_terms(1, 0, 2, 3)),
+    ("c3_ops_by_mode", "f", lambda p: quad_terms(0, 1, 2, -3)),
+    ("c3_ops_by_mode", "e", lambda p: serre_terms(0, 0, 1)),
+    ("c3_ops_by_mode", "f", lambda p: serre_terms(1, 0, 0)),
+    ("c3_ops_by_mode", "ef", lambda p: ef_terms(1, 2)),
+    ("c3_ops_seed2024", "e", lambda p: quad_terms(0, 0, p.sigma2, p.sigma3)),  # every cell cancels
+    ("c3_ops_seed2024", "f", lambda p: quad_terms(1, 0, p.sigma2, -p.sigma3)),
+    ("c3_ops_seed2024", "e", lambda p: quad_terms(0, 1, p.sigma2, 2 * p.sigma3)),  # all but sigma3's words cancel
+    ("c3_ops_seed2024", "f", lambda p: quad_terms(0, 0, 2 * p.sigma2, -p.sigma3)),
+    ("c3_ops_seed2024", "e", lambda p: serre_terms(0, 1, 1)),
+    ("c3_ops_seed2024", "ef", lambda p: ef_terms(0, 0) + [(p.sigma2, (("e", 1), ("f", 0)))]),
+]
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("family,table", [
-    ("e", quad_terms(1, 0, 2, 3)),
-    ("f", quad_terms(0, 1, 2, -3)),
-    ("e", serre_terms(0, 0, 1)),
-    ("f", serre_terms(1, 0, 0)),
-    ("ef", ef_terms(1, 2)),
-])
-def test_tables_applied_per_source_are_the_operator_columns(c3_ops_by_mode, mode, family, table):
-    ops = c3_ops_by_mode[mode]
+@pytest.mark.parametrize("draw,family,table", COLUMN_CASES)
+def test_tables_applied_per_source_are_the_operator_columns(request, mode, draw, family, table):
+    """apply_tables, on int numerators, equals the matrix route's columns,
+    also for tables with a fractional sigma2 and cancelling words over
+    generators whose block denominators differ; every value it returns is
+    a scalar of the field."""
+    ops = request.getfixturevalue(draw)[mode]
+    field = ops.rep.geometry.params.field
+    table = table(ops.rep.geometry.params)
     get = ef_letters(ops) if family == "ef" else getattr(ops, family)
     levels = range(0, ops.top + 1)
     matrix = evaluate(table, get)
@@ -475,6 +497,8 @@ def test_tables_applied_per_source_are_the_operator_columns(c3_ops_by_mode, mode
     for n in levels:
         for s, (vec,) in enumerate(vecs[n]):
             assert vec == {t: v for (t, src), v in matrix.blocks.get(n, {}).items() if src == s}
+            for v in vec.values():
+                assert_in_field(v, field)
 
 
 @pytest.mark.parametrize("mode", MODES)

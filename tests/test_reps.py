@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_local_factor, integrand_e
+from oracles import assert_in_field, box_local_factor, integrand_e
 from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
-from yangianpp.exact import FIELDS, GFP, PRIME, QQ, random_params
+from yangianpp.exact import FIELDS, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_vectors
@@ -265,6 +265,16 @@ def test_basis_levels_conifold_sector1(coni2):
     assert [len(L) for L in rep.basis.levels] == [2, 1, 0, 0]
 
 
+def test_no_level_below_the_vacuum():
+    """A negative level is refused by name, not read from the top by list
+    indexing; so are the transitions from it."""
+    rep = Representation(Geometry("c3", Params.make(F(101, 13), F(47, 7), F(7)), 3))
+    for read in (rep.basis.level, rep.transitions):
+        with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
+            read(-1)
+    assert rep.transitions(0) and rep.basis.level(3)
+
+
 def test_operator_grading(c3):
     rep = Representation(c3)
     e0 = rep.build_e(0)
@@ -361,13 +371,6 @@ def test_no_foreign_scalar_types(kind, m, sector, level, mode):
     assert scalars
     for v in scalars:
         assert_in_field(v, field)
-
-
-def assert_in_field(v, field):
-    if field is GFP:
-        assert type(v) is int and 0 <= v < PRIME, v
-    else:
-        assert type(v) is F, v
 
 
 # ---------------------------------------------------------------------------
