@@ -33,6 +33,8 @@ variants as negative controls):
                            + sigma3 (e_m e_n + e_n e_m) = 0
     quadratic f-relation:  same bracket pattern, with
                            - sigma2 (...) - sigma3 (f_m f_n + f_n f_m) = 0
+    psi-e relation:        the e-relation's pattern, with psi_k, the
+                           diagonal of [e_0, f_k], as its first letter
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InconsistentShift
-from .exact import QQ, LinForm, rational_str, same_field
+from .exact import QQ, rational_str, same_field
 from .reps import Geometry, Representation, SparseOperator, detect_shift
 
 
@@ -360,27 +362,42 @@ def check_serre_f(ops: OperatorSet, imax: int) -> RelationReport:
     return _check("serre-f", ops, "f", range(3, ops.top + 1), _serres(imax))
 
 
-def check_psi_e_compat(ops: OperatorSet) -> RelationReport:
-    """h(target)/h(source) equals the geometry kernel's ratio form at the added
-    weight, for every raising transition.
+def check_psi_e_compat(ops: OperatorSet, imax: int) -> RelationReport:
+    """The psi-e relation on each raising step lam -> mu at weight x below
+    the top level, whose psi is truncated.  With psi_k, the diagonal of
+    [e_0, f_k], read off e_0 and f_k entry by entry, and D_k = psi_k(mu) -
+    psi_k(lam), instance (m, 0) is e_0 R_m,
 
-    This is the entrywise content of the series/raising compatibility
-    relation; the recursion direction is fixed by the eigenvalue formula.
+        R_m = 3x D_{m+2} - 3x^2 D_{m+1} - D_{m+3} + x^3 D_m
+              - sigma2 (D_{m+1} - x D_m) + sigma3 (psi_m(lam) + psi_m(mu)),
+
+    and on power-form e instance (m, n) is x^n times it: the guard then
+    checks e_0..e_{imax+3}.  R_m = 0, whatever the sigmas and the step's
+    e_0 f_0, on a step whose two states lie on no other step.
     """
     start = time.monotonic()
-    rep = ops.rep
-    kernel = rep.geometry.kernel
-    domain = 0
-    worst = None
+    rep, p = ops.rep, ops.rep.geometry.params
+    field, s2, s3, ks = p.field, p.sigma2, p.sigma3, range(imax + 4)
+    e0, fs = ops.e(0).blocks, [ops.f(k).blocks for k in ks]
+    psi = {}  # (level, state index) -> [psi_k for k in ks]
     for n in range(ops.top):
-        for si, ti, x, rho, fhat in rep.transitions(n):
-            domain += 1
-            src = rep.basis.level(n)[si]
-            tgt = rep.basis.level(n + 1)[ti]
-            ratio = rep.h_rat(tgt) / rep.h_rat(src)
-            if ratio != LinForm(*kernel.ratio(x), kernel.field) and worst is None:
-                worst = (1, _entry(rep, n, 1, ti, si))
-    return _report("psi-e-compat", start, domain, worst)
+        for si, ti, _, _, _ in rep.transitions(n):
+            ef = [e0.get(n, {}).get((ti, si), 0) * f.get(n + 1, {}).get((si, ti), 0) for f in fs]
+            psi[n, si] = [v - w for v, w in zip(psi.get((n, si), [0] * len(ks)), ef)]
+            psi[n + 1, ti] = [v + w for v, w in zip(psi.get((n + 1, ti), [0] * len(ks)), ef)]
+    levels = _nonempty(rep, range(ops.top - 1))  # n + 1 < top
+    steps = [(n, si, ti, x) for n in levels for si, ti, x, _, _ in rep.transitions(n)]
+    worst = None
+    for n, si, ti, x in steps:
+        lam, mu = psi[n, si], psi[n + 1, ti]
+        d = [b - a for a, b in zip(lam, mu)]
+        for m in range(imax + 1):
+            r = (3 * x * d[m + 2] - 3 * x * x * d[m + 1] - d[m + 3] + x**3 * d[m]
+                 - s2 * (d[m + 1] - x * d[m]) + s3 * (lam[m] + mu[m]))
+            if worst is None and (v := field.reduce(e0.get(n, {}).get((ti, si), 0) * r)):
+                worst = (v, f"(m,n)=({m},0), {_entry(rep, n, 1, ti, si)}")
+    worst = worst or _power_form(rep, "e", ops.e, levels, ks)
+    return _report("psi-e-compat", start, len(steps), worst, field=field)
 
 
 def check_pole_support(rep: Representation) -> RelationReport:
@@ -402,23 +419,15 @@ def check_pole_support(rep: Representation) -> RelationReport:
     return _report("pole-support", start, domain, worst)
 
 
-def check_shift(rep: Representation, expect=None) -> RelationReport:
+def check_shift(rep: Representation, expect) -> RelationReport:
     start = time.monotonic()
     try:
         l, z1 = detect_shift(rep)
     except InconsistentShift as exc:
-        return RelationReport(
-            "shift", "fail", rep.basis.size(), "1", time.monotonic() - start, str(exc)
-        )
-    ok = expect is None or (l, z1) == expect
-    return RelationReport(
-        "shift",
-        "pass" if ok else "fail",
-        rep.basis.size(),
-        "0" if ok else "1",
-        time.monotonic() - start,
-        detail=f"l={l:+d}, z1={rep.geometry.params.field.str(z1)}",
-    )
+        return RelationReport("shift", "fail", rep.basis.size(), "1", time.monotonic() - start, str(exc))
+    status, discrepancy = ("pass", "0") if (l, z1) == expect else ("fail", "1")
+    detail = f"l={l:+d}, z1={rep.geometry.params.field.str(z1)}"
+    return RelationReport("shift", status, rep.basis.size(), discrepancy, time.monotonic() - start, detail)
 
 
 def expected_shift(geometry):
@@ -464,12 +473,12 @@ def run_suite(geometry, imax: int = 2, which=("all",)):
         reports.append(check_serre_e(ops, imax))
         reports.append(check_serre_f(ops, imax))
     if want("psi"):
-        reports.append(check_psi_e_compat(ops))
+        reports.append(check_psi_e_compat(ops, imax))
     if want("poles"):
         reports.append(check_pole_support(rep))
     if want("shift"):
         expect = expected_shift(geometry)
-        reports.append(check_shift(rep, expect=expect))
+        reports.append(check_shift(rep, expect))
         shift = expect if reports[-1].passed else None
     return reports, shift
 

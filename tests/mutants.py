@@ -133,6 +133,27 @@ MUTANTS = [
         "",
         REL + "test_generators_of_another_field_are_refused",
     ),
+    (
+        "psi-sigma3-sign",
+        "relations.py",
+        "+ s3 * (lam[m] + mu[m]))",
+        "- s3 * (lam[m] + mu[m]))",
+        REL + "test_psi_e_compat_reads_the_operators",
+    ),
+    (
+        "psi-first-bracket-index",
+        "relations.py",
+        "3 * x * d[m + 2]",
+        "3 * x * d[m + 1]",
+        REL + "test_psi_e_compat_reads_the_operators",
+    ),
+    (
+        "psi-top-level-checked",
+        "relations.py",
+        "_nonempty(rep, range(ops.top - 1))",
+        "_nonempty(rep, range(ops.top))",
+        REL + "test_psi_e_compat_reads_the_operators",
+    ),
     # The bond is stated once, in exact.Kernel: one flipped c3 weight must
     # fail a check on each side, the representations and the shuffle algebra.
     (

@@ -75,7 +75,7 @@ def test_c3_serre(c3_ops):
 
 
 def test_c3_psi_compat_and_poles(c3_ops):
-    assert check_psi_e_compat(c3_ops).status == "pass"
+    assert check_psi_e_compat(c3_ops, 2).status == "pass"
     assert check_pole_support(c3_ops.rep).status == "pass"
 
 
@@ -90,7 +90,7 @@ def test_conifold_suite(coni_ops):
     assert check_ef_matches_h(coni_ops, 3).status == "pass"
     assert check_ee(coni_ops, 2).status == "pass"
     assert check_ff(coni_ops, 2).status == "pass"
-    assert check_psi_e_compat(coni_ops).status == "pass"
+    assert check_psi_e_compat(coni_ops, 2).status == "pass"
     assert check_pole_support(coni_ops.rep).status == "pass"
 
 
@@ -513,6 +513,57 @@ def test_wrong_sigma_signs_fail_the_quadratic_checks(c3_ops_by_mode, monkeypatch
     assert check_ff(ops, 1).status == "fail"
 
 
+@pytest.fixture(scope="module")
+def coni_ops_by_case():
+    """Conifold operator sets at N=5, keyed (m, sector, mode)."""
+    return {
+        (m, sector, mode): OperatorSet(Representation(Geometry(
+            "conifold", Params.make(F(101, 13), F(47, 7), F(7), mode=mode), 5, m=m, sector=sector
+        )))
+        for m, sector in ((3, 1), (4, 2)) for mode in MODES
+    }
+
+
+def _flipped(name):
+    """The Params property `name` with its sign flipped."""
+    prop = getattr(Params, name)
+    return property(lambda self: self.field.reduce(-prop.fget(self)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", ["c3", (4, 2)])
+def test_psi_e_compat_reads_the_operators(c3_ops_by_mode, coni_ops_by_case, monkeypatch, mode, case):
+    """psi-e-compat passes on c3 N=5 (domain 34: the steps from levels 0-3,
+    below the top level) and on conifold (4, 2) N=5, and the sigma2 and
+    sigma3 flips fail psi-e-compat itself, with no h_rat read."""
+    ops = c3_ops_by_mode[mode] if case == "c3" else coni_ops_by_case[(*case, mode)]
+    r = check_psi_e_compat(ops, 2)
+    assert r.status == "pass" and r.domain == sum(len(ops.rep.transitions(n)) for n in range(ops.top - 1))
+    if case == "c3":
+        assert r.domain == 34 and ops.top == 5
+    monkeypatch.setattr(Representation, "h_rat", None)
+    for name in ("sigma2", "sigma3"):
+        with monkeypatch.context() as m:
+            m.setattr(Params, name, _flipped(name))
+            flipped = check_psi_e_compat(ops, 2)
+        assert (flipped.status, flipped.domain) == ("fail", r.domain), name
+        assert flipped.detail.startswith("(m,n)=(") and ", level 0, entry " in flipped.detail
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bumped_e0_fails_psi_e_compat(c3_ops_by_mode, coni_ops_by_case, mode):
+    """A bumped e_0 entry fails the relation on c3 N=5, naming the step's
+    labels; on conifold (3, 1) N=5 every R_m still vanishes, and the
+    power-form guard catches it."""
+    r = check_psi_e_compat(_BumpedE0(c3_ops_by_mode[mode].rep), 2)
+    assert (r.relation, r.status) == ("psi-e-compat", "fail") and r.discrepancy != "0"
+    assert r.detail == (
+        "(m,n)=(0,0), level 1, entry (1,0): Partition3D([(0, 0, 0)]) -> Partition3D([(0, 0, 0), (0, 1, 0)])"
+    )
+    r = check_psi_e_compat(_BumpedE0(coni_ops_by_case[3, 1, mode].rep), 2)
+    assert r.status == "fail" and r.detail.startswith("e_1 != x^1 e_0, level 1, entry (0,0): PyramidPartition(")
+
+
 def _word_polynomial(table, zs):
     """A table on power-form generators along one path: the r-th letter to
     act, X_i, contributes z_r^i."""
@@ -577,6 +628,36 @@ def test_ef_instances_are_cell_multiples_of_the_generating_instance():
         assert q == x**i * y**j and q.subs(y, x) == x ** (i + j), (i, j)
     other = [(1, (("e", 1), ("f", 0))), (-1, (("f", 0), ("e", 0)))]
     assert sp.cancel(cell(other) / generating).free_symbols & {ef, fe}
+
+
+def test_psi_e_instances_are_x_to_the_n_times_the_step_form():
+    """The per-step form check_psi_e_compat evaluates, derived from
+    quad_terms(m + K, n, ...): letters >= K stand for psi_{letter - K}.  On
+    a raising step lam -> mu at weight x, e_j reads x^j a and psi_k reads
+    its value on the state it acts on, so every instance (m, n) <= 2 is
+    x^n a R_m; the sigma3-flipped table is not."""
+    import sympy as sp
+
+    x, a, s2, s3 = sp.symbols("x a s2 s3")
+    lam, mu = sp.symbols("l0:6"), sp.symbols("u0:6")  # psi_k(lam), psi_k(mu)
+    K = 6  # > n + 3, so no e letter reaches K
+
+    def on_step(table):
+        total = 0
+        for c, (i, j) in table:  # X_i X_j: X_j acts first
+            assert (i >= K) != (j >= K)
+            total += c * a * (x**j * mu[i - K] if i >= K else x**i * lam[j - K])
+        return sp.expand(total)
+
+    def r(m):
+        d = [v - u for u, v in zip(lam, mu)]
+        return (3 * x * d[m + 2] - 3 * x**2 * d[m + 1] - d[m + 3] + x**3 * d[m]
+                - s2 * (d[m + 1] - x * d[m]) + s3 * (lam[m] + mu[m]))
+
+    for m, n in itertools.product(range(3), repeat=2):
+        want = sp.expand(x**n * a * r(m))
+        assert on_step(quad_terms(m + K, n, s2, s3)) == want, (m, n)
+        assert on_step(quad_terms(m + K, n, s2, -s3)) != want, (m, n)
 
 
 @pytest.mark.parametrize("mode", MODES)
