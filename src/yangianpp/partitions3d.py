@@ -110,17 +110,11 @@ def box_weight(box, params):
     return params.field.reduce(params.chi + i * params.h1 + j * params.h2 + k * params.h3)
 
 
-def distinct_weights(ws, what):
-    """ws, a list of (item, weight); Resonance if two weights collide."""
+def distinct_weights(ws, what, label):
+    """ws, the (item, weight) pairs of the `what` of label; Resonance on a collision."""
     if len({w for _, w in ws}) != len(ws):
-        raise Resonance(f"{what} share a weight")
+        raise Resonance(f"{what} of {label!r} share a weight")
     return ws
-
-
-def addible_weights(lam: Partition3D, params):
-    """Weights of the addible boxes; Resonance if two collide."""
-    ws = [(b, box_weight(b, params)) for b in lam.addible_boxes()]
-    return distinct_weights(ws, f"addible boxes of {lam!r}")
 
 
 def enumerate_plane_partitions(max_boxes: int, cap: int = DEFAULT_CAP):
@@ -148,6 +142,8 @@ class C3:
         self.level_cap = level_cap
         self.kernel = Kernel.c3(params)
         self._boxes = {}  # box -> (weight, ratio factors, fac factors)
+        # kind -> (h factors, F factors) of one atom, roots relative to its weight
+        self.kinds = {"head": ([(0, -1)], []), "box": (self.kernel.ratio(0)[1], self.kernel.fac(0))}
 
     def to_json(self):
         return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
@@ -155,9 +151,18 @@ class C3:
     def basis(self):
         return enumerate_plane_partitions(self.level_cap, cap=max(DEFAULT_CAP, self.level_cap))
 
+    def moves(self, lam):
+        """(lam + box, weight, box) per addible box; Resonance on a collision."""
+        ws = [(b, self._box(b)[0]) for b in lam.addible_boxes()]
+        return [(lam.add(b), x, b) for b, x in distinct_weights(ws, "addible boxes", lam)]
+
     def steps(self, lam):
-        """(lam + box, weight) per addible box; Resonance on a collision."""
-        return [(lam.add(b), x) for b, x in addible_weights(lam, self.params)]
+        return [(tgt, x) for tgt, x, _ in self.moves(lam)]
+
+    def atoms(self, lam):
+        """(sign of h, sign of F, [(kind, lattice vector)]): the head's pole at
+        the corner, which the diagonal boxes (k, k, k) share, then the boxes."""
+        return 1, 1, [("head", (0, 0, 0))] + [("box", b) for b in lam]
 
     def removable(self, lam):
         return [self._box(b)[0] for b in lam.removable_boxes()]

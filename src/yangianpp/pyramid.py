@@ -253,6 +253,11 @@ class Conifold:
         self.erc = build_erc(m, cap=max(DEFAULT_CAP, m))
         self.kernel = Kernel.c3(params)
         self.tag = f"conifold:{m}(sector {sector})"
+        q, h, t = params.q, params.h, params.t
+        # kind -> (h factors, F factors) of one atom, roots relative to its weight
+        self.kinds = {"head": ([(0, 1)], []), "framing": ([], [(0, 1)]),
+                      "pair": (self.kernel.ratio(0)[1], self.kernel.fac(0)),
+                      "black": ([(0, 1), (-q, 1), (-h, 1), (t, -1)], [(-q, 1), (-h, 1)])}
 
     def to_json(self):
         return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json(),
@@ -263,10 +268,25 @@ class Conifold:
         groups = enumerate_pyramids(self.m, max_stones, sector=self.sector, cap=max(DEFAULT_CAP, self.m))
         return [groups.get((self.sector + nw, nw), []) for nw in range(self.level_cap + 1)]
 
+    def moves(self, pi):
+        """(pi + pair, weight, its black's lattice vector) per addible pair; Resonance on a collision."""
+        ws = [(p, stone_weight(p.black, self.params)) for p in addible_pairs(pi, self.erc)]
+        ws = distinct_weights(ws, "addible pairs", pi)
+        return [(pi.with_pair(p), x, (p.black.c, p.black.a, p.black.k - p.black.a)) for p, x in ws]
+
     def steps(self, pi):
-        """(pi + pair, weight) per addible pair; Resonance on a collision."""
-        ws = [(pi.with_pair(p), stone_weight(p.black, self.params)) for p in addible_pairs(pi, self.erc)]
-        return distinct_weights(ws, f"addible pairs of {pi!r}")
+        return [(tgt, x) for tgt, x, _ in self.moves(pi)]
+
+    def atoms(self, pi):
+        """(sign of h, sign of F, [(kind, lattice vector)]) on the axes t, q, h:
+        the head at (m, 0, 0), the framing factors at (i, 0, 0), i = 0..m, and
+        each black (k; a, c) at (c, a, k - a), as a completed pair or unpaired."""
+        present, m = set(pi.stones), self.m
+        blacks = [("pair" if self.erc.pair_white_of(s) in present else "black", (s.c, s.a, s.k - s.a))
+                  for s in pi.blacks()]
+        sign = (-1) ** (m + 1)
+        atoms = [("head", (m, 0, 0))] + [("framing", (i, 0, 0)) for i in range(m + 1)] + blacks
+        return sign * (-1) ** sum(kind == "black" for kind, _ in blacks), sign, atoms
 
     def removable(self, pi):
         return [stone_weight(p.black, self.params) for p in removable_pairs(pi, self.erc)]
@@ -283,18 +303,6 @@ class Conifold:
             else:
                 factors += [(x, 1), (x - p.q, 1), (x - p.h, 1), (x + p.t, -1)]
         return factors
-
-    def lowering(self, pi):
-        """(constant, factors) of the lowering factor F(z): the kernel's
-        fac(z|x) per completed pair, (z-x+q)(z-x+h) per unpaired black.
-        A white lies directly below its paired black, so is never unpaired."""
-        p, present = self.params, set(pi.stones)
-        factors = [(p.chi + i * p.t, 1) for i in range(self.m + 1)]
-        for st in pi.blacks():
-            x = stone_weight(st, p)
-            paired = self.erc.pair_white_of(st) in present
-            factors += self.kernel.fac(x) if paired else [(x - p.q, 1), (x - p.h, 1)]
-        return (-1) ** (self.m + 1) * p.field.one, factors
 
     def head(self, pi):
         """(constant, factors) of h_rat over the stone product:

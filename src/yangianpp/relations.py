@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InconsistentShift
-from .exact import QQ, rational_str, same_field
+from .exact import rational_str, same_field
 from .reps import Geometry, Representation, SparseOperator, detect_shift
 
 
@@ -223,9 +223,9 @@ def _entry(rep, n, shift, tgt, src):
     return f"level {n}, entry ({tgt},{src}): {labels}"
 
 
-def _report(relation, start, domain, worst, detail="", field=QQ):
+def _report(relation, start, domain, worst, field, detail=""):
     """worst is None or (discrepancy, where) of the first failing cell; the
-    discrepancy is a scalar of `field` (a rational 1 for a failed property)."""
+    discrepancy is a scalar of `field` (its one for a failed property)."""
     dt = time.monotonic() - start
     if domain == 0:
         return RelationReport(relation, "empty-domain", 0, "0", dt)
@@ -416,18 +416,18 @@ def check_pole_support(rep: Representation) -> RelationReport:
         expected = {x for _, x in g.steps(lab)} | set(g.removable(lab))
         if set(h.poles()) != expected and worst is None:
             worst = (1, f"level {n}: {lab!r}")
-    return _report("pole-support", start, domain, worst)
+    return _report("pole-support", start, domain, worst, g.params.field)
 
 
 def check_shift(rep: Representation, expect) -> RelationReport:
-    start = time.monotonic()
+    start, field = time.monotonic(), rep.geometry.params.field
     try:
         l, z1 = detect_shift(rep)
     except InconsistentShift as exc:
-        return RelationReport("shift", "fail", rep.basis.size(), "1", time.monotonic() - start, str(exc))
-    status, discrepancy = ("pass", "0") if (l, z1) == expect else ("fail", "1")
-    detail = f"l={l:+d}, z1={rep.geometry.params.field.str(z1)}"
-    return RelationReport("shift", status, rep.basis.size(), discrepancy, time.monotonic() - start, detail)
+        return _report("shift", start, rep.basis.size(), (field.one, str(exc)), field)
+    detail = f"l={l:+d}, z1={field.str(z1)}"
+    worst = None if (l, z1) == expect else (field.one, detail)
+    return _report("shift", start, rep.basis.size(), worst, field, detail)
 
 
 def expected_shift(geometry):

@@ -2,22 +2,16 @@
 rational series, on the crystal of a geometry: `partitions3d.C3` (3D
 partitions) or `pyramid.Conifold` (length-m pyramid partitions).
 
-Matrix coefficients come from equivariant residue calculus.  On a transition
-lam -> lam + box (or + pair) at spectral position x, the diagonal series
-h(z) = h_rat(lam) of the smaller configuration has a simple pole at x, and
-the transition reads its residue there.  The split of that residue between
-e and f is pinned by
+A step lam -> lam + box (or + pair) at weight x splits the residue at x of
+the diagonal series h(z) of lam between e and f,
 
-    <lam|e_i|lam+box> * <lam+box|f_j|lam> = Res_{z=x} z^(i+j) h(z)
+    <lam|e_i|lam+box> * <lam+box|f_j|lam> = Res_{z=x} z^(i+j) h(z),
 
-with the f side normalized to the reduced evaluation at x of the lowering
-factor F(z) (all factors vanishing at x deleted first).  h factors as
-E(z)*F(z), with E the raising integrand that the tests keep as their oracle.
-Wherever E has a simple pole and F is nonvanishing at x, the split
-reproduces the naive Res(z^i E) and z^j F(x) coefficients verbatim; it
-remains finite and correct at the weight collisions forced by
-h1 + h2 + h3 = 0, where the naive split degenerates.
-
+the f side being the reduced evaluation at x of the lowering factor F(z),
+finite at the collisions forced by h1 + h2 + h3 = 0.  Each atom of lam
+gives factors of h and F whose values at x depend only on its displacement
+to the step, and `transitions` multiplies those values.  `h_rat` states h
+independently, one form per label, for the checks to compare against.
 Operators are stored on field scalars.
 """
 
@@ -25,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from math import prod
 
 from . import partitions3d as p3
 from . import pyramid as pyr
@@ -151,13 +146,8 @@ class SparseOperator:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal series and lowering factor
+# Diagonal series
 # ---------------------------------------------------------------------------
-
-
-def lowering_form(label, geometry) -> LinForm:
-    """Lowering factor F(z): products over the stones/boxes of the smaller label."""
-    return LinForm(*geometry.lowering(label), geometry.params.field)
 
 
 def stone_product(label, geometry) -> LinForm:
@@ -173,7 +163,7 @@ def h_rat(label, geometry) -> LinForm:
     times the stone product.
 
     Over the smaller label of a transition this is the diagonal integrand,
-    the raising integrand times lowering_form, which the tests assert.
+    the raising integrand times the lowering factor, which the tests assert.
     """
     return LinForm(*geometry.head(label), geometry.params.field) * stone_product(label, geometry)
 
@@ -191,35 +181,47 @@ class Representation:
         self.geometry = geometry
         self.basis = FixedPointBasis(geometry)
         self._trans = {}  # level n -> list of (si, ti, x, rho, fhat)
+        self._values = {}  # (kind, displacement) -> _value of an atom at a step
         self._h = {}  # label -> h_rat(label)
 
     def transitions(self, n):
         """(src_idx, tgt_idx, x, rho, fhat) for every raising step from level n.
 
         For the step label -> label + (box/pair at weight x), rho is the
-        residue at x of h_rat(label) (the pole must be simple: weight
-        collisions of higher order would make the raising/lowering split
-        ill-posed) and fhat is the reduced evaluation of the lowering factor
-        there.
+        residue of h(z) on label at x and fhat the reduced evaluation of F(z)
+        there: the label's sign times one value per atom, read once per
+        (kind, displacement).  The atoms' pole orders at x add up; above 1,
+        the raising/lowering split would be ill-posed.
         """
         if n not in self._trans:
-            g, basis = self.geometry, self.basis
-            out = []
+            g, basis, field = self.geometry, self.basis, self.geometry.params.field
+            values, out = self._values, []
             for si, lab in enumerate(basis.level(n)):
-                steps = g.steps(lab)
-                h = self.h_rat(lab)
-                low = lowering_form(lab, g)
-                for tgt, x in steps:
-                    order = -h.exponent_of(x)
+                hsign, fsign, atoms = g.atoms(lab)
+                for tgt, x, (a, b, c) in g.moves(lab):
+                    keys = [(kind, a - i, b - j, c - k) for kind, (i, j, k) in atoms]
+                    order, hn, hd, fn, fd = zip(*[values.get(key) or self._value(key) for key in keys])
+                    order = sum(order)
                     if order > 1:
-                        raise Resonance(
-                            f"diagonal integrand has a pole of order {order} at {g.params.field.str(x)}"
-                        )
+                        raise Resonance(f"diagonal integrand has a pole of order {order} at {field.str(x)}")
+                    rho = field.ratio(hsign * prod(hn), prod(hd)) if order == 1 else field.zero
                     # the enumeration is complete per level, so tgt has an index
-                    ti = basis.index(n + 1, tgt)
-                    out.append((si, ti, x, h.residue_at(x), low.eval_reduced(x)))
+                    out.append((si, basis.index(n + 1, tgt), x, rho, field.ratio(fsign * prod(fn), prod(fd))))
             self._trans[n] = out
         return self._trans[n]
+
+    def _value(self, key):
+        """(pole order, h numerator, h denominator, F numerator, F denominator)
+        of one atom at a step, key = (kind, displacement): the products of its
+        factors there, vanishing ones deleted and their exponents in h summed."""
+        (kind, i, j, k), p = key, self.geometry.params
+        field, u = p.field, p.field.reduce(i * p.h1 + j * p.h2 + k * p.h3)
+        hf, ff = ([(field.reduce(u - r), e) for r, e in fs] for fs in self.geometry.kinds[kind])
+        value = [-sum(e for w, e in hf if not w)]
+        for fs in (hf, ff):
+            value += field.split(field.reduce(prod((field.power(w, e) for w, e in fs if w), start=field.one)))
+        self._values[key] = value = tuple(value)
+        return value
 
     def build_e(self, i: int) -> SparseOperator:
         field = self.geometry.params.field

@@ -205,6 +205,28 @@ MUTANTS = [
         "if ratio.denominator < bound and",
         EXACT + "test_genericity_gate_matches_scan",
     ),
+    # Step constants multiply one value per (kind, displacement) of an atom.
+    (
+        "displacement-sign-flipped",
+        "reps.py",
+        "(kind, a - i, b - j, c - k)",
+        "(kind, i - a, j - b, k - c)",
+        REPS + "test_transitions_equal_the_whole_form_oracle",
+    ),
+    (
+        "head-pole-order-dropped",
+        "reps.py",
+        "order = sum(order)",
+        "order = sum(order[1:])",
+        REPS + "test_transitions_equal_the_whole_form_oracle",
+    ),
+    (
+        "pole-guard-loosened",
+        "reps.py",
+        "if order > 1:",
+        "if order > 2:",
+        REPS + "test_pole_of_higher_order_raises_resonance",
+    ),
     (
         "division-leftover-unchecked",
         "shuffle.py",

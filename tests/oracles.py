@@ -4,7 +4,8 @@ These deliberately avoid the library's incremental algorithms: partitions by
 filtering raw box subsets, pyramids by filtering raw stone subsets, counts by
 the classical generating function, residues by an independent CAS,
 resonances by scanning every integer pair, the raising integrand by one
-product per box, the per-box eigenvalue factor written out, and relations
+product per box, the step constants by residues of whole forms, the
+per-box eigenvalue factor written out, and relations
 by the matrix route: every word of every instance one product of whole
 operators.
 """
@@ -14,9 +15,10 @@ from itertools import combinations
 
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
+from yangianpp.errors import Resonance
 from yangianpp.exact import GFP, PRIME, LinForm, same_field
 from yangianpp.relations import ef_terms, quad_terms, serre_terms
-from yangianpp.reps import SparseOperator
+from yangianpp.reps import SparseOperator, h_rat
 
 
 def plane_partition_subsets(n):
@@ -44,6 +46,13 @@ def plane_partition_subsets(n):
         if ok:
             out.append(tuple(sorted(combo)))
     return sorted(out)
+
+
+def addible_weights(lam, params):
+    """Weights of the addible boxes of lam, each weighed afresh; Resonance
+    if two collide."""
+    ws = [(b, p3.box_weight(b, params)) for b in lam.addible_boxes()]
+    return p3.distinct_weights(ws, "addible boxes", lam)
 
 
 def plane_partition_counts_gf(nmax):
@@ -109,6 +118,43 @@ def integrand_e(label, geometry):
         else:
             f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)], p.field)
     return f
+
+
+def lowering_form(label, geometry):
+    """Lowering factor F(z) of the smaller label of a step: C3's own product
+    of fac(z|x) over the boxes; on the conifold, restated here, the
+    kernel's fac(z|x) per completed pair and (z-x+q)(z-x+h) per unpaired
+    black, times prod_{i=0..m} (z - chi - i*t) and the sign (-1)^(m+1).
+    A white lies directly below its paired black, so is never unpaired."""
+    p = geometry.params
+    if geometry.kind == "c3":
+        return LinForm(*geometry.lowering(label), p.field)
+    present = set(label.stones)
+    factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
+    for st in label.blacks():
+        x = pyr.stone_weight(st, p)
+        paired = geometry.erc.pair_white_of(st) in present
+        factors += geometry.kernel.fac(x) if paired else [(x - p.q, 1), (x - p.h, 1)]
+    return LinForm((-1) ** (geometry.m + 1) * p.field.one, factors, p.field)
+
+
+def transitions_oracle(rep, n):
+    """rep.transitions(n) by whole forms: for each step from a level-n label
+    at weight x, the residue at x of h_rat(label) and the reduced
+    evaluation of the lowering form there, with the same Resonance on a
+    pole of order above 1."""
+    g, basis = rep.geometry, rep.basis
+    out = []
+    for si, lab in enumerate(basis.level(n)):
+        steps = g.steps(lab)
+        h = h_rat(lab, g)
+        low = lowering_form(lab, g)
+        for tgt, x in steps:
+            order = -h.exponent_of(x)
+            if order > 1:
+                raise Resonance(f"diagonal integrand has a pole of order {order} at {g.params.field.str(x)}")
+            out.append((si, basis.index(n + 1, tgt), x, h.residue_at(x), low.eval_reduced(x)))
+    return out
 
 
 def box_local_factor(x, params):

@@ -79,7 +79,8 @@ def test_criterion_02_pyramid_enumeration():
 
 
 def _pole_support_c3(params):
-    from yangianpp.partitions3d import addible_weights, box_weight
+    from oracles import addible_weights
+    from yangianpp.partitions3d import box_weight
 
     g = Geometry("c3", params, 6)
     for levels in [enumerate_plane_partitions(6)]:

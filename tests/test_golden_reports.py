@@ -3,7 +3,9 @@
 `rep check` reports (without their `time` fields) and `shift` outputs for
 c3 N=5 and conifold m in {2, 3} x sectors {1, 2} N=4, both modes, seed 2024;
 the SHA-256 of the `rep build` files for c3 N=5 and conifold m=3 x sectors
-{1, 2} N=4 at `--imax 2`, both modes; and the `enum` outputs for plane
+{1, 2} N=4 at `--imax 2`, for c3 N=8 at `--imax 3` (the benchmark's
+round-trip file, seed 2024000) and for conifold m=5 sector 2 N=5 at
+`--imax 2`, both modes; and the `enum` outputs for plane
 partitions up to 6 boxes and length-3 pyramids up to 8 stones, in every
 sector and in sectors 1 and 2; `shuffle mul` of `x x^2` and `1 x` and the
 `shuffle check` reports (without `time`) for the kernels c3, a1 and
@@ -35,7 +37,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GEOMETRIES = [("c3", "1", "5")] + [
     (f"conifold:{m}", str(sector), "4") for m in (2, 3) for sector in (1, 2)
 ]
-BUILDS = [("c3", "1", "5")] + [("conifold:3", str(sector), "4") for sector in (1, 2)]
+BUILDS = [("c3", "1", "5", "2", "2024")] + [("conifold:3", str(sector), "4", "2", "2024") for sector in (1, 2)] + [
+    ("c3", "1", "8", "3", "2024000"),  # the file of the benchmark's c3-roundtrip, first repeat
+    ("conifold:5", "2", "5", "2", "2024"),
+]
 MODES = ("rational", "prime-field")
 ENUMS = [
     ["enum", "pp", "--max-boxes", "6"],
@@ -52,10 +57,10 @@ def runs():
             tail = ["--mode", mode, "--seed", "2024"]
             yield ["rep", "check"] + common + ["--imax", "2"] + tail
             yield ["shift"] + common + tail
-    for geometry, sector, level in BUILDS:
+    for geometry, sector, level, imax, seed in BUILDS:
         for mode in MODES:
             yield ["rep", "build", "--geometry", geometry, "--sector", sector, "--level", level,
-                   "--imax", "2", "--mode", mode, "--seed", "2024"]
+                   "--imax", imax, "--mode", mode, "--seed", seed]
     yield from ENUMS
     for kernel in KERNELS:
         for left, right in OPERANDS:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_in_field, box_local_factor, integrand_e
-from yangianpp import Geometry, LinForm, Params, Representation, detect_shift
+from oracles import assert_in_field, box_local_factor, integrand_e, lowering_form, transitions_oracle
+from yangianpp import Geometry, LinForm, Params, Representation, Resonance, detect_shift
 from yangianpp.exact import FIELDS, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
@@ -15,7 +15,6 @@ from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
 from yangianpp.reps import (
     SparseOperator,
     h_rat,
-    lowering_form,
     operators_to_json,
     stone_product,
 )
@@ -186,6 +185,58 @@ def test_transitions_match_oracle_split(kind, m, sector, steps, mode):
             assert (rho, fhat) == oracle_split(lab, x, rep.geometry)
             count += 1
     assert count == steps
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize("seed", [2024000, 7411000])
+@pytest.mark.parametrize(
+    "kind,level,m,sector,steps",
+    [("c3", 8, 0, 0, 818)] + [("conifold", 5, m, s, n) for (m, s), n in
+                              zip([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)], [3, 6, 6, 30, 10, 82])],
+)
+def test_transitions_equal_the_whole_form_oracle(kind, level, m, sector, steps, seed, mode):
+    """The step constants read from per-displacement values are the
+    residues and reduced evaluations of whole forms, tuple for tuple and
+    scalar type for scalar type."""
+    rep = Representation(Geometry(kind, random_params(seed, mode=mode), level, m=m, sector=sector))
+    count = 0
+    for n in range(rep.basis.top_level):
+        got, want = rep.transitions(n), transitions_oracle(rep, n)
+        assert got == want
+        assert [type(v) for t in got for v in t] == [type(v) for t in want for v in t]
+        count += len(got)
+    assert count == steps
+
+
+def _zero_moved(kernel, x):
+    """The ratio form with its zero at x - h1 moved to x + h1."""
+    ws = kernel.numerator_weights
+    return 1, [(x + ws[0], 1)] + [(x - w, 1) for w in ws[1:]] + [(x + w, -1) for w in ws]
+
+
+def _h1_flipped(kernel, x):
+    """The ratio form of the weights (-h1, h2, h3), fac left alone."""
+    ws = (-kernel.numerator_weights[0],) + kernel.numerator_weights[1:]
+    return 1, [(x - w, 1) for w in ws] + [(x + w, -1) for w in ws]
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize("ratio,order", [(_zero_moved, 2), (_h1_flipped, 3)])
+def test_pole_of_higher_order_raises_resonance(monkeypatch, mode, ratio, order):
+    """A ratio form broken on one side leaves a pole of order 2 or 3 at the
+    weight chi - h1 of the step to (0, 1, 1) over (0, 0, 0), (0, 0, 1) and
+    (0, 1, 0), and that step is refused with the pole's order, as by the
+    whole-form oracle.  Levels below it have no such step."""
+    params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+    monkeypatch.setattr(Kernel, "ratio", ratio)
+    rep = Representation(Geometry("c3", params, 4))
+    assert rep.transitions(2)
+    x = params.field.str(box_weight((0, 1, 1), params))
+    msg = f"diagonal integrand has a pole of order {order} at {x}$"
+    with pytest.raises(Resonance, match=msg):
+        rep.transitions(3)
+    with pytest.raises(Resonance, match=msg):
+        transitions_oracle(rep, 3)
 
 
 def test_matcoef_e_vacuum(c3, params):
