@@ -147,7 +147,7 @@ def _verify_operator_file(path, args) -> int:
         for key, opjson in families[fam].items():
             try:
                 stored_op = SparseOperator.from_json(opjson, params.field)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"operator file has a malformed {fam}_{key}: {exc!r}") from exc
             if builder(int(key)).to_json() != stored_op.to_json():
                 print(

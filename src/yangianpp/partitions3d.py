@@ -3,8 +3,9 @@
 These index the torus-fixed basis of the rank-one Hilbert-scheme side.
 Boxes are (i, j, k) tuples with the corner box at (0, 0, 0); a partition is
 canonically stored as a lexicographically sorted tuple of boxes.  `grow`
-enumerates graded order ideals of any poset; `C3` is everything the
-representation needs to know about this geometry.
+enumerates graded order ideals of any poset.  `C3` is the geometry: its
+`atoms` and `kinds` state h(z) and the lowering factor once, per box, and
+`reps.h_rat` is their whole form (the tests state both independently).
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class Partition3D:
             raise ValueError("boxes must be nonnegative integer triples")
         self.boxes = bs
 
-    def is_valid(self) -> bool:
-        s = set(self.boxes)
-        return all(p in s for b in self.boxes for p in _preds(b))
-
     def __len__(self):
         return len(self.boxes)
 
@@ -82,10 +79,6 @@ class Partition3D:
 
     def add(self, box) -> "Partition3D":
         return Partition3D(self.boxes + (tuple(box),))
-
-    def remove(self, box) -> "Partition3D":
-        b = tuple(box)
-        return Partition3D(tuple(x for x in self.boxes if x != b))
 
     def addible_boxes(self):
         """Boxes whose addition keeps the order-ideal property."""
@@ -141,7 +134,7 @@ class C3:
         self.params = params
         self.level_cap = level_cap
         self.kernel = Kernel.c3(params)
-        self._boxes = {}  # box -> (weight, ratio factors, fac factors)
+        self._weights = {}  # box -> box_weight(box)
         # kind -> (h factors, F factors) of one atom, roots relative to its weight
         self.kinds = {"head": ([(0, -1)], []), "box": (self.kernel.ratio(0)[1], self.kernel.fac(0))}
 
@@ -153,11 +146,8 @@ class C3:
 
     def moves(self, lam):
         """(lam + box, weight, box) per addible box; Resonance on a collision."""
-        ws = [(b, self._box(b)[0]) for b in lam.addible_boxes()]
+        ws = [(b, self._weight(b)) for b in lam.addible_boxes()]
         return [(lam.add(b), x, b) for b, x in distinct_weights(ws, "addible boxes", lam)]
-
-    def steps(self, lam):
-        return [(tgt, x) for tgt, x, _ in self.moves(lam)]
 
     def atoms(self, lam):
         """(sign of h, sign of F, [(kind, lattice vector)]): the head's pole at
@@ -165,26 +155,14 @@ class C3:
         return 1, 1, [("head", (0, 0, 0))] + [("box", b) for b in lam]
 
     def removable(self, lam):
-        return [self._box(b)[0] for b in lam.removable_boxes()]
+        return [self._weight(b) for b in lam.removable_boxes()]
 
-    def _box(self, box):
-        """(weight, ratio factors, fac factors) of a box, computed once."""
-        if box not in self._boxes:
-            x = box_weight(box, self.params)
-            self._boxes[box] = x, self.kernel.ratio(x)[1], self.kernel.fac(x)
-        return self._boxes[box]
-
-    def stone_factors(self, lam):
-        """The kernel's ratio form per box; its constant is (-1)^2 = 1."""
-        return [f for b in lam for f in self._box(b)[1]]
-
-    def lowering(self, lam):
-        """(constant, factors) of the lowering factor F(z): fac(z|x) per box."""
-        return self.params.field.one, [f for b in lam for f in self._box(b)[2]]
-
-    def head(self, lam):
-        """(constant, factors) of h_rat over the stone product: 1/(z-chi)."""
-        return self.params.field.one, [(self.params.chi, -1)]
+    def _weight(self, box):
+        """box_weight(box), computed once per box."""
+        x = self._weights.get(box)
+        if x is None:
+            x = self._weights[box] = box_weight(box, self.params)
+        return x
 
     def expected_shift(self):
         """(l, z1) of the shift: l = -1 at the framing weight."""

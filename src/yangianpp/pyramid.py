@@ -13,8 +13,9 @@ weights: a white sits directly below the blacks one layer up whose weight
 exceeds it by q or h; a black sits directly below the whites one layer up at
 weight offset 0 or t.  A pyramid partition is an upward-closed subset; adding
 or removing happens through equal-weight black/white pairs
-(black (k; a, c) with white (k+1; a, c)).  `Conifold` is everything the
-representation needs to know about this geometry.
+(black (k; a, c) with white (k+1; a, c)).  `Conifold` is the geometry: its
+`atoms` and `kinds` state h(z) and the lowering factor once, per pair or
+unpaired black, and `reps.h_rat` is their whole form.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class PyramidPartition:
         self.m = m
         self.stones = tuple(sorted(set(stones), key=_stone_sort_key))
 
-    def is_valid(self, erc: ERC) -> bool:
-        s = set(self.stones)
-        return all(c in s for st in self.stones for c in erc.covers(st))
-
     def __len__(self):
         return len(self.stones)
 
@@ -144,10 +141,6 @@ class PyramidPartition:
 
     def with_pair(self, pair: Pair) -> "PyramidPartition":
         return PyramidPartition(self.m, self.stones + (pair.black, pair.white))
-
-    def without_pair(self, pair: Pair) -> "PyramidPartition":
-        drop = {pair.black, pair.white}
-        return PyramidPartition(self.m, tuple(s for s in self.stones if s not in drop))
 
     def to_json(self):
         return [{"color": s.color, "k": s.k, "a": s.a, "c": s.c} for s in self.stones]
@@ -274,9 +267,6 @@ class Conifold:
         ws = distinct_weights(ws, "addible pairs", pi)
         return [(pi.with_pair(p), x, (p.black.c, p.black.a, p.black.k - p.black.a)) for p, x in ws]
 
-    def steps(self, pi):
-        return [(tgt, x) for tgt, x, _ in self.moves(pi)]
-
     def atoms(self, pi):
         """(sign of h, sign of F, [(kind, lattice vector)]) on the axes t, q, h:
         the head at (m, 0, 0), the framing factors at (i, 0, 0), i = 0..m, and
@@ -290,26 +280,6 @@ class Conifold:
 
     def removable(self, pi):
         return [stone_weight(p.black, self.params) for p in removable_pairs(pi, self.erc)]
-
-    def stone_factors(self, pi):
-        """The kernel's ratio form (constant 1) per completed pair, and
-        (z-x)(z-x+q)(z-x+h)/(z-x-t) per black whose paired white is absent."""
-        p, present = self.params, set(pi.stones)
-        factors = []
-        for st in pi.blacks():
-            x = stone_weight(st, p)
-            if self.erc.pair_white_of(st) in present:
-                factors += self.kernel.ratio(x)[1]
-            else:
-                factors += [(x, 1), (x - p.q, 1), (x - p.h, 1), (x + p.t, -1)]
-        return factors
-
-    def head(self, pi):
-        """(constant, factors) of h_rat over the stone product:
-        (-1)^(unpaired blacks + m + 1) * (z - chi - m*t)."""
-        p = self.params
-        sign = (-1) ** (black_only_count(pi, self.erc) + self.m + 1)
-        return sign * p.field.one, [(p.chi + self.m * p.t, 1)]
 
     def expected_shift(self):
         """(l, z1) of the shift: l = +1 at chi + m*t."""

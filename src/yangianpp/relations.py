@@ -413,7 +413,7 @@ def check_pole_support(rep: Representation) -> RelationReport:
         if any(e < -1 for _, e in h.factors):
             worst = worst or (1, f"level {n}: {lab!r}")
             continue
-        expected = {x for _, x in g.steps(lab)} | set(g.removable(lab))
+        expected = {x for _, x, _ in g.moves(lab)} | set(g.removable(lab))
         if set(h.poles()) != expected and worst is None:
             worst = (1, f"level {n}: {lab!r}")
     return _report("pole-support", start, domain, worst, g.params.field)

@@ -8,17 +8,21 @@ the diagonal series h(z) of lam between e and f,
     <lam|e_i|lam+box> * <lam+box|f_j|lam> = Res_{z=x} z^(i+j) h(z),
 
 the f side being the reduced evaluation at x of the lowering factor F(z),
-finite at the collisions forced by h1 + h2 + h3 = 0.  Each atom of lam
-gives factors of h and F whose values at x depend only on its displacement
-to the step, and `transitions` multiplies those values.  `h_rat` states h
-independently, one form per label, for the checks to compare against.
-Operators are stored on field scalars.
+finite at the collisions forced by h1 + h2 + h3 = 0.  The geometry states
+its factors once, per atom: `atoms(label)` lists the label's signs and
+atoms, and `kinds` each kind's factors of h and F.  An atom's values at x
+depend only on its displacement to the step, and `transitions` multiplies
+those values; `h_rat` is the whole form of the same statement, which the
+checks read.  The independent statements of h are in the tests (the raising
+integrand times the lowering factor).  Operators are stored on field
+scalars.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 from math import prod
 
 from . import partitions3d as p3
@@ -136,12 +140,19 @@ class SparseOperator:
 
     @classmethod
     def from_json(cls, obj, field):
-        """Inverse of to_json, reading entries as scalars of `field`."""
+        """Inverse of to_json, reading entries as scalars of `field`; a
+        repeated level or (target, source) key, or a zero entry, which
+        to_json never writes, is a ValueError."""
         op = cls(int(obj["shift"]), field=field)
         for lev in obj["levels"]:
-            n = int(lev["n"])
+            n, blk = int(lev["n"]), {}
+            if op.blocks.setdefault(n, blk) is not blk:
+                raise ValueError(f"level {n} is repeated")
             for i, j, v in lev["entries"]:
-                op.add_entry(n, int(i), int(j), field.of(v))
+                key, v = (int(i), int(j)), field.of(v)
+                if key in blk or not v:
+                    raise ValueError(f"entry {key} of level {n} is repeated or zero")
+                blk[key] = v
         return op
 
 
@@ -150,22 +161,37 @@ class SparseOperator:
 # ---------------------------------------------------------------------------
 
 
+_ROOTS = weakref.WeakKeyDictionary()  # geometry -> {(kind, lattice vector): h factors}; kinds stay fixed
+
+
+def _atom_form(label, geometry, head):
+    """The label's atoms' h factors at their weights, read once per (kind, lattice
+    vector) and geometry; with the head atom and the label's sign of h, or neither."""
+    params, roots = geometry.params, _ROOTS.setdefault(geometry, {})
+    sign, _, atoms = geometry.atoms(label)
+    factors = []
+    for kind, v in atoms:
+        if head or kind != "head":
+            fs = roots.get((kind, v))
+            if fs is None:
+                x = p3.box_weight(v, params)
+                fs = roots[kind, v] = [(x + r, e) for r, e in geometry.kinds[kind][0]]
+            factors += fs
+    return LinForm((sign if head else 1) * params.field.one, factors, params.field)
+
+
 def stone_product(label, geometry) -> LinForm:
     """The label-dependent part of the diagonal series: one local factor
-    per atom of the label, as the geometry lists them.  This is also the
-    eigenvalue of the diagonal psi-series."""
-    field = geometry.params.field
-    return LinForm(field.one, geometry.stone_factors(label), field)
+    per atom of the label but the head.  This is also the eigenvalue of the
+    diagonal psi-series."""
+    return _atom_form(label, geometry, head=False)
 
 
 def h_rat(label, geometry) -> LinForm:
-    """Diagonal rational series h(z) on a basis vector: the geometry's head
-    times the stone product.
-
-    Over the smaller label of a transition this is the diagonal integrand,
-    the raising integrand times the lowering factor, which the tests assert.
-    """
-    return LinForm(*geometry.head(label), geometry.params.field) * stone_product(label, geometry)
+    """Diagonal rational series h(z) on a basis vector: the label's sign
+    times one local factor per atom, the head's included; over the smaller
+    label of a step, the raising integrand times the lowering factor."""
+    return _atom_form(label, geometry, head=True)
 
 
 # ---------------------------------------------------------------------------

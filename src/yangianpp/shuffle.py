@@ -188,14 +188,6 @@ class SymPoly:
         """coeff * x^r in one variable, the rational coeff mapped into `field`."""
         return cls(MPoly.monomial(1, (r,), field.of(coeff), field))
 
-    def orbit_terms(self):
-        """Map from sorted (descending) exponent tuples to coefficients."""
-        return {
-            tuple(sorted(e, reverse=True)): c
-            for e, c in self.poly.terms.items()
-            if tuple(sorted(e, reverse=True)) == e
-        }
-
     def is_zero(self):
         return self.poly.is_zero()
 

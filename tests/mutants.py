@@ -227,6 +227,29 @@ MUTANTS = [
         "if order > 2:",
         REPS + "test_pole_of_higher_order_raises_resonance",
     ),
+    # h is stated once, per atom (atoms and kinds): a kind's factor, the
+    # head's place in the stone product and an atom's weight.
+    (
+        "black-t-factor-sign",
+        "pyramid.py",
+        "(-h, 1), (t, -1)]",
+        "(-h, 1), (-t, -1)]",
+        REPS + "test_h_rat_equals_raising_times_lowering",
+    ),
+    (
+        "stone-product-keeps-head",
+        "reps.py",
+        'if head or kind != "head":',
+        "if True:",
+        REPS + "test_stone_product_divides_h_exactly",
+    ),
+    (
+        "atom-weight-reversed",
+        "reps.py",
+        "x = p3.box_weight(v, params)",
+        "x = p3.box_weight(v[::-1], params)",
+        REPS + "test_h_rat_equals_raising_times_lowering",
+    ),
     (
         "division-leftover-unchecked",
         "shuffle.py",

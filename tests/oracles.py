@@ -32,20 +32,16 @@ def plane_partition_subsets(n):
         for k in range(n)
         if i + j + k <= n - 1
     ]
-    out = []
-    for combo in combinations(cells, n):
-        s = set(combo)
-        ok = True
-        for (i, j, k) in combo:
-            for p in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1)):
-                if min(p) >= 0 and p not in s:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(sorted(combo)))
-    return sorted(out)
+    return sorted(tuple(sorted(combo)) for combo in combinations(cells, n) if is_plane_partition(combo))
+
+
+def is_plane_partition(boxes):
+    """Every box's lower neighbours (i-1, j, k), (i, j-1, k), (i, j, k-1)
+    inside the first octant are boxes too."""
+    s = set(boxes)
+    return all(
+        p in s for (i, j, k) in s for p in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1)) if min(p) >= 0
+    )
 
 
 def addible_weights(lam, params):
@@ -72,12 +68,20 @@ def upward_closed_subsets(erc):
     """All upward-closed stone subsets of an ERC, by raw subset filter."""
     stones = sorted(erc.stones)
     n = len(stones)
-    out = []
-    for mask in range(1 << n):
-        subset = {stones[i] for i in range(n) if mask >> i & 1}
-        if all(c in subset for s in subset for c in erc.covers(s)):
-            out.append(frozenset(subset))
-    return out
+    subsets = ({stones[i] for i in range(n) if mask >> i & 1} for mask in range(1 << n))
+    return [frozenset(subset) for subset in subsets if is_upward_closed(subset, erc)]
+
+
+def is_upward_closed(stones, erc):
+    """Every stone directly above a stone of the set is in the set."""
+    s = set(stones)
+    return all(c in s for st in s for c in erc.covers(st))
+
+
+def orbit_terms(sym):
+    """A symmetric polynomial's coefficients keyed by descending exponent
+    tuples, one per orbit."""
+    return {e: c for e, c in sym.poly.terms.items() if tuple(sorted(e, reverse=True)) == e}
 
 
 def first_resonance(h1, h2, bound):
@@ -121,14 +125,14 @@ def integrand_e(label, geometry):
 
 
 def lowering_form(label, geometry):
-    """Lowering factor F(z) of the smaller label of a step: C3's own product
-    of fac(z|x) over the boxes; on the conifold, restated here, the
-    kernel's fac(z|x) per completed pair and (z-x+q)(z-x+h) per unpaired
-    black, times prod_{i=0..m} (z - chi - i*t) and the sign (-1)^(m+1).
-    A white lies directly below its paired black, so is never unpaired."""
+    """Lowering factor F(z) of the smaller label of a step: on c3 the
+    kernel's fac(z|x) per box; on the conifold the kernel's fac(z|x) per
+    completed pair and (z-x+q)(z-x+h) per unpaired black, times
+    prod_{i=0..m} (z - chi - i*t) and the sign (-1)^(m+1).  A white lies
+    directly below its paired black, so is never unpaired."""
     p = geometry.params
     if geometry.kind == "c3":
-        return LinForm(*geometry.lowering(label), p.field)
+        return LinForm(p.field.one, [f for b in label for f in geometry.kernel.fac(p3.box_weight(b, p))], p.field)
     present = set(label.stones)
     factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
     for st in label.blacks():
@@ -146,10 +150,10 @@ def transitions_oracle(rep, n):
     g, basis = rep.geometry, rep.basis
     out = []
     for si, lab in enumerate(basis.level(n)):
-        steps = g.steps(lab)
+        moves = g.moves(lab)
         h = h_rat(lab, g)
         low = lowering_form(lab, g)
-        for tgt, x in steps:
+        for tgt, x, _ in moves:
             order = -h.exponent_of(x)
             if order > 1:
                 raise Resonance(f"diagonal integrand has a pole of order {order} at {g.params.field.str(x)}")

@@ -108,7 +108,7 @@ def _pole_support_conifold(params):
                 h = h_rat(pi, g)
                 if any(e < -1 for _, e in h.factors):
                     return False
-                expected = {x for _, x in g.steps(pi)} | set(g.removable(pi))
+                expected = {x for _, x, _ in g.moves(pi)} | set(g.removable(pi))
                 if set(h.poles()) != expected:
                     return False
     return True

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -309,6 +310,43 @@ def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit
         op_file.write_text(json.dumps(blob))
     code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
     assert code == 2 and err.startswith("error: ") and out == ""
+
+
+def _first_e0_entry_halved(ops):
+    """The first e_0 entry written as two halves: the same sum, one key twice."""
+    entries = ops["e"]["0"]["levels"][0]["entries"]
+    i, j, v = entries[0]
+    half = Fraction(v) / 2
+    entries[:1] = [[i, j, f"{half.numerator}/{half.denominator}"]] * 2
+
+
+def _e0_level_split(ops):
+    """The first e_0 level of two or more entries written as two levels of one n."""
+    levels = ops["e"]["0"]["levels"]
+    k = next(k for k, lev in enumerate(levels) if len(lev["entries"]) > 1)
+    n, entries = levels[k]["n"], levels[k]["entries"]
+    levels[k:k + 1] = [{"n": n, "entries": entries[:1]}, {"n": n, "entries": entries[1:]}]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _first_e0_entry_halved,
+        _e0_level_split,
+        lambda ops: ops["e"]["0"]["levels"][0]["entries"].append([5, 0, "0/1"]),
+    ],
+    ids=["key-repeated", "level-repeated", "zero-entry-out-of-range"],
+)
+def test_rep_check_operator_file_rewritten_to_the_same_operator_is_usage_error(op_file, capsys, edit):
+    """An operator file that rep build cannot have written is malformed, even
+    where it sums to the built operator: a (target, source) key or a level
+    given twice, or an explicit zero entry, here at a target index outside
+    level 1."""
+    blob = json.loads(op_file.read_text())
+    edit(blob["operators"])
+    op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 2 and err.startswith("error: operator file has a malformed e_0") and out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import plane_partition_counts_gf, plane_partition_subsets
-from yangianpp import CapExceeded, Params, Partition3D, box_weight, enumerate_plane_partitions
+from oracles import is_plane_partition, plane_partition_counts_gf, plane_partition_subsets
+from yangianpp import CapExceeded, LinForm, Params, Partition3D, box_weight, enumerate_plane_partitions
 from yangianpp import partitions3d as p3
 from yangianpp.exact import random_params
+from yangianpp.reps import h_rat, stone_product
 
 
 def test_level_zero_is_empty_partition():
@@ -95,7 +97,7 @@ def _grow(n, seed):
 def test_addible_roundtrip(lam):
     for b in lam.addible_boxes():
         bigger = lam.add(b)
-        assert bigger.is_valid()
+        assert is_plane_partition(bigger)
         assert b in bigger.removable_boxes()
 
 
@@ -105,9 +107,9 @@ def test_brute_force_addible_removable(lam):
     # test every box in the bounding cube of lam plus one
     bound = max((max(b) for b in lam), default=0) + 2
     cube = [(i, j, k) for i in range(bound) for j in range(bound) for k in range(bound)]
-    addible = [b for b in cube if b not in lam and lam.add(b).is_valid()]
+    addible = [b for b in cube if b not in lam and is_plane_partition(lam.add(b))]
     assert addible == lam.addible_boxes()
-    removable = [b for b in lam if lam.remove(b).is_valid()]
+    removable = [b for b in lam if is_plane_partition(set(lam) - {b})]
     assert sorted(removable) == lam.removable_boxes()
 
 
@@ -131,19 +133,31 @@ def test_json_roundtrip():
 
 @pytest.mark.parametrize("mode", ["rational", "prime-field"])
 def test_c3_box_memo_is_the_per_box_kernel_products(monkeypatch, mode):
-    """C3's stone factors, lowering factor and removable weights on all 96
-    labels of N=6 are the per-box kernel lists, factor for factor, with each
-    of their 25 boxes weighed once."""
+    """C3's kinds are the kernel's ratio and fac forms at 0 and the head's
+    1/(z - chi); on all 96 labels of N=6 the stone product is the per-box
+    product of the kernel's ratio form and h_rat that times the head, each
+    of the labels' 25 boxes weighed once per kind (the corner also as the
+    head); and the moves and removable weights are the box weights, each
+    addible box weighed once."""
     params = random_params(2024, mode=mode)
+    field = params.field
     c3 = p3.C3(params, 6)
     kernel = c3.kernel
+    assert c3.kinds == {"head": ([(0, -1)], []), "box": (kernel.ratio(0)[1], kernel.fac(0))}
     labels = [lab for level in c3.basis() for lab in level]
     assert len(labels) == 96
     weighed = []
     monkeypatch.setattr(p3, "box_weight", lambda b, p: weighed.append(b) or box_weight(b, p))
+    one, head = LinForm(1, (), field), LinForm(1, [(params.chi, -1)], field)
     for lab in labels:
-        xs = [box_weight(b, params) for b in lab]
-        assert c3.stone_factors(lab) == [f for x in xs for f in kernel.ratio(x)[1]]
-        assert c3.lowering(lab) == (params.field.one, [f for x in xs for f in kernel.fac(x)])
+        stone = prod((LinForm(*kernel.ratio(box_weight(b, params)), field) for b in lab), start=one)
+        assert stone_product(lab, c3) == stone
+        assert h_rat(lab, c3) == head * stone
+    boxes = {b for lab in labels for b in lab}
+    assert len(boxes) == 25 and sorted(weighed) == sorted([(0, 0, 0), *boxes])
+    weighed.clear()
+    for lab in labels:
+        want = [(lab.add(b), box_weight(b, params), b) for b in lab.addible_boxes()]
+        assert c3.moves(lab) == want
         assert c3.removable(lab) == [box_weight(b, params) for b in lab.removable_boxes()]
-    assert len(weighed) == len(set(weighed)) == len({b for lab in labels for b in lab}) == 25
+    assert len(weighed) == len(set(weighed)) == len({b for lab in labels for b in lab.addible_boxes()})

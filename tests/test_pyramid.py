@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import upward_closed_subsets
+from oracles import is_upward_closed, upward_closed_subsets
 from yangianpp import CapExceeded, Geometry, build_erc, enumerate_pyramids
 from yangianpp.pyramid import (
     PyramidPartition,
@@ -135,9 +135,9 @@ def test_add_then_remove_roundtrip():
             for pi in pis:
                 for p in addible_pairs(pi, erc):
                     bigger = pi.with_pair(p)
-                    assert bigger.is_valid(erc)
+                    assert is_upward_closed(bigger, erc)
                     assert p in removable_pairs(bigger, erc)
-                    assert bigger.without_pair(p) == pi
+                    assert PyramidPartition(m, set(bigger) - {p.black, p.white}) == pi
 
 
 def test_black_only_count(params):
@@ -192,7 +192,7 @@ def test_pair_weight_distinctness(params):
     groups = enumerate_pyramids(3, 8)
     for pis in groups.values():
         for pi in pis:
-            ws = [x for _, x in g.steps(pi)]
+            ws = [x for _, x, _ in g.moves(pi)]
             assert len(set(ws)) == len(ws)
 
 

@@ -9,7 +9,6 @@ from oracles import assert_in_field, ef_letters, evaluate, operator_sum, referen
 from yangianpp import Geometry, LinForm, Params, Representation, cli
 from yangianpp import relations, reps
 from yangianpp.exact import random_params
-from yangianpp.pyramid import Conifold
 from yangianpp.relations import (
     OperatorSet,
     apply_tables,
@@ -724,20 +723,16 @@ def test_report_json_shape():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_pole_support_and_shift_write_a_failed_property_alike(monkeypatch, mode):
+def test_pole_support_and_shift_write_a_failed_property_alike(mode):
     """With the conifold head's root moved by q (m=4, sector 2, N=5), both
     pole-support and shift fail, and each writes its failed property as the
     field's one."""
     params = random_params(2024, mode=mode)
     field = params.field
-    head = Conifold.head
-
-    def moved(self, pi):
-        sign, [(root, e)] = head(self, pi)
-        return sign, [(root + params.q, e)]
-
-    monkeypatch.setattr(Conifold, "head", moved)
-    rep = Representation(Geometry("conifold", params, 5, m=4, sector=2))
+    g = Geometry("conifold", params, 5, m=4, sector=2)
+    assert g.kinds["head"] == ([(0, 1)], [])
+    g.kinds["head"] = ([(params.q, 1)], [])
+    rep = Representation(g)
     poles = check_pole_support(rep)
     shift = check_shift(rep, expect=rep.geometry.expected_shift())
     assert poles.status == shift.status == "fail"

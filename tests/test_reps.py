@@ -77,11 +77,20 @@ def test_h_rat_conifold_m1(params):
     assert h_rat(one, g1) == expect
 
 
-def test_h_rat_equals_raising_times_lowering(c3, coni2):
-    for g in (c3, coni2):
-        rep = Representation(g)
-        for _, lab in rep.basis:
-            assert integrand_e(lab, g) * lowering_form(lab, g) == rep.h_rat(lab)
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize(
+    "kind,level,m,sector",
+    [("c3", 5, 0, 0), ("c3", 6, 0, 0), ("conifold", 3, 2, 1)]
+    + [("conifold", 5, m, s) for m in (3, 4, 5) for s in (1, 2)],
+)
+def test_h_rat_equals_raising_times_lowering(kind, level, m, sector, mode):
+    """h_rat, read off the atoms, is the raising integrand times the
+    lowering factor, both stated independently in the oracles."""
+    params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+    rep = Representation(Geometry(kind, params, level, m=m, sector=sector))
+    g = rep.geometry
+    for _, lab in rep.basis:
+        assert integrand_e(lab, g) * lowering_form(lab, g) == rep.h_rat(lab)
 
 
 def test_psi_eigenvalue(c3, params):
@@ -101,10 +110,11 @@ def test_psi_recursion_direction(c3, params):
 
 @pytest.mark.parametrize("mode", ["rational", "prime-field"])
 def test_geometries_read_the_kernel(mode):
-    """C3's lowering factor and stone factors are the products over boxes of
-    the kernel's fac and ratio forms (c3, N <= 6); each completed conifold
-    pair multiplies the stone product by the kernel's ratio form; and the
-    ratio form is fac(z|x)/fac(x|z) pointwise."""
+    """C3's stone product is the product over boxes of the kernel's ratio
+    form, and every step's reduced lowering value is that of the product
+    over boxes of the kernel's fac form (c3, N <= 6); each completed
+    conifold pair multiplies the stone product by the kernel's ratio form;
+    and the ratio form is fac(z|x)/fac(x|z) pointwise."""
     params = random_params(2024, mode=mode)
     field = params.field
     one = LinForm(1, (), field)
@@ -114,11 +124,14 @@ def test_geometries_read_the_kernel(mode):
     labels = [lab for level in c3.basis() for lab in level]
     assert len(labels) == 96
     for lab in labels:
-        xs = [box_weight(b, params) for b in lab]
-        fac = prod((LinForm(1, kernel.fac(x), field) for x in xs), start=one)
-        ratio = prod((LinForm(*kernel.ratio(x), field) for x in xs), start=one)
-        assert LinForm(*c3.lowering(lab), field) == fac
-        assert LinForm(1, c3.stone_factors(lab), field) == ratio
+        ratio = prod((LinForm(*kernel.ratio(box_weight(b, params)), field) for b in lab), start=one)
+        assert stone_product(lab, c3) == ratio
+    rep = Representation(c3)
+    for n in range(rep.basis.top_level):
+        for si, _, x, _, fhat in rep.transitions(n):
+            lab = rep.basis.level(n)[si]
+            fac = prod((LinForm(1, kernel.fac(box_weight(b, params)), field) for b in lab), start=one)
+            assert fhat == fac.eval_reduced(x)
     for x in {box_weight(b, params) for lab in labels for b in lab}:
         z = field.reduce(x + field.of(F(7, 3)))
         fac_zx = LinForm(1, kernel.fac(x), field).eval(z)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_local_factor, sympy_shuffle
+from oracles import box_local_factor, orbit_terms, sympy_shuffle
 from yangianpp import Kernel, LinForm, Params, SymPoly, shuffle, shuffle_mul
 from yangianpp.errors import DenominatorNotCancelled
 from yangianpp.exact import GFP, PRIME, QQ, random_params
@@ -106,7 +106,7 @@ def test_conjugation_ratios(params):
 def test_orbit_terms_view(iparams):
     params = iparams
     prod = shuffle_mul(SymPoly.power(0), SymPoly.power(0), Kernel.c3(params))
-    ot = prod.orbit_terms()
+    ot = orbit_terms(prod)
     assert ot[(2, 0)] == 2 and ot[(1, 1)] == -4
 
 
