@@ -10,6 +10,8 @@ enumerates graded order ideals of any poset.  `C3` is the geometry: its
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import CapExceeded, Resonance
 from .exact import Kernel
 
@@ -78,7 +80,14 @@ class Partition3D:
         return f"Partition3D({list(self.boxes)})"
 
     def add(self, box) -> "Partition3D":
-        return Partition3D(self.boxes + (tuple(box),))
+        """This partition with box inserted in order; only box is validated."""
+        box = tuple(box)
+        if len(box) != 3 or min(box) < 0:
+            raise ValueError("boxes must be nonnegative integer triples")
+        i = bisect_left(self.boxes, box)
+        new = object.__new__(Partition3D)
+        new.boxes = self.boxes if self.boxes[i:i + 1] == (box,) else self.boxes[:i] + (box,) + self.boxes[i:]
+        return new
 
     def addible_boxes(self):
         """Boxes whose addition keeps the order-ideal property."""

@@ -11,11 +11,15 @@ Weights:
 The covering relation ("directly above") is reconstructed from the arrow
 weights: a white sits directly below the blacks one layer up whose weight
 exceeds it by q or h; a black sits directly below the whites one layer up at
-weight offset 0 or t.  A pyramid partition is an upward-closed subset; adding
-or removing happens through equal-weight black/white pairs
-(black (k; a, c) with white (k+1; a, c)).  `Conifold` is the geometry: its
-`atoms` and `kinds` state h(z) and the lowering factor once, per pair or
-unpaired black, and `reps.h_rat` is their whole form.
+weight offset 0 or t.  `ERC` tables it once, with the frontier tables `below`
+(its inverse) and `tops` (the stones with no cover), so growth and the pair
+moves look only at the stones next to a pyramid, never at the whole room.
+
+A pyramid partition is an upward-closed subset; adding or removing happens
+through equal-weight black/white pairs (black (k; a, c) with white
+(k+1; a, c)).  `Conifold` is the geometry: its `atoms` and `kinds` state h(z)
+and the lowering factor once, per pair or unpaired black, and `reps.h_rat` is
+their whole form.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ class ERC:
         self.pairs = tuple(Pair(b, w) for b, w in below if w in self.stones)
         self._pair_white_of_black = {p.black: p.white for p in self.pairs}
         self._covers = {s: self._directly_above(s) for s in self.stones}
+        self.below = {s: [] for s in self.stones}
+        for s, cs in self._covers.items():
+            for c in cs:
+                self.below[c].append(s)
+        self.tops = frozenset(s for s, cs in self._covers.items() if not cs)
 
     def _directly_above(self, s: Stone):
         if s.color == "W":
@@ -155,33 +164,19 @@ def build_erc(m: int, cap: int = DEFAULT_CAP) -> ERC:
 
 
 def addible_pairs(pi: PyramidPartition, erc: ERC):
-    """Pairs not in pi whose addition keeps the subset upward-closed.
-
-    Purely definitional; the chain characterization of addibility is tested
-    against this, not assumed.
-    """
+    """Pairs not in pi whose addition keeps the subset upward-closed: every
+    stone directly above the pair's black or white is in pi or is the black."""
     s = set(pi.stones)
-    out = []
-    for p in erc.pairs:
-        if p.black in s or p.white in s:
-            continue
-        s2 = s | {p.black, p.white}
-        if all(c in s2 for st in (p.black, p.white) for c in erc.covers(st)):
-            out.append(p)
-    return out
+    return [p for p in erc.pairs if p.black not in s and p.white not in s
+            and all(c in s or c == p.black for c in erc.covers(p.black) + erc.covers(p.white))]
 
 
 def removable_pairs(pi: PyramidPartition, erc: ERC):
-    """Pairs inside pi whose removal keeps the subset upward-closed."""
+    """Pairs inside pi whose removal keeps it upward-closed: no stone of pi
+    but the white sits directly below the pair's black or white."""
     s = set(pi.stones)
-    out = []
-    for p in erc.pairs:
-        if p.black not in s or p.white not in s:
-            continue
-        s2 = s - {p.black, p.white}
-        if all(c in s2 for st in s2 for c in erc.covers(st)):
-            out.append(p)
-    return out
+    return [p for p in erc.pairs if p.black in s and p.white in s
+            and not any(t in s and t != p.white for t in erc.below[p.black] + erc.below[p.white])]
 
 
 def black_only_count(pi: PyramidPartition, erc: ERC) -> int:
@@ -191,14 +186,7 @@ def black_only_count(pi: PyramidPartition, erc: ERC) -> int:
     equals the sector of pi, which the tests assert.
     """
     s = set(pi.stones)
-    n = 0
-    for st in pi.stones:
-        if st.color != "B":
-            continue
-        w = erc.pair_white_of(st)
-        if w is None or w not in s:
-            n += 1
-    return n
+    return sum(erc.pair_white_of(b) not in s for b in pi.blacks())
 
 
 def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_CAP):
@@ -210,8 +198,11 @@ def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_
     present), which reaches exactly the upward-closed subsets.  With a
     sector s, growth stops at (max_stones+s)//2 blacks and (max_stones-s)//2
     whites: every pyramid of the sector lies within those bounds, and so do
-    all its sub-pyramids.
+    all its sub-pyramids.  A stone's candidates are the tops and the stones
+    directly below a present one.
     """
+    if max_stones < 0:
+        raise ValueError("max_stones must be nonnegative")
     erc = build_erc(m, cap=cap)
     if max_stones > len(erc.stones):
         raise CapExceeded(f"max_stones {max_stones} exceeds ERC size {len(erc.stones)}")
@@ -219,14 +210,18 @@ def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_
     if sector is not None:
         nb, nw = (max_stones + sector) // 2, (max_stones - sector) // 2
 
-    def addible(cur):
-        b = sum(s.color == "B" for s in cur)
-        room = {"B": b < nb, "W": len(cur) - b < nw}
-        return [s for s in erc.stones - cur if room[s.color] and all(c in cur for c in erc.covers(s))]
+    blacks = frozenset(erc.blacks)
 
-    pis = (PyramidPartition(m, fs) for level in grow(max_stones, addible) for fs in level)
+    def addible(cur):
+        b = len(cur & blacks)
+        room = {"B": b < nb, "W": len(cur) - b < nw}
+        cands = erc.tops.union(t for s in cur for t in erc.below[s]) - cur
+        return [s for s in cands if room[s.color] and cur.issuperset(erc.covers(s))]
+
+    ideals = (fs for level in grow(max_stones, addible) for fs in level)
+    kept = (PyramidPartition(m, fs) for fs in ideals if sector is None or 2 * len(fs & blacks) - len(fs) == sector)
     groups = {}
-    for pi in sorted(pi for pi in pis if sector is None or pi.sector == sector):
+    for pi in sorted(kept, key=lambda pi: tuple(map(_stone_sort_key, pi.stones))):
         groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
     return dict(sorted(groups.items()))
 

@@ -25,6 +25,7 @@ REPS = "tests/test_reps.py::"
 SHUF = "tests/test_shuffle.py::"
 EXACT = "tests/test_exact.py::"
 CLI = "tests/test_cli.py::"
+PYR = "tests/test_pyramid.py::"
 
 #: (name, file under src/yangianpp, old text, new text, killing test)
 MUTANTS = [
@@ -249,6 +250,28 @@ MUTANTS = [
         "x = p3.box_weight(v, params)",
         "x = p3.box_weight(v[::-1], params)",
         REPS + "test_h_rat_equals_raising_times_lowering",
+    ),
+    # Pyramid growth and the pair moves read the ERC's frontier tables.
+    (
+        "tops-dropped",
+        "pyramid.py",
+        "cands = erc.tops.union(",
+        "cands = frozenset().union(",
+        PYR + "test_frontier_enumeration_equals_the_rescan[2-4]",
+    ),
+    (
+        "below-first-cover-only",
+        "pyramid.py",
+        "            for c in cs:\n",
+        "            for c in cs[:1]:\n",
+        PYR + "test_frontier_enumeration_equals_the_rescan[2-4]",
+    ),
+    (
+        "removable-ignores-white-below",
+        "pyramid.py",
+        " + erc.below[p.white])",
+        ")",
+        PYR + "test_frontier_enumeration_equals_the_rescan[2-4]",
     ),
     (
         "division-leftover-unchecked",

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the library's incremental algorithms: partitions by
-filtering raw box subsets, pyramids by filtering raw stone subsets, counts by
+filtering raw box subsets, pyramids by filtering raw stone subsets or by
+rescanning the whole room at each growth step, counts by
 the classical generating function, residues by an independent CAS,
 resonances by scanning every integer pair, the raising integrand by one
 product per box, the step constants by residues of whole forms, the
@@ -76,6 +77,43 @@ def is_upward_closed(stones, erc):
     """Every stone directly above a stone of the set is in the set."""
     s = set(stones)
     return all(c in s for st in s for c in erc.covers(st))
+
+
+def enumerate_pyramids_rescan(m, max_stones, sector=None):
+    """enumerate_pyramids by rescanning the whole room: each growth step tests
+    every absent stone, every grown ideal becomes a sorted PyramidPartition
+    before the sector filter, and the sort compares partitions."""
+    erc = pyr.build_erc(m)
+    nb = nw = max_stones
+    if sector is not None:
+        nb, nw = (max_stones + sector) // 2, (max_stones - sector) // 2
+
+    def addible(cur):
+        b = sum(s.color == "B" for s in cur)
+        room = {"B": b < nb, "W": len(cur) - b < nw}
+        return [s for s in erc.stones - cur if room[s.color] and all(c in cur for c in erc.covers(s))]
+
+    pis = (pyr.PyramidPartition(m, fs) for level in p3.grow(max_stones, addible) for fs in level)
+    groups = {}
+    for pi in sorted(pi for pi in pis if sector is None or pi.sector == sector):
+        groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
+    return dict(sorted(groups.items()))
+
+
+def addible_pairs_scan(pi, erc):
+    """Pairs not in pi whose addition keeps the subset upward-closed, by
+    testing the whole enlarged subset.  Purely definitional."""
+    s = set(pi.stones)
+    return [p for p in erc.pairs if p.black not in s and p.white not in s
+            and is_upward_closed(s | {p.black, p.white}, erc)]
+
+
+def removable_pairs_scan(pi, erc):
+    """Pairs inside pi whose removal keeps the subset upward-closed, by
+    testing the whole reduced subset.  Purely definitional."""
+    s = set(pi.stones)
+    return [p for p in erc.pairs if p.black in s and p.white in s
+            and is_upward_closed(s - {p.black, p.white}, erc)]
 
 
 def orbit_terms(sym):

@@ -58,6 +58,18 @@ def test_addible_excludes_non_ideal_entries():
     assert lam.addible_boxes() == [(0, 0, 1), (0, 1, 0), (2, 0, 0)]
 
 
+def test_add_inserts_in_order_and_validates_the_box():
+    levels = enumerate_plane_partitions(6)
+    for lam in (lam for level in levels for lam in level):
+        for b in lam.addible_boxes() + list(lam)[:1]:
+            bigger = lam.add(list(b))
+            assert bigger == Partition3D(lam.boxes + (b,))
+    one = Partition3D([(0, 0, 0)])
+    for bad in ((0, -1, 0), (0, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="nonnegative integer triples"):
+            one.add(bad)
+
+
 def test_removable():
     assert Partition3D([(0, 0, 0)]).removable_boxes() == [(0, 0, 0)]
     assert Partition3D().removable_boxes() == []

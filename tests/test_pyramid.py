@@ -2,7 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import is_upward_closed, upward_closed_subsets
+from oracles import (
+    addible_pairs_scan,
+    enumerate_pyramids_rescan,
+    is_upward_closed,
+    removable_pairs_scan,
+    upward_closed_subsets,
+)
 from yangianpp import CapExceeded, Geometry, build_erc, enumerate_pyramids
 from yangianpp.pyramid import (
     PyramidPartition,
@@ -99,6 +105,39 @@ def test_sector_enumeration_matches_subset_oracle(m):
             groups = enumerate_pyramids(m, max_stones, sector=sector)
             ours = [frozenset(pi.stones) for pis in groups.values() for pi in pis]
             assert len(ours) == len(oracle) and set(ours) == oracle, (max_stones, sector)
+
+
+def test_negative_max_stones_is_refused():
+    with pytest.raises(ValueError, match="max_stones must be nonnegative"):
+        enumerate_pyramids(2, -1)
+    with pytest.raises(ValueError):
+        enumerate_pyramids(2, -1, sector=0)
+
+
+def test_frontier_tables_invert_the_covers():
+    for m in range(1, 6):
+        erc = build_erc(m)
+        assert erc.tops == {s for s in erc.stones if not erc.covers(s)}
+        assert erc.tops == {Stone("B", 0, 0, c) for c in range(m)}
+        for s in erc.stones:
+            assert sorted(erc.below[s]) == sorted(t for t in erc.stones if s in erc.covers(t))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("sector", [0, 1, 2, 3])
+def test_frontier_enumeration_equals_the_rescan(m, sector):
+    """Up to the conifold sweep's max_stones (sector + 2 * level 5): the same
+    groups in the same order as the whole-room rescan, and on every label of
+    the largest basis the pair moves equal their definitional scans."""
+    erc = build_erc(m)
+    for max_stones in range(sector + 11):
+        groups = enumerate_pyramids(m, max_stones, sector=sector)
+        assert list(groups.items()) == list(enumerate_pyramids_rescan(m, max_stones, sector).items()), max_stones
+    labels = [pi for pis in groups.values() for pi in pis]
+    moves = [(addible_pairs(pi, erc), removable_pairs(pi, erc)) for pi in labels]
+    assert moves == [(addible_pairs_scan(pi, erc), removable_pairs_scan(pi, erc)) for pi in labels]
+    # sector 0 holds only the empty pyramid; every other basis has moves both ways
+    assert len(labels) == 1 if sector == 0 else any(a and r for a, r in moves)
 
 
 def test_addible_pairs_examples(params):
