@@ -8,8 +8,8 @@ invariant of the whole ladder.
 
 from fractions import Fraction as F
 
-from yangianpp import Params, build_erc, enumerate_pyramids
-from yangianpp.pyramid import addible_pairs, black_only_count, removable_pairs, stone_weight
+from yangianpp import Geometry, Params, build_erc, enumerate_pyramids
+from yangianpp.pyramid import addible_pairs, removable_pairs, stone_weight
 
 m = 2
 erc = build_erc(m)
@@ -25,10 +25,13 @@ for (b, w), pis in enumerate_pyramids(m, len(erc.stones)).items():
     print(f"  ({b},{w}) sector {b-w}: {len(pis)}")
 
 groups = enumerate_pyramids(m, len(erc.stones), sector=1)
-print("\nsector-1 pyramids and their pair moves:")
+conifold = Geometry("conifold", params, 2, m=m, sector=1)
+print("\nsector-1 pyramids, their pair moves and the lattice vectors (t, q, h)")
+print("of their unpaired blacks, as the atoms of h(z) list them:")
 for pis in groups.values():
     for pi in pis:
+        _, _, atoms = conifold.atoms(pi)
         print(f"  {list(pi.stones)}")
         print(f"    addible pairs:   {addible_pairs(pi, erc)}")
         print(f"    removable pairs: {removable_pairs(pi, erc)}")
-        print(f"    unpaired blacks: {black_only_count(pi, erc)}")
+        print(f"    unpaired blacks: {[v for kind, v in atoms if kind == 'black']}")

@@ -1,7 +1,9 @@
-"""Shift detection: factor the diagonal series into stone-local terms times
-one universal linear factor.
+"""Shift detection: the diagonal series is stone-local terms times one
+universal linear factor, the head atom's.
 
-On 3D partitions the residual factor is 1/(z - chi): a negative shift with
+`h_rat` lists one local factor per atom of a label; `detect_shift` reads
+the head atoms alone and requires the same signed linear factor on every
+basis vector.  On 3D partitions it is 1/(z - chi): a negative shift with
 shift point chi.  On the length-m pyramid side it is +-(z - chi - m*t): a
 positive shift at chi + m*t, the same in every sector.
 """
@@ -9,7 +11,7 @@ positive shift at chi + m*t, the same in every sector.
 from fractions import Fraction as F
 
 from yangianpp import Geometry, Params, Representation, detect_shift
-from yangianpp.reps import h_rat, stone_product
+from yangianpp.reps import h_rat
 
 params = Params.make(F(101, 13), F(47, 7), F(7))
 
@@ -19,7 +21,7 @@ print("c3:", detect_shift(rep))
 lam = rep.basis.level(2)[0]
 print("  sample basis vector:", lam)
 print("  h(z)      =", h_rat(lam, rep.geometry))
-print("  residual  =", h_rat(lam, rep.geometry) / stone_product(lam, rep.geometry))
+print("  atoms     =", rep.geometry.atoms(lam)[2])
 
 for m in (1, 2, 3):
     for sector in (0, 1, 2):

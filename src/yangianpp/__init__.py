@@ -10,7 +10,6 @@ from .errors import (
     CapExceeded,
     DenominatorNotCancelled,
     InconsistentShift,
-    PoleAtPoint,
     Resonance,
     RetrySpecialization,
     YangianppError,
@@ -41,7 +40,6 @@ __all__ = [
     "OperatorSet",
     "Params",
     "Partition3D",
-    "PoleAtPoint",
     "PyramidPartition",
     "RelationReport",
     "Representation",

@@ -14,7 +14,7 @@ import sys
 
 from . import partitions3d as p3
 from . import pyramid as pyr
-from .errors import CapExceeded, DenominatorNotCancelled, RelationFailure, Resonance, YangianppError
+from .errors import CapExceeded, DenominatorNotCancelled, InconsistentShift, Resonance, YangianppError
 from .exact import QQ, Kernel, Params, random_params
 from .relations import GROUPS, full_suite
 from .reps import Geometry, Representation, SparseOperator, detect_shift, dump_operators
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     except DenominatorNotCancelled as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_KERNEL
-    except RelationFailure as exc:
+    except InconsistentShift as exc:
         print(f"relation failure: {exc}", file=sys.stderr)
         return EXIT_RELATION
     except (ValueError, YangianppError) as exc:

@@ -5,10 +5,6 @@ class YangianppError(Exception):
     """Base class for all package errors."""
 
 
-class PoleAtPoint(YangianppError):
-    """Evaluation of a factored rational function at one of its poles."""
-
-
 class CapExceeded(YangianppError):
     """An enumeration request exceeded its configured size cap."""
 
@@ -18,14 +14,11 @@ class Resonance(YangianppError):
     where distinctness is required."""
 
 
-class RelationFailure(YangianppError):
-    """A relation fails outside any report: `detect_shift` raises it, which
-    the `shift` command calls directly.  Exits like a failed check; the
-    relation checks report their failures as failing cells instead."""
-
-
-class InconsistentShift(RelationFailure):
-    """The shift factor of the diagonal series varies across basis vectors."""
+class InconsistentShift(YangianppError):
+    """The shift factor of the diagonal series varies across basis vectors:
+    a relation failure outside any report.  `detect_shift` raises it, which
+    the `shift` command calls directly, and it exits like a failed check;
+    the relation checks report their failures as failing cells instead."""
 
 
 class DenominatorNotCancelled(YangianppError):

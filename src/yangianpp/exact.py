@@ -9,9 +9,9 @@ with the plain + - * operators; the field object alone maps rationals into
 the mode, reduces, inverts, and serializes.  Prime values may leave [0,
 PRIME) inside a computation and are reduced wherever they are stored or
 compared.  Univariate rational functions are kept in fully factored form: a
-constant times a product of (z - root)^e with exact roots, so products,
-quotients and residues never lose the factor structure.  `Kernel` states
-the bond once, for the shuffle product and the representations alike.
+constant times a product of (z - root)^e with exact roots, so residues
+never lose the factor structure.  `Kernel` states the bond once, for the
+shuffle product and the representations alike.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import PoleAtPoint, Resonance, RetrySpecialization
+from .errors import Resonance, RetrySpecialization
 
 #: Modulus of the prime-field fast mode.  2^61 - 1 is a Mersenne prime above
 #: the 2^60 floor that makes accidental collisions of random data
@@ -69,17 +69,12 @@ class RationalField:
         d = math.lcm(*(v.denominator for v in blk.values()))
         return {k: v.numerator * (d // v.denominator) for k, v in blk.items()}, d
 
-    def factor_key(self, factor):
-        """(root, exponent) factors sort by root numerator, then denominator."""
-        return factor[0].numerator, factor[0].denominator
-
 
 class PrimeField:
     """GF(PRIME): scalars are ints, reduced into [0, PRIME) when stored."""
 
     mode = "prime-field"
     zero, one = 0, 1
-    factor_key = None  # distinct residues sort as ints
 
     def of(self, x):
         """A rational (int, Fraction or 'p/q' string) as a residue."""
@@ -154,7 +149,8 @@ class LinForm:
 
     Roots are pairwise distinct scalars; exponents are nonzero integers.
     Construction reduces the constant and the roots, merges equal roots and
-    drops exponent zero, so cancellation is automatic and exact.
+    drops exponent zero, so cancellation is automatic and exact; factors
+    sort by `field.split` of their roots.
     """
 
     __slots__ = ("const", "factors", "field")
@@ -167,15 +163,9 @@ class LinForm:
             merged[root] = merged.get(root, 0) + e
         self.field = field
         self.const = reduce(const)
-        self.factors = tuple(sorted(((r, e) for r, e in merged.items() if e), key=field.factor_key))
+        self.factors = tuple(sorted(((r, e) for r, e in merged.items() if e), key=lambda f: field.split(f[0])))
 
     # -- structure -----------------------------------------------------------
-
-    def exponent_of(self, root) -> int:
-        for r, e in self.factors:
-            if r == root:
-                return e
-        return 0
 
     def poles(self):
         return [r for r, e in self.factors if e < 0]
@@ -183,18 +173,6 @@ class LinForm:
     def degree(self) -> int:
         """Degree at infinity: numerator degree minus denominator degree."""
         return sum(e for _, e in self.factors)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __mul__(self, other: "LinForm"):
-        return LinForm(self.const * other.const, self.factors + other.factors, same_field(self.field, other.field))
-
-    def __truediv__(self, other: "LinForm"):
-        field = same_field(self.field, other.field)
-        if other.const == 0:
-            raise ZeroDivisionError("division by the zero form")
-        inv = tuple((r, -e) for r, e in other.factors)
-        return LinForm(self.const * field.inv(other.const), self.factors + inv, field)
 
     def __eq__(self, other):
         return (
@@ -213,55 +191,7 @@ class LinForm:
             parts.append(f"(z - {show(r)})^{e}")
         return " * ".join(parts)
 
-    # -- evaluation and residues -----------------------------------------------
-
-    def eval(self, z0):
-        """Evaluate at z0; PoleAtPoint if z0 sits on a negative-exponent root."""
-        f = self.field
-        z0 = f.reduce(z0)
-        v = self.const
-        for r, e in self.factors:
-            d = z0 - r
-            if d == 0:
-                if e < 0:
-                    raise PoleAtPoint(f"evaluation at pole z = {f.str(z0)}")
-                return f.zero
-            v = v * f.power(d, e)
-        return f.reduce(v)
-
-    def eval_reduced(self, z0):
-        """Evaluate with every (z - z0) factor deleted first.
-
-        Equals eval(z0) whenever no factor vanishes there; at a zero or pole
-        it returns the nonzero leading coefficient of the local expansion.
-        """
-        f = self.field
-        z0 = f.reduce(z0)
-        v = self.const
-        for r, e in self.factors:
-            d = z0 - r
-            if d != 0:
-                v = v * f.power(d, e)
-        return f.reduce(v)
-
-    def residue_at(self, a, power: int = 0):
-        """Res_{z=a} of z^power * self, exact; 0 when a is not a pole.
-
-        With u = z - a and m the pole order, the regular part is
-        eval_reduced(a) * prod_{r != a} (1 - u/(r - a))^e, and the residue
-        is its u^(m-1) coefficient; a simple pole needs no series.
-        """
-        f = self.field
-        a = f.reduce(a)
-        form = self if power == 0 else self * LinForm(f.one, [(f.zero, power)], f)
-        m = -form.exponent_of(a)
-        if m <= 0:
-            return f.zero
-        lead = form.eval_reduced(a)
-        if m == 1:
-            return lead
-        roots = [(f.inv(r - a), e) for r, e in form.factors if r != a]
-        return _product_coeffs(lead, roots, m - 1, f)[m - 1]
+    # -- residues at infinity ----------------------------------------------------
 
     def residue_at_infinity(self, power: int = 0):
         """-(coefficient of z^-1 in z^power * self).

@@ -101,10 +101,6 @@ class Partition3D:
     def to_json(self):
         return [list(b) for b in self.boxes]
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(map(tuple, obj)))
-
 
 def box_weight(box, params):
     """Equivariant weight chi + i*h1 + j*h2 + k*h3 of a box."""

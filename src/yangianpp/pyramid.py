@@ -118,11 +118,6 @@ class PyramidPartition:
             and self.stones == other.stones
         )
 
-    def __lt__(self, other):
-        return tuple(map(_stone_sort_key, self.stones)) < tuple(
-            map(_stone_sort_key, other.stones)
-        )
-
     def __hash__(self):
         return hash((self.m, self.stones))
 
@@ -137,26 +132,14 @@ class PyramidPartition:
     def white_count(self):
         return len(self.stones) - self.black_count
 
-    @property
-    def sector(self):
-        """#black - #white; preserved by pair addition and removal."""
-        return self.black_count - self.white_count
-
     def blacks(self):
         return [s for s in self.stones if s.color == "B"]
-
-    def whites(self):
-        return [s for s in self.stones if s.color == "W"]
 
     def with_pair(self, pair: Pair) -> "PyramidPartition":
         return PyramidPartition(self.m, self.stones + (pair.black, pair.white))
 
     def to_json(self):
         return [{"color": s.color, "k": s.k, "a": s.a, "c": s.c} for s in self.stones]
-
-    @classmethod
-    def from_json(cls, m, obj):
-        return cls(m, (Stone(d["color"], d["k"], d["a"], d["c"]) for d in obj))
 
 
 def build_erc(m: int, cap: int = DEFAULT_CAP) -> ERC:
@@ -177,16 +160,6 @@ def removable_pairs(pi: PyramidPartition, erc: ERC):
     s = set(pi.stones)
     return [p for p in erc.pairs if p.black in s and p.white in s
             and not any(t in s and t != p.white for t in erc.below[p.black] + erc.below[p.white])]
-
-
-def black_only_count(pi: PyramidPartition, erc: ERC) -> int:
-    """Blacks in pi whose equal-weight paired white is absent.
-
-    Counts blacks whose pair slot does not even exist in the ERC; always
-    equals the sector of pi, which the tests assert.
-    """
-    s = set(pi.stones)
-    return sum(erc.pair_white_of(b) not in s for b in pi.blacks())
 
 
 def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_CAP):

@@ -494,14 +494,6 @@ class SuiteBundle:
     def all_pass(self):
         return all(r.status != "fail" for reps in self.reports for r in reps)
 
-    def verdicts(self):
-        """relation id -> tuple of statuses across specializations."""
-        out = {}
-        for reps in self.reports:
-            for r in reps:
-                out.setdefault(r.relation, []).append(r.status)
-        return {k: tuple(v) for k, v in out.items()}
-
     def to_json(self):
         merged = []
         for k, reps in enumerate(self.reports):

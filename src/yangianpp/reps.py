@@ -13,9 +13,9 @@ its factors once, per atom: `atoms(label)` lists the label's signs and
 atoms, and `kinds` each kind's factors of h and F.  An atom's values at x
 depend only on its displacement to the step, and `transitions` multiplies
 those values; `h_rat` is the whole form of the same statement, which the
-checks read.  The independent statements of h are in the tests (the raising
-integrand times the lowering factor).  Operators are stored on field
-scalars.
+checks read, and `detect_shift` reads the form of the head atoms alone.
+The independent statements of h are in the tests (the raising integrand
+times the lowering factor).  Operators are stored on field scalars.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class SparseOperator:
     blocks: dict = dataclasses.field(default_factory=dict)
     field: object = QQ
 
-    def entry(self, n, tgt, src):
-        return self.blocks.get(n, {}).get((tgt, src))
-
     def add_entry(self, n, tgt, src, value):
         """Add value at (tgt, src) of block n: a new key stores value itself,
         an existing one adds onto its entry, and a zero sum drops the key."""
@@ -164,34 +161,26 @@ class SparseOperator:
 _ROOTS = weakref.WeakKeyDictionary()  # geometry -> {(kind, lattice vector): h factors}; kinds stay fixed
 
 
-def _atom_form(label, geometry, head):
-    """The label's atoms' h factors at their weights, read once per (kind, lattice
-    vector) and geometry; with the head atom and the label's sign of h, or neither."""
+def _atom_form(sign, atoms, geometry):
+    """sign times the h factors of `atoms` at their weights, read once per
+    (kind, lattice vector) and geometry."""
     params, roots = geometry.params, _ROOTS.setdefault(geometry, {})
-    sign, _, atoms = geometry.atoms(label)
     factors = []
     for kind, v in atoms:
-        if head or kind != "head":
-            fs = roots.get((kind, v))
-            if fs is None:
-                x = p3.box_weight(v, params)
-                fs = roots[kind, v] = [(x + r, e) for r, e in geometry.kinds[kind][0]]
-            factors += fs
-    return LinForm((sign if head else 1) * params.field.one, factors, params.field)
-
-
-def stone_product(label, geometry) -> LinForm:
-    """The label-dependent part of the diagonal series: one local factor
-    per atom of the label but the head.  This is also the eigenvalue of the
-    diagonal psi-series."""
-    return _atom_form(label, geometry, head=False)
+        fs = roots.get((kind, v))
+        if fs is None:
+            x = p3.box_weight(v, params)
+            fs = roots[kind, v] = [(x + r, e) for r, e in geometry.kinds[kind][0]]
+        factors += fs
+    return LinForm(sign * params.field.one, factors, params.field)
 
 
 def h_rat(label, geometry) -> LinForm:
     """Diagonal rational series h(z) on a basis vector: the label's sign
     times one local factor per atom, the head's included; over the smaller
     label of a step, the raising integrand times the lowering factor."""
-    return _atom_form(label, geometry, head=True)
+    sign, _, atoms = geometry.atoms(label)
+    return _atom_form(sign, atoms, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +265,17 @@ class Representation:
 def detect_shift(rep):
     """Shift degree l and shift point z1 of the diagonal series.
 
-    Divides h_rat by the stone product exactly; the residual must be a
-    single linear factor (z - z1)^(+-1) with unit constant, identical across
-    the whole basis.  Returns (l, z1).
+    The residual of h_rat over its label-dependent atoms is the label's
+    sign times the head atoms' factors; it must be a single linear factor
+    (z - z1)^(+-1) with unit constant, identical across the whole basis.
+    Returns (l, z1).
     """
-    field = rep.geometry.params.field
+    g, field = rep.geometry, rep.geometry.params.field
     signs = (field.one, field.reduce(-1))
     found = None
     for n, lab in rep.basis:
-        resid = rep.h_rat(lab) / stone_product(lab, rep.geometry)
+        sign, _, atoms = g.atoms(lab)
+        resid = _atom_form(sign, [(kind, v) for kind, v in atoms if kind == "head"], g)
         fac = resid.factors
         if len(fac) != 1 or abs(fac[0][1]) != 1 or resid.const not in signs:
             raise InconsistentShift(

@@ -53,10 +53,6 @@ class MPoly:
         self.terms = field.nonzero(terms or {})
 
     @classmethod
-    def constant(cls, nvars, c, field=QQ):
-        return cls(nvars, {(0,) * nvars: c}, field)
-
-    @classmethod
     def monomial(cls, nvars, exps, c=1, field=QQ):
         return cls(nvars, {tuple(exps): c}, field)
 
@@ -180,12 +176,11 @@ class SymPoly:
         return out
 
     @classmethod
-    def one(cls, field=QQ):
-        return cls(MPoly.constant(0, field.one, field))
-
-    @classmethod
     def power(cls, r, coeff=1, field=QQ):
-        """coeff * x^r in one variable, the rational coeff mapped into `field`."""
+        """coeff * x^r in one variable, the rational coeff mapped into
+        `field`; a negative r is a ValueError."""
+        if r < 0:
+            raise ValueError(f"shuffle elements are polynomials, got exponent {r}")
         return cls(MPoly.monomial(1, (r,), field.of(coeff), field))
 
     def is_zero(self):

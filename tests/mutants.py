@@ -229,7 +229,7 @@ MUTANTS = [
         REPS + "test_pole_of_higher_order_raises_resonance",
     ),
     # h is stated once, per atom (atoms and kinds): a kind's factor, the
-    # head's place in the stone product and an atom's weight.
+    # head atoms that alone carry the shift and an atom's weight.
     (
         "black-t-factor-sign",
         "pyramid.py",
@@ -240,9 +240,9 @@ MUTANTS = [
     (
         "stone-product-keeps-head",
         "reps.py",
-        'if head or kind != "head":',
-        "if True:",
-        REPS + "test_stone_product_divides_h_exactly",
+        'for kind, v in atoms if kind == "head"]',
+        "for kind, v in atoms]",
+        REPS + "test_detect_shift_c3",
     ),
     (
         "atom-weight-reversed",

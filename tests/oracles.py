@@ -8,7 +8,10 @@ resonances by scanning every integer pair, the raising integrand by one
 product per box, the step constants by residues of whole forms, the
 per-box eigenvalue factor written out, and relations
 by the matrix route: every word of every instance one product of whole
-operators.
+operators.  The functions on a form that no command runs live here too:
+products, quotients, values and finite residues (`mul`, `div`,
+`eval_form`, `eval_reduced`, `residue_at`), with the stone product, the
+unpaired-black count and a bundle's verdicts.
 """
 
 from fractions import Fraction
@@ -16,10 +19,121 @@ from itertools import combinations
 
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
-from yangianpp.errors import Resonance
-from yangianpp.exact import GFP, PRIME, LinForm, same_field
+from yangianpp.errors import Resonance, YangianppError
+from yangianpp.exact import GFP, PRIME, LinForm, _product_coeffs, same_field
 from yangianpp.relations import ef_terms, quad_terms, serre_terms
-from yangianpp.reps import SparseOperator, h_rat
+from yangianpp.reps import SparseOperator, _atom_form, h_rat
+
+
+# ---------------------------------------------------------------------------
+# Functions on a form: products, quotients, values and finite residues
+# ---------------------------------------------------------------------------
+
+
+class PoleAtPoint(YangianppError):
+    """Evaluation of a factored rational function at one of its poles."""
+
+
+def exponent_of(form, root) -> int:
+    """The exponent of (z - root) in form; 0 when root is no root of it."""
+    for r, e in form.factors:
+        if r == root:
+            return e
+    return 0
+
+
+def mul(f, g):
+    """The product f * g of two forms of one field."""
+    return LinForm(f.const * g.const, f.factors + g.factors, same_field(f.field, g.field))
+
+
+def div(f, g):
+    """The quotient f / g of two forms of one field."""
+    field = same_field(f.field, g.field)
+    if g.const == 0:
+        raise ZeroDivisionError("division by the zero form")
+    inv = tuple((r, -e) for r, e in g.factors)
+    return LinForm(f.const * field.inv(g.const), f.factors + inv, field)
+
+
+def eval_form(form, z0):
+    """form at z0; PoleAtPoint if z0 sits on a negative-exponent root."""
+    f = form.field
+    z0 = f.reduce(z0)
+    v = form.const
+    for r, e in form.factors:
+        d = z0 - r
+        if d == 0:
+            if e < 0:
+                raise PoleAtPoint(f"evaluation at pole z = {f.str(z0)}")
+            return f.zero
+        v = v * f.power(d, e)
+    return f.reduce(v)
+
+
+def eval_reduced(form, z0):
+    """form at z0 with every (z - z0) factor deleted first.
+
+    Equals eval_form(form, z0) whenever no factor vanishes there; at a zero
+    or pole it returns the nonzero leading coefficient of the local
+    expansion.
+    """
+    f = form.field
+    z0 = f.reduce(z0)
+    v = form.const
+    for r, e in form.factors:
+        d = z0 - r
+        if d != 0:
+            v = v * f.power(d, e)
+    return f.reduce(v)
+
+
+def residue_at(form, a, power: int = 0):
+    """Res_{z=a} of z^power * form, exact; 0 when a is not a pole.
+
+    With u = z - a and m the pole order, the regular part is
+    eval_reduced(form, a) * prod_{r != a} (1 - u/(r - a))^e, and the
+    residue is its u^(m-1) coefficient; a simple pole needs no series.
+    """
+    f = form.field
+    a = f.reduce(a)
+    if power:
+        form = mul(form, LinForm(f.one, [(f.zero, power)], f))
+    m = -exponent_of(form, a)
+    if m <= 0:
+        return f.zero
+    lead = eval_reduced(form, a)
+    if m == 1:
+        return lead
+    roots = [(f.inv(r - a), e) for r, e in form.factors if r != a]
+    return _product_coeffs(lead, roots, m - 1, f)[m - 1]
+
+
+def stone_product(label, geometry) -> LinForm:
+    """The label-dependent part of the diagonal series: one local factor
+    per atom of the label but the head, with constant one.  This is also
+    the eigenvalue of the diagonal psi-series."""
+    _, _, atoms = geometry.atoms(label)
+    return _atom_form(1, [(kind, v) for kind, v in atoms if kind != "head"], geometry)
+
+
+def black_only_count(pi, erc) -> int:
+    """Blacks in pi whose equal-weight paired white is absent.
+
+    Counts blacks whose pair slot does not even exist in the ERC; always
+    equals the sector of pi, which the tests assert.
+    """
+    s = set(pi.stones)
+    return sum(erc.pair_white_of(b) not in s for b in pi.blacks())
+
+
+def verdicts(bundle):
+    """relation id -> tuple of a SuiteBundle's statuses across specializations."""
+    out = {}
+    for reps in bundle.reports:
+        for r in reps:
+            out.setdefault(r.relation, []).append(r.status)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 def plane_partition_subsets(n):
@@ -82,7 +196,8 @@ def is_upward_closed(stones, erc):
 def enumerate_pyramids_rescan(m, max_stones, sector=None):
     """enumerate_pyramids by rescanning the whole room: each growth step tests
     every absent stone, every grown ideal becomes a sorted PyramidPartition
-    before the sector filter, and the sort compares partitions."""
+    before the sector filter, and the sort compares partitions by their
+stones' sort keys."""
     erc = pyr.build_erc(m)
     nb = nw = max_stones
     if sector is not None:
@@ -95,7 +210,8 @@ def enumerate_pyramids_rescan(m, max_stones, sector=None):
 
     pis = (pyr.PyramidPartition(m, fs) for level in p3.grow(max_stones, addible) for fs in level)
     groups = {}
-    for pi in sorted(pi for pi in pis if sector is None or pi.sector == sector):
+    kept = (pi for pi in pis if sector is None or pi.black_count - pi.white_count == sector)
+    for pi in sorted(kept, key=lambda pi: tuple(map(pyr._stone_sort_key, pi.stones))):
         groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
     return dict(sorted(groups.items()))
 
@@ -149,16 +265,16 @@ def integrand_e(label, geometry):
         f = LinForm(1, [(p.chi, -1)], p.field)
         for b in label:
             x = p3.box_weight(b, p)
-            f = f * LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars], p.field)
+            f = mul(f, LinForm(1, [(x, 1)] + [(x + hb, -1) for hb in p.hbars], p.field))
         return f
-    sign = (-1) ** pyr.black_only_count(label, geometry.erc)
+    sign = (-1) ** black_only_count(label, geometry.erc)
     f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)], p.field)
     for s in label:
         x = pyr.stone_weight(s, p)
         if s.color == "B":
-            f = f * LinForm(1, [(x, 1), (x + p.t, -1)], p.field)
+            f = mul(f, LinForm(1, [(x, 1), (x + p.t, -1)], p.field))
         else:
-            f = f * LinForm(1, [(x + p.q, -1), (x + p.h, -1)], p.field)
+            f = mul(f, LinForm(1, [(x + p.q, -1), (x + p.h, -1)], p.field))
     return f
 
 
@@ -192,10 +308,10 @@ def transitions_oracle(rep, n):
         h = h_rat(lab, g)
         low = lowering_form(lab, g)
         for tgt, x, _ in moves:
-            order = -h.exponent_of(x)
+            order = -exponent_of(h, x)
             if order > 1:
                 raise Resonance(f"diagonal integrand has a pole of order {order} at {g.params.field.str(x)}")
-            out.append((si, basis.index(n + 1, tgt), x, h.residue_at(x), low.eval_reduced(x)))
+            out.append((si, basis.index(n + 1, tgt), x, residue_at(h, x), eval_reduced(low, x)))
     return out
 
 
@@ -253,7 +369,7 @@ def partial_fraction_residue(form, a):
             else:
                 p, k = data
                 row.append(Fraction(1) / (x - p) ** k)
-        rows.append(row + [form.eval(x)])
+        rows.append(row + [eval_form(form, x)])
     # gaussian elimination
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col] != 0)
@@ -391,7 +507,7 @@ def reference_statuses(ops, imax, nmax):
 
     levels = nonempty(range(0, top))
     sizes = [(n, len(rep.basis.level(n))) for n in levels]
-    diag = lambda op: [op.entry(n, k, k) or field.zero for n, size in sizes for k in range(size)]
+    diag = lambda op: [op.blocks.get(n, {}).get((k, k)) or field.zero for n, size in sizes for k in range(size)]
     eigen, ok = {}, True
     for i, j in pairs:
         op = ef_bracket(ops, i, j)

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import plane_partition_counts_gf, plane_partition_subsets, upward_closed_subsets
+from oracles import plane_partition_counts_gf, plane_partition_subsets, residue_at, upward_closed_subsets, verdicts
 from yangianpp import (
     Geometry,
     Params,
@@ -126,10 +126,10 @@ def test_criterion_03_pole_support():
 def test_criterion_04_c3_relation_suite():
     t0 = time.monotonic()
     bundle = full_suite("c3", 5, imax=2, specializations=SPECIALIZATIONS, seed=SEED)
-    verdicts = bundle.verdicts()
+    statuses = verdicts(bundle)
     ok = bundle.all_pass
     for rel in RELATION_SET:
-        ok = ok and all(s == "pass" for s in verdicts[rel])
+        ok = ok and all(s == "pass" for s in statuses[rel])
     elapsed = time.monotonic() - t0
     _stamp(4, ok and elapsed < 300.0, "c3 suite at N=5, imax=2, k=3", t0)
 
@@ -153,11 +153,11 @@ def test_criterion_06_conifold_relation_suite():
             "conifold", 3, imax=2, m=m, sector=1,
             specializations=SPECIALIZATIONS, seed=SEED,
         )
-        verdicts = bundle.verdicts()
+        statuses = verdicts(bundle)
         ok = ok and bundle.all_pass
         for rel in RELATION_SET:
-            ok = ok and all(s != "fail" for s in verdicts[rel])
-            if any(s == "pass" for s in verdicts[rel]):
+            ok = ok and all(s != "fail" for s in statuses[rel])
+            if any(s == "pass" for s in statuses[rel]):
                 ran_nonempty[rel] = True
     # every relation except the triple-Serre ones (whose domain the small
     # sectors genuinely exhaust) must have run somewhere with real content
@@ -193,7 +193,7 @@ def test_criterion_08_residue_closure():
         for k in range(4):
             total = h.residue_at_infinity(k)
             for a in h.poles():
-                total += h.residue_at(a, k)
+                total += residue_at(h, a, k)
             ok = ok and total == 0
         checked += 1
     ercs = {m: build_erc(m) for m in (1, 2, 3)}
@@ -211,7 +211,7 @@ def test_criterion_08_residue_closure():
         for k in range(4):
             total = h.residue_at_infinity(k)
             for a in h.poles():
-                total += h.residue_at(a, k)
+                total += residue_at(h, a, k)
             ok = ok and total == 0
         checked += 1
     elapsed = time.monotonic() - t0
@@ -227,7 +227,7 @@ def test_criterion_09_shuffle():
     ok = check_a1_anticomm(5).status == "pass"
     prod = shuffle_mul(SymPoly.power(0), SymPoly.power(0), Kernel.c3(iparams))
     u2 = MPoly(2, {(2, 0): 2, (1, 1): -4, (0, 2): 2})
-    ok = ok and prod.poly == u2 + MPoly.constant(2, 2 * iparams.sigma2)
+    ok = ok and prod.poly == u2 + MPoly.monomial(2, (0, 0), 2 * iparams.sigma2)
     ok = ok and check_c3_ee(iparams, imax=2).status == "pass"
     assoc = check_assoc(Kernel.c3(iparams), trials=50)
     ok = ok and assoc.status == "pass" and assoc.domain == 50
@@ -255,9 +255,9 @@ def test_criterion_10_mode_cross_check():
 
     ok = True
     for br, bp in zip(rational, prime):
-        ok = ok and br.verdicts() == bp.verdicts()
+        ok = ok and verdicts(br) == verdicts(bp)
         # verdicts also agree across the three specializations
-        for statuses in br.verdicts().values():
+        for statuses in verdicts(br).values():
             ok = ok and len(set(statuses)) == 1
     # pole support + shift verdict agreement across modes
     for mode_params in (_spec_params("rational"), _spec_params("prime-field")):

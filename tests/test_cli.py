@@ -150,6 +150,15 @@ def test_shuffle_mul_bad_operand_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("left,right", [("x^-1", "x"), ("x^-2", "1")])
+def test_shuffle_mul_negative_exponent_is_usage_error(capsys, left, right):
+    """A negative exponent is no shuffle element: refused as usage, not
+    multiplied into a Laurent "product" or a kernel error."""
+    code, out, err = run(capsys, "shuffle", "mul", left, right)
+    assert code == 2 and out == ""
+    assert err == f"error: shuffle elements are polynomials, got exponent {left[2:]}\n"
+
+
 def test_shuffle_check_kernels(capsys):
     for kernel in ("a1", "c3", "jordan:2/3"):
         code, out, _ = run(

@@ -4,8 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import first_resonance, partial_fraction_residue, sympy_residue
-from yangianpp import LinForm, Params, PoleAtPoint, Resonance
+from oracles import (
+    PoleAtPoint,
+    div,
+    eval_form,
+    eval_reduced,
+    exponent_of,
+    first_resonance,
+    mul,
+    partial_fraction_residue,
+    residue_at,
+    sympy_residue,
+)
+from yangianpp import LinForm, Params, Resonance
 from yangianpp.errors import RetrySpecialization
 from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _check_generic, _product_coeffs, rational_str
 
@@ -16,22 +27,22 @@ from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _check_generic, _product_coe
 
 
 def test_eval_identity():
-    assert LinForm(1, [(F(0), 1)]).eval(F(5)) == 5
+    assert eval_form(LinForm(1, [(F(0), 1)]), F(5)) == 5
 
 
 def test_eval_simple_pole_factor():
-    assert LinForm(2, [(F(1), -1)]).eval(F(3)) == 1
+    assert eval_form(LinForm(2, [(F(1), -1)]), F(3)) == 1
 
 
 def test_eval_at_pole_raises():
     with pytest.raises(PoleAtPoint):
-        LinForm(1, [(F(1), -1)]).eval(F(1))
+        eval_form(LinForm(1, [(F(1), -1)]), F(1))
 
 
 def test_eval_reduced_drops_vanishing_factors():
     f = LinForm(1, [(F(1), -1), (F(2), 1)])
-    assert f.eval_reduced(F(1)) == -1  # pole factor dropped, (z-2) at 1 remains
-    assert f.eval_reduced(F(3)) == f.eval(F(3))
+    assert eval_reduced(f, F(1)) == -1  # pole factor dropped, (z-2) at 1 remains
+    assert eval_reduced(f, F(3)) == eval_form(f, F(3))
 
 
 # ---------------------------------------------------------------------------
@@ -40,20 +51,20 @@ def test_eval_reduced_drops_vanishing_factors():
 
 
 def test_residue_simple():
-    assert LinForm(1, [(F(0), -1)]).residue_at(F(0), 0) == 1
+    assert residue_at(LinForm(1, [(F(0), -1)]), F(0), 0) == 1
 
 
 def test_residue_partial_fractions():
     f = LinForm(1, [(F(1), -1), (F(3), -1)])
-    assert f.residue_at(F(1), 0) == F(-1, 2)
+    assert residue_at(f, F(1), 0) == F(-1, 2)
 
 
 def test_residue_double_pole():
     # z / ((z-1)(z-2)^2): coefficient of 1/(z-2) is -1 (partial fractions)
     f = LinForm(1, [(F(0), 1), (F(2), -2), (F(1), -1)])
-    assert f.residue_at(F(2), 0) == -1
-    assert f.residue_at(F(2), 0) == sympy_residue(f, F(2), 0)
-    assert f.residue_at(F(2), 0) == partial_fraction_residue(f, F(2))
+    assert residue_at(f, F(2), 0) == -1
+    assert residue_at(f, F(2), 0) == sympy_residue(f, F(2), 0)
+    assert residue_at(f, F(2), 0) == partial_fraction_residue(f, F(2))
 
 
 def test_residues_match_partial_fraction_solve():
@@ -63,20 +74,20 @@ def test_residues_match_partial_fraction_solve():
     ]
     for f in forms:
         for a in f.poles():
-            assert f.residue_at(a) == partial_fraction_residue(f, a)
+            assert residue_at(f, a) == partial_fraction_residue(f, a)
 
 
 def test_residue_not_a_pole_is_zero():
     f = LinForm(1, [(F(2), 1)])
-    assert f.residue_at(F(2), 0) == 0
-    assert f.residue_at(F(5), 3) == 0
+    assert residue_at(f, F(2), 0) == 0
+    assert residue_at(f, F(5), 3) == 0
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 3])
 def test_residue_matches_sympy_on_mixed_form(power):
     f = LinForm(F(3, 7), [(F(1, 2), -2), (F(-1), -1), (F(4), 1)])
     for a in (F(1, 2), F(-1)):
-        assert f.residue_at(a, power) == sympy_residue(f, a, power)
+        assert residue_at(f, a, power) == sympy_residue(f, a, power)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +106,7 @@ def test_residue_at_infinity_polynomial():
 def test_residue_at_infinity_balances_finite_residues():
     f = LinForm(1, [(F(1), -1), (F(2), -1), (F(-1), 1)])
     assert f.residue_at_infinity(0) == -1
-    total = f.residue_at(F(1)) + f.residue_at(F(2)) + f.residue_at_infinity()
+    total = residue_at(f, F(1)) + residue_at(f, F(2)) + f.residue_at_infinity()
     assert total == 0
 
 
@@ -106,7 +117,7 @@ def tail(form, K):
 
 def laurent(form, a, K, offset=0):
     """Coefficients of (z-a)^-offset .. (z-a)^(K-1-offset) of form around a."""
-    return [(form * LinForm(1, [(a, offset - j - 1)])).residue_at(a) for j in range(K)]
+    return [residue_at(mul(form, LinForm(1, [(a, offset - j - 1)])), a) for j in range(K)]
 
 
 def test_expand_geometric():
@@ -127,14 +138,14 @@ def test_expand_finite_center_regular():
     f = LinForm(1, [(F(1), -1)])
     assert laurent(f, F(0), 3) == [-1, -1, -1]  # 1/(z-1) = -1 - z - z^2 - ...
     # the same Taylor coefficients through a negative power at the center 0
-    assert [f.residue_at(F(0), -j - 1) for j in range(3)] == [-1, -1, -1]
+    assert [residue_at(f, F(0), -j - 1) for j in range(3)] == [-1, -1, -1]
 
 
 def test_expand_finite_center_pole_requires_offset():
     f = LinForm(1, [(F(0), -2)])
     assert laurent(f, F(0), 3) == [0, 0, 0]  # no regular part
     assert laurent(f, F(0), 3, offset=2) == [1, 0, 0]
-    assert [f.residue_at(F(0), 1 - j) for j in range(3)] == [1, 0, 0]
+    assert [residue_at(f, F(0), 1 - j) for j in range(3)] == [1, 0, 0]
 
 
 def test_product_coeffs_convolution():
@@ -172,7 +183,7 @@ def lin_forms(draw):
 def test_residue_theorem_random(form, k):
     total = form.residue_at_infinity(k)
     for a in form.poles():
-        total += form.residue_at(a, k)
+        total += residue_at(form, a, k)
     assert total == 0
 
 
@@ -188,7 +199,7 @@ def test_batched_residues_at_infinity(mode, form, nmax):
     assert batch == [form.residue_at_infinity(p) for p in range(nmax + 1)]
     for p, value in enumerate(batch):
         assert type(value) is type(form.const)
-        assert value == field.reduce(-sum(form.residue_at(a, p) for a in form.poles()))
+        assert value == field.reduce(-sum(residue_at(form, a, p) for a in form.poles()))
         if form.degree() + p + 1 < 0:
             assert value == 0
 
@@ -202,10 +213,10 @@ def test_batched_residues_at_infinity_negative_degree():
 @settings(max_examples=40, deadline=None)
 def test_simple_pole_residue_equals_reduced_eval(form):
     for a, e in form.factors:
-        if e == -1 and form.exponent_of(a) == -1:
-            expected = (form / LinForm(1, [(a, -1)])).eval_reduced(a)
+        if e == -1 and exponent_of(form, a) == -1:
+            expected = eval_reduced(div(form, LinForm(1, [(a, -1)])), a)
             # only valid when no other factor vanishes at a (true by distinctness)
-            assert form.residue_at(a) == expected
+            assert residue_at(form, a) == expected
 
 
 def test_simple_pole_residue_cross_check_200_forms():
@@ -224,8 +235,8 @@ def test_simple_pole_residue_cross_check_200_forms():
         form = LinForm(F(rng.randint(1, 9)), list(zip(roots, exps)))
         for a, e in form.factors:
             if e == -1:
-                deleted = form / LinForm(1, [(a, -1)])
-                assert form.residue_at(a) == deleted.eval_reduced(a)
+                deleted = div(form, LinForm(1, [(a, -1)]))
+                assert residue_at(form, a) == eval_reduced(deleted, a)
         checked += 1
 
 
@@ -237,7 +248,7 @@ def convolve(a, b):
 @settings(max_examples=40, deadline=None)
 def test_expand_multiplicative(f, g):
     K = 6
-    fg = f * g
+    fg = mul(f, g)
     # const * prod (1 - r*w)^e is multiplicative, whatever the degrees
     assert _product_coeffs(fg.const, fg.factors, K, QQ) == convolve(
         _product_coeffs(f.const, f.factors, K, QQ), _product_coeffs(g.const, g.factors, K, QQ)
@@ -253,12 +264,12 @@ def test_integer_forms_give_exact_residues(power):
     int_form = LinForm(3, [(1, -2), (2, -1), (-1, 3), (4, -3)])
     frac_form = LinForm(F(3), [(F(r), e) for r, e in int_form.factors])
     for a in (1, 2, 4, 5):
-        value = int_form.residue_at(a, power)
-        assert isinstance(value, exact_types) and value == frac_form.residue_at(F(a), power)
+        value = residue_at(int_form, a, power)
+        assert isinstance(value, exact_types) and value == residue_at(frac_form, F(a), power)
     value = int_form.residue_at_infinity(power)
     assert isinstance(value, exact_types) and value == frac_form.residue_at_infinity(power)
     constant = LinForm(5)
-    for value in (constant.residue_at(0, power), constant.residue_at_infinity(power)):
+    for value in (residue_at(constant, 0, power), constant.residue_at_infinity(power)):
         assert isinstance(value, exact_types)
     assert constant.residue_at_infinity(power) == (-5 if power == -1 else 0)
 
@@ -296,8 +307,8 @@ def test_mode_reduction_commutes_with_residues():
     f_p = LinForm(GFP.of(F(2, 3)), [(GFP.of(r), e) for (r, e) in zip(roots, (-2, -1, 1))], GFP)
     for r_q, e in f_q.factors:
         if e < 0:
-            lhs = GFP.of(f_q.residue_at(r_q, 2))
-            rhs = f_p.residue_at(GFP.of(r_q), 2)
+            lhs = GFP.of(residue_at(f_q, r_q, 2))
+            rhs = residue_at(f_p, GFP.of(r_q), 2)
             assert lhs == rhs
     assert GFP.of(f_q.residue_at_infinity(1)) == f_p.residue_at_infinity(1)
 
@@ -313,7 +324,7 @@ def test_prime_field_agrees_on_random_forms(form, k):
     form_p = LinForm(reduce(form.const), [(reduce(r), e) for r, e in form.factors], GFP)
     assert reduce(form.residue_at_infinity(k)) == form_p.residue_at_infinity(k)
     for a in form.poles():
-        assert reduce(form.residue_at(a, k)) == form_p.residue_at(reduce(a), k)
+        assert reduce(residue_at(form, a, k)) == residue_at(form_p, reduce(a), k)
 
 
 factor_lists = st.lists(
@@ -336,11 +347,11 @@ def test_one_factor_list_equals_product(mode, a, b, const):
     in_mode = lambda fs: [(field.of(r), e) for r, e in fs]
     c, both = field.of(const), in_mode(a + b)
     whole = LinForm(c, both, field)
-    assert whole == LinForm(c, in_mode(a), field) * LinForm(field.one, in_mode(b), field)
+    assert whole == mul(LinForm(c, in_mode(a), field), LinForm(field.one, in_mode(b), field))
     for r, _ in both:
-        assert whole.exponent_of(r) == sum(e for r2, e in both if r2 == r)
+        assert exponent_of(whole, r) == sum(e for r2, e in both if r2 == r)
     factors = list(whole.factors)
-    assert factors == sorted(factors, key=field.factor_key)
+    assert factors == sorted(factors, key=lambda f: field.split(f[0]))
     assert len({r for r, _ in factors}) == len(factors)
     assert all(e != 0 for _, e in whole.factors)
 
@@ -389,8 +400,8 @@ def test_linform_refuses_mixed_fields(params_fp):
     rep = Representation(Geometry("c3", params_fp, 2))
     h = rep.h_rat(rep.basis.level(1)[0])
     rational = LinForm(1, [(params_fp.chi, -1)])
-    for combine in (lambda: rational * h, lambda: rational / h, lambda: h * rational, lambda: h / rational):
+    for combine in (lambda: mul(rational, h), lambda: div(rational, h), lambda: mul(h, rational), lambda: div(h, rational)):
         with pytest.raises(ValueError, match="^rational and prime-field scalars do not mix$|"
                            "^prime-field and rational scalars do not mix$"):
             combine()
-    assert (LinForm(1, [(params_fp.chi, -1)], GFP) * h).field is GFP
+    assert mul(LinForm(1, [(params_fp.chi, -1)], GFP), h).field is GFP

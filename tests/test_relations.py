@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import assert_in_field, ef_letters, evaluate, operator_sum, reference_statuses
+from oracles import assert_in_field, ef_letters, evaluate, operator_sum, reference_statuses, verdicts
 from yangianpp import Geometry, LinForm, Params, Representation, cli
 from yangianpp import relations, reps
 from yangianpp.exact import random_params
@@ -701,7 +701,7 @@ def test_run_suite_c3(params):
 def test_full_suite_bundle_verdicts_agree():
     bundle = full_suite("c3", 3, imax=1, specializations=2, seed=11)
     assert bundle.all_pass
-    for statuses in bundle.verdicts().values():
+    for statuses in verdicts(bundle).values():
         assert len(set(statuses)) == 1
 
 
@@ -710,7 +710,7 @@ def test_full_suite_modes_agree():
     prime = full_suite(
         "conifold", 2, imax=1, m=2, sector=1, specializations=1, seed=5, mode="prime-field"
     )
-    assert rational.verdicts() == prime.verdicts()
+    assert verdicts(rational) == verdicts(prime)
     assert rational.shift is not None and prime.shift is not None
 
 

@@ -1,23 +1,31 @@
 from fractions import Fraction as F
-from math import prod
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_in_field, box_local_factor, integrand_e, lowering_form, transitions_oracle
+from oracles import (
+    assert_in_field,
+    box_local_factor,
+    div,
+    eval_form,
+    eval_reduced,
+    exponent_of,
+    integrand_e,
+    lowering_form,
+    mul,
+    residue_at,
+    stone_product,
+    transitions_oracle,
+)
 from yangianpp import Geometry, LinForm, Params, Representation, Resonance, detect_shift
 from yangianpp.exact import FIELDS, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_vectors
 from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
-from yangianpp.reps import (
-    SparseOperator,
-    h_rat,
-    operators_to_json,
-    stone_product,
-)
+from yangianpp.reps import SparseOperator, h_rat, operators_to_json
 
 
 @pytest.fixture
@@ -61,9 +69,9 @@ def test_integrand_e_conifold_one_black(coni2, params):
 def test_h_rat_c3_examples(c3, params):
     chi, hb = params.chi, params.hbars
     assert h_rat(EMPTY, c3) == LinForm(1, [(chi, -1)])
-    expect = LinForm(1, [(chi, -1)]) * LinForm(
+    expect = mul(LinForm(1, [(chi, -1)]), LinForm(
         1, [(chi - h, 1) for h in hb] + [(chi + h, -1) for h in hb]
-    )
+    ))
     assert h_rat(ONE, c3) == expect
 
 
@@ -90,14 +98,14 @@ def test_h_rat_equals_raising_times_lowering(kind, level, m, sector, mode):
     rep = Representation(Geometry(kind, params, level, m=m, sector=sector))
     g = rep.geometry
     for _, lab in rep.basis:
-        assert integrand_e(lab, g) * lowering_form(lab, g) == rep.h_rat(lab)
+        assert mul(integrand_e(lab, g), lowering_form(lab, g)) == rep.h_rat(lab)
 
 
 def test_psi_eigenvalue(c3, params):
     assert stone_product(EMPTY, c3) == LinForm(1)
     assert stone_product(ONE, c3) == box_local_factor(params.chi, params)
     x2 = box_weight((1, 0, 0), params)
-    assert stone_product(TWO, c3) == box_local_factor(params.chi, params) * box_local_factor(x2, params)
+    assert stone_product(TWO, c3) == mul(box_local_factor(params.chi, params), box_local_factor(x2, params))
 
 
 def test_psi_recursion_direction(c3, params):
@@ -105,7 +113,7 @@ def test_psi_recursion_direction(c3, params):
     for lam in (EMPTY, ONE, TWO):
         for b in lam.addible_boxes():
             x = box_weight(b, params)
-            assert stone_product(lam.add(b), c3) == stone_product(lam, c3) * box_local_factor(x, params)
+            assert stone_product(lam.add(b), c3) == mul(stone_product(lam, c3), box_local_factor(x, params))
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime-field"])
@@ -124,19 +132,19 @@ def test_geometries_read_the_kernel(mode):
     labels = [lab for level in c3.basis() for lab in level]
     assert len(labels) == 96
     for lab in labels:
-        ratio = prod((LinForm(*kernel.ratio(box_weight(b, params)), field) for b in lab), start=one)
+        ratio = reduce(mul, (LinForm(*kernel.ratio(box_weight(b, params)), field) for b in lab), one)
         assert stone_product(lab, c3) == ratio
     rep = Representation(c3)
     for n in range(rep.basis.top_level):
         for si, _, x, _, fhat in rep.transitions(n):
             lab = rep.basis.level(n)[si]
-            fac = prod((LinForm(1, kernel.fac(box_weight(b, params)), field) for b in lab), start=one)
-            assert fhat == fac.eval_reduced(x)
+            fac = reduce(mul, (LinForm(1, kernel.fac(box_weight(b, params)), field) for b in lab), one)
+            assert fhat == eval_reduced(fac, x)
     for x in {box_weight(b, params) for lab in labels for b in lab}:
         z = field.reduce(x + field.of(F(7, 3)))
-        fac_zx = LinForm(1, kernel.fac(x), field).eval(z)
-        fac_xz = LinForm(1, kernel.fac(z), field).eval(x)
-        assert LinForm(*kernel.ratio(x), field).eval(z) == field.reduce(fac_zx * field.inv(fac_xz))
+        fac_zx = eval_form(LinForm(1, kernel.fac(x), field), z)
+        fac_xz = eval_form(LinForm(1, kernel.fac(z), field), x)
+        assert eval_form(LinForm(*kernel.ratio(x), field), z) == field.reduce(fac_zx * field.inv(fac_xz))
     for m, sector in [(3, 1), (3, 2), (4, 1), (4, 2)]:
         rep = Representation(Geometry("conifold", params, 4, m=m, sector=sector))
         g = rep.geometry
@@ -144,7 +152,7 @@ def test_geometries_read_the_kernel(mode):
         for n in range(rep.basis.top_level):
             for si, ti, x, _, _ in rep.transitions(n):
                 src, tgt = rep.basis.level(n)[si], rep.basis.level(n + 1)[ti]
-                assert stone_product(tgt, g) == stone_product(src, g) * LinForm(*g.kernel.ratio(x), field)
+                assert stone_product(tgt, g) == mul(stone_product(src, g), LinForm(*g.kernel.ratio(x), field))
                 pairs += 1
         assert pairs > 0
 
@@ -158,7 +166,7 @@ def oracle_split(label, x, geometry):
     """(rho, fhat) by definition: the residue at x of integrand_e times the
     lowering factor, and the reduced evaluation of that factor at x."""
     low = lowering_form(label, geometry)
-    return (integrand_e(label, geometry) * low).residue_at(x), low.eval_reduced(x)
+    return residue_at(mul(integrand_e(label, geometry), low), x), eval_reduced(low, x)
 
 
 def matcoef_e(label, x, i, geometry):
@@ -277,10 +285,10 @@ def test_matcoef_matches_naive_residue_when_nondegenerate(c3, params):
         Fm = lowering_form(lam, c3)
         for b in lam.addible_boxes():
             x = box_weight(b, params)
-            if E.exponent_of(x) == -1 and Fm.eval(x) != 0:
+            if exponent_of(E, x) == -1 and eval_form(Fm, x) != 0:
                 for i in range(3):
-                    assert matcoef_e(lam, x, i, c3) == E.residue_at(x, i)
-                    assert matcoef_f(lam, x, i, c3) == x**i * Fm.eval(x)
+                    assert matcoef_e(lam, x, i, c3) == residue_at(E, x, i)
+                    assert matcoef_f(lam, x, i, c3) == x**i * eval_form(Fm, x)
 
 
 def test_balanced_split_at_weight_collision(c3, params):
@@ -292,16 +300,16 @@ def test_balanced_split_at_weight_collision(c3, params):
     x = box_weight(b, params)  # equals chi - h1
     assert x == params.chi - params.h1
     E = integrand_e(lam, c3)
-    assert E.exponent_of(x) == -2
-    assert lowering_form(lam, c3).eval(x) == 0
+    assert exponent_of(E, x) == -2
+    assert eval_form(lowering_form(lam, c3), x) == 0
     rho, fhat = oracle_split(lam, x, c3)
     assert fhat != 0
-    h_int = E * lowering_form(lam, c3)
-    assert h_int.exponent_of(x) == -1
+    h_int = mul(E, lowering_form(lam, c3))
+    assert exponent_of(h_int, x) == -1
     for i in range(2):
         for j in range(2):
             prod = matcoef_e(lam, x, i, c3) * matcoef_f(lam, x, j, c3)
-            assert prod == h_int.residue_at(x, i + j)
+            assert prod == residue_at(h_int, x, i + j)
 
 
 def test_conifold_degenerate_vacuum_transition(coni2, params):
@@ -372,11 +380,16 @@ def test_detect_shift_conifold(params, m, sector):
     assert detect_shift(rep) == (+1, params.chi + m * params.t)
 
 
-def test_stone_product_divides_h_exactly(coni2):
-    rep = Representation(coni2)
+@pytest.mark.parametrize("kind,m", [("conifold", 2), ("c3", 0)])
+def test_stone_product_divides_h_exactly(params, kind, m):
+    """h_rat over the stone product is one signed linear factor, and
+    detect_shift, which reads the head atoms alone, finds that factor."""
+    rep = Representation(Geometry(kind, params, 3, m=m, sector=1))
+    l, z1 = detect_shift(rep)
     for _, lab in rep.basis:
-        resid = rep.h_rat(lab) / stone_product(lab, coni2)
+        resid = div(rep.h_rat(lab), stone_product(lab, rep.geometry))
         assert len(resid.factors) == 1 and abs(resid.factors[0][1]) == 1
+        assert resid.const in (1, -1) and resid.factors == ((z1, l),)
 
 
 def test_operator_json_roundtrip(c3):
@@ -467,12 +480,11 @@ def built(shift, entries, field):
 
 
 def stored(op, field):
-    """op's nonempty blocks read through entry(), after asserting no zero and
-    no foreign scalar is stored."""
+    """op's nonempty blocks, after asserting no zero and no foreign scalar
+    is stored."""
     out = {}
     for n, blk in op.blocks.items():
-        for i, j in blk:
-            v = op.entry(n, i, j)
+        for (i, j), v in blk.items():
             assert v != 0
             assert_in_field(v, field)
             out.setdefault(n, {})[(i, j)] = v

@@ -16,7 +16,7 @@ from yangianpp.shuffle import MPoly, check_a1_anticomm, check_assoc, check_c3_ee
 
 def test_a1_x0_star_x1_is_minus_one():
     prod = shuffle_mul(SymPoly.power(0), SymPoly.power(1), Kernel.a1())
-    assert prod.poly == MPoly.constant(2, F(-1))
+    assert prod.poly == MPoly.monomial(2, (0, 0), F(-1))
 
 
 @pytest.fixture
@@ -30,17 +30,24 @@ def test_c3_one_star_one(iparams):
     params = iparams  # 2(x1-x2)^2 + 2 sigma2
     prod = shuffle_mul(SymPoly.power(0), SymPoly.power(0), Kernel.c3(params))
     u2 = MPoly(2, {(2, 0): F(2), (1, 1): F(-4), (0, 2): F(2)})
-    expect = u2 + MPoly.constant(2, 2 * params.sigma2)
+    expect = u2 + MPoly.monomial(2, (0, 0), 2 * params.sigma2)
     assert prod.poly == expect
 
 
 def test_unit_on_either_side(iparams):
     params = iparams
-    one = SymPoly.one()
+    one = SymPoly(MPoly.monomial(0, (), QQ.one))
     f = SymPoly.power(3)
     for k in (Kernel.a1(), Kernel.c3(params)):
         assert shuffle_mul(f, one, k) == f
         assert shuffle_mul(one, f, k) == f
+
+
+@pytest.mark.parametrize("field", [QQ, GFP])
+def test_power_refuses_a_negative_exponent(field):
+    with pytest.raises(ValueError, match="^shuffle elements are polynomials, got exponent -1$"):
+        SymPoly.power(-1, field=field)
+    assert SymPoly.power(0, field=field).poly.terms == {(0,): field.one}
 
 
 def test_a1_anticommutator_check():
