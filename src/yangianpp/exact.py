@@ -130,40 +130,34 @@ def rational_str(x) -> str:
     return (GFP if type(x) is int else QQ).str(x)
 
 
-def _product_coeffs(lead, factors, n, field):
-    """Coefficients c_0..c_n of lead * prod (1 - r*w)^e over (r, e) in factors.
-
-    Newton's identities: with the power sums p_k = sum e*r^k, the
-    logarithmic derivative gives k*c_k = -sum_{j=1..k} p_j*c_{k-j}.
-    """
-    reduce = field.reduce
-    p = [reduce(sum(e * r**k for r, e in factors)) for k in range(1, n + 1)]
-    c = [lead]
-    for k in range(1, n + 1):
-        c.append(reduce(-sum(p[j - 1] * c[k - j] for j in range(1, k + 1)) * field.inv(k)))
-    return c
-
-
 class LinForm:
     """const * prod (z - root)^exponent over one field, stored exactly.
 
     Roots are pairwise distinct scalars; exponents are nonzero integers.
     Construction reduces the constant and the roots, merges equal roots and
     drops exponent zero, so cancellation is automatic and exact; factors
-    sort by `field.split` of their roots.
+    sort by `field.split` of their roots, and rational roots merge by that
+    int pair, prime ones by their residue: no `Fraction` is hashed.
     """
 
     __slots__ = ("const", "factors", "field")
 
     def __init__(self, const, factors=(), field=QQ):
-        reduce = field.reduce
-        merged = {}
-        for root, e in factors:
-            root = reduce(root)
-            merged[root] = merged.get(root, 0) + e
+        reduce, merged, roots = field.reduce, {}, {}
+        if field is QQ:
+            for root, e in factors:
+                k = field.split(root)
+                roots.setdefault(k, root)
+                merged[k] = merged.get(k, 0) + e
+            factors = [(roots[k], e) for k, e in sorted(merged.items()) if e]
+        else:
+            for root, e in factors:
+                root = reduce(root)
+                merged[root] = merged.get(root, 0) + e
+            factors = sorted([f for f in merged.items() if f[1]])
         self.field = field
         self.const = reduce(const)
-        self.factors = tuple(sorted(((r, e) for r, e in merged.items() if e), key=lambda f: field.split(f[0])))
+        self.factors = tuple(factors)
 
     # -- structure -----------------------------------------------------------
 
@@ -175,21 +169,14 @@ class LinForm:
         return sum(e for _, e in self.factors)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LinForm)
-            and self.const == other.const
-            and self.factors == other.factors
-        )
+        return isinstance(other, LinForm) and (self.const, self.factors) == (other.const, other.factors)
 
     def __hash__(self):
         return hash((self.const, self.factors))
 
     def __repr__(self):
         show = self.field.str
-        parts = [show(self.const)]
-        for r, e in self.factors:
-            parts.append(f"(z - {show(r)})^{e}")
-        return " * ".join(parts)
+        return " * ".join([show(self.const)] + [f"(z - {show(r)})^{e}" for r, e in self.factors])
 
     # -- residues at infinity ----------------------------------------------------
 
@@ -204,13 +191,26 @@ class LinForm:
     def residues_at_infinity(self, powers):
         """[residue_at_infinity(p) for p in powers], read from one series.
 
-        With w = 1/z the form is const * z^degree * prod (1 - r*w)^e, so the
-        coefficient of z^-1 in z^p * self sits at w^(degree + p + 1).
+        With w = 1/z, self = const * z^degree * sum c_k w^k, the series of
+        prod (1 - r*w)^e; power p reads k = degree + p + 1.  Over the roots'
+        common denominator D (1 in GF(p)) R = r*D and C_k = c_k*D^k are ints.
         """
         f = self.field
         ks = [self.degree() + p + 1 for p in powers]
-        series = _product_coeffs(self.const, self.factors, max(ks, default=0), f)
-        return [f.reduce(-series[k]) if k >= 0 else f.zero for k in ks]
+        n = max(ks, default=0)
+        cleared, D = f.clear(dict(enumerate(r for r, _ in self.factors)))
+        c, down, up = [1] + [0] * n, range(n, 0, -1), range(1, n + 1)
+        for R, (_, e) in zip(cleared.values(), self.factors):
+            if e > 0:  # a zero: times (1 - R*w)
+                for _ in range(e):
+                    for k in down:
+                        c[k] -= R * c[k - 1]
+            else:  # a pole: over (1 - R*w)
+                for _ in range(-e):
+                    for k in up:
+                        c[k] += R * c[k - 1]
+        num, den = f.split(self.const)
+        return [f.ratio(-num * c[k], den * D**k) if k >= 0 else f.zero for k in ks]
 
 
 # ---------------------------------------------------------------------------

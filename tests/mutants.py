@@ -199,6 +199,21 @@ MUTANTS = [
         "ks = [self.degree() + p for p in powers]",
         EXACT + "test_residue_at_infinity_balances_finite_residues",
     ),
+    # Residues at infinity: one integer series over the roots' common denominator.
+    (
+        "pole-takes-descending-pass",
+        "exact.py",
+        "for k in up:",
+        "for k in down:",
+        EXACT + "test_integer_series_equals_newton_oracle",
+    ),
+    (
+        "series-denominator-power-short",
+        "exact.py",
+        "den * D**k)",
+        "den * D ** max(k - 1, 0))",
+        REPS + "test_prime_h_is_the_rational_h_reduced",
+    ),
     (
         "genericity-bound-exclusive",
         "exact.py",
@@ -235,6 +250,13 @@ MUTANTS = [
         "pyramid.py",
         "(-h, 1), (t, -1)]",
         "(-h, 1), (-t, -1)]",
+        REPS + "test_h_rat_equals_raising_times_lowering",
+    ),
+    (
+        "black-self-factor-dropped",
+        "pyramid.py",
+        '"black": ([(0, 1), (-q, 1),',
+        '"black": ([(-q, 1),',
         REPS + "test_h_rat_equals_raising_times_lowering",
     ),
     (

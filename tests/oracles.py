@@ -10,8 +10,10 @@ per-box eigenvalue factor written out, and relations
 by the matrix route: every word of every instance one product of whole
 operators.  The functions on a form that no command runs live here too:
 products, quotients, values and finite residues (`mul`, `div`,
-`eval_form`, `eval_reduced`, `residue_at`), with the stone product, the
-unpaired-black count and a bundle's verdicts.
+`eval_form`, `eval_reduced`, `residue_at`), and the series of a product of
+factors by Newton's identities over the field (`_product_coeffs`, the
+oracle of the integer series behind the residues at infinity), with the
+stone product, the unpaired-black count and a bundle's verdicts.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from itertools import combinations
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
 from yangianpp.errors import Resonance, YangianppError
-from yangianpp.exact import GFP, PRIME, LinForm, _product_coeffs, same_field
+from yangianpp.exact import GFP, PRIME, LinForm, same_field
 from yangianpp.relations import ef_terms, quad_terms, serre_terms
 from yangianpp.reps import SparseOperator, _atom_form, h_rat
 
@@ -28,6 +30,20 @@ from yangianpp.reps import SparseOperator, _atom_form, h_rat
 # ---------------------------------------------------------------------------
 # Functions on a form: products, quotients, values and finite residues
 # ---------------------------------------------------------------------------
+
+
+def _product_coeffs(lead, factors, n, field):
+    """Coefficients c_0..c_n of lead * prod (1 - r*w)^e over (r, e) in factors.
+
+    Newton's identities: with the power sums p_k = sum e*r^k, the
+    logarithmic derivative gives k*c_k = -sum_{j=1..k} p_j*c_{k-j}.
+    """
+    reduce = field.reduce
+    p = [reduce(sum(e * r**k for r, e in factors)) for k in range(1, n + 1)]
+    c = [lead]
+    for k in range(1, n + 1):
+        c.append(reduce(-sum(p[j - 1] * c[k - j] for j in range(1, k + 1)) * field.inv(k)))
+    return c
 
 
 class PoleAtPoint(YangianppError):

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     PoleAtPoint,
+    _product_coeffs,
     div,
     eval_form,
     eval_reduced,
@@ -18,7 +19,7 @@ from oracles import (
 )
 from yangianpp import LinForm, Params, Resonance
 from yangianpp.errors import RetrySpecialization
-from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _check_generic, _product_coeffs, rational_str
+from yangianpp.exact import FIELDS, GFP, PRIME, QQ, _check_generic, rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,24 @@ def test_batched_residues_at_infinity(mode, form, nmax):
 def test_batched_residues_at_infinity_negative_degree():
     # z^p / (z - 1)^3: the z^-1 coefficient is 0, 0, then 1, 3, 6
     assert LinForm(F(1), [(F(1), -3)]).residues_at_infinity(range(5)) == [0, 0, -1, -3, -6]
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@given(lin_forms(), st.lists(st.integers(min_value=-6, max_value=6), max_size=6))
+@example(LinForm(F(5, 3), [(F(1, 2), -3), (F(-2, 3), 3), (F(3, 4), -1)]), [-4, 2, 0, 5])
+@example(LinForm(F(-7, 2), [(F(1, 3), 2)]), [])
+@settings(max_examples=80, deadline=None)
+def test_integer_series_equals_newton_oracle(mode, form, powers):
+    """The fraction-free series over the roots' common denominator gives
+    Newton's residues at infinity, in any order of powers, 0 where the
+    index degree + p + 1 is negative and nothing for no powers."""
+    field = FIELDS[mode]
+    form = LinForm(field.of(form.const), [(field.of(r), e) for r, e in form.factors], field)
+    ks = [form.degree() + p + 1 for p in powers]
+    series = _product_coeffs(form.const, form.factors, max(ks, default=0), field)
+    expected = [field.reduce(-series[k]) if k >= 0 else field.zero for k in ks]
+    got = form.residues_at_infinity(powers)
+    assert got == expected and all(type(v) is type(field.one) for v in got)
 
 
 @given(lin_forms())

@@ -20,7 +20,7 @@ from oracles import (
     transitions_oracle,
 )
 from yangianpp import Geometry, LinForm, Params, Representation, Resonance, detect_shift
-from yangianpp.exact import FIELDS, QQ, random_params
+from yangianpp.exact import FIELDS, GFP, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
 from yangianpp.relations import OperatorSet, ef_vectors
@@ -99,6 +99,22 @@ def test_h_rat_equals_raising_times_lowering(kind, level, m, sector, mode):
     g = rep.geometry
     for _, lab in rep.basis:
         assert mul(integrand_e(lab, g), lowering_form(lab, g)) == rep.h_rat(lab)
+
+
+@pytest.mark.parametrize("kind,level,m,sector", [("c3", 6, 0, 0), ("conifold", 5, 5, 2)])
+def test_prime_h_is_the_rational_h_reduced(kind, level, m, sector):
+    """On every label, the prime h_rat's factors are the rational ones
+    reduced, in the prime field's order, and each prime residue at
+    infinity is the rational one reduced: the two fields' merging and
+    series cannot drift apart."""
+    geoms = [Geometry(kind, random_params(2024, mode), level, m=m, sector=sector)
+             for mode in ("rational", "prime-field")]
+    (h_q, h_p), powers = [Representation(g).h_rat for g in geoms], range(-2, 7)
+    for _, lab in Representation(geoms[0]).basis:
+        q, p = h_q(lab), h_p(lab)
+        assert p.const == GFP.of(q.const)
+        assert list(p.factors) == sorted((GFP.of(r), e) for r, e in q.factors)
+        assert p.residues_at_infinity(powers) == [GFP.of(v) for v in q.residues_at_infinity(powers)]
 
 
 def test_psi_eigenvalue(c3, params):
