@@ -2,17 +2,19 @@
 
 from fractions import Fraction as F
 
-from yangianpp import Params, box_weight, enumerate_plane_partitions
+from yangianpp import Geometry, Params, box_weight, enumerate_plane_partitions
 
 levels = enumerate_plane_partitions(6)
 print("plane partitions by box count:", [len(L) for L in levels])
 
+params = Params.make(F(101, 13), F(47, 7), F(7))
+c3 = Geometry("c3", params, 6)
 lam = levels[3][0]
 print("\na 3-box partition:", lam)
-print("addible boxes:  ", lam.addible_boxes())
-print("removable boxes:", lam.removable_boxes())
+print("addible boxes:  ", [b for _, _, b in c3.moves(lam)])
+# the removals of a label are the moves into it from the level below
+print("removable boxes:", sorted(b for mu in levels[2] for tgt, _, b in c3.moves(mu) if tgt == lam))
 
-params = Params.make(F(101, 13), F(47, 7), F(7))
 print("\nequivariant weights (chi + i*h1 + j*h2 + k*h3):")
 for b in lam:
     print(f"  {b} -> {box_weight(b, params)}")

@@ -8,8 +8,8 @@ invariant of the whole ladder.
 
 from fractions import Fraction as F
 
-from yangianpp import Geometry, Params, build_erc, enumerate_pyramids
-from yangianpp.pyramid import addible_pairs, removable_pairs, stone_weight
+from yangianpp import Geometry, Params, box_weight, build_erc, enumerate_pyramids
+from yangianpp.pyramid import addible_pairs, black_vector
 
 m = 2
 erc = build_erc(m)
@@ -17,21 +17,23 @@ print(f"ERC of length {m}: {len(erc.blacks)} blacks + {len(erc.whites)} whites")
 print("equal-weight pairs:", [(p.black, p.white) for p in erc.pairs])
 
 params = Params.make(F(101, 13), F(47, 7), F(7))
-for s in sorted(erc.stones):
-    print(f"  {s}  weight {stone_weight(s, params)}")
+print("blacks at their lattice vectors (t, q, h), weighed by box_weight:")
+for s in erc.blacks:
+    print(f"  {s}  at {black_vector(s)}  weight {box_weight(black_vector(s), params)}")
 
 print("\nall pyramid partitions grouped by (#black, #white):")
-for (b, w), pis in enumerate_pyramids(m, len(erc.stones)).items():
+for (b, w), pis in enumerate_pyramids(erc, len(erc.stones)).items():
     print(f"  ({b},{w}) sector {b-w}: {len(pis)}")
 
-groups = enumerate_pyramids(m, len(erc.stones), sector=1)
 conifold = Geometry("conifold", params, 2, m=m, sector=1)
-print("\nsector-1 pyramids, their pair moves and the lattice vectors (t, q, h)")
-print("of their unpaired blacks, as the atoms of h(z) list them:")
-for pis in groups.values():
-    for pi in pis:
-        _, _, atoms = conifold.atoms(pi)
-        print(f"  {list(pi.stones)}")
-        print(f"    addible pairs:   {addible_pairs(pi, erc)}")
-        print(f"    removable pairs: {removable_pairs(pi, erc)}")
-        print(f"    unpaired blacks: {[v for kind, v in atoms if kind == 'black']}")
+labels = [pi for level in conifold.basis() for pi in level]
+print("\nsector-1 pyramids, their pair moves, their removals (the moves into")
+print("them: weight and black's lattice vector) and the lattice vectors of")
+print("their unpaired blacks, as the atoms of h(z) list them:")
+for pi in labels:
+    _, _, atoms = conifold.atoms(pi)
+    print(f"  {list(pi.stones)}")
+    print(f"    addible pairs:   {addible_pairs(pi, erc)}")
+    removals = [f"{x} at {v}" for mu in labels for tgt, x, v in conifold.moves(mu) if tgt == pi]
+    print(f"    removals:        {', '.join(removals) or 'none'}")
+    print(f"    unpaired blacks: {[v for kind, v in atoms if kind == 'black']}")

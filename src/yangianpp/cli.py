@@ -70,7 +70,7 @@ def cmd_enum(args) -> int:
     if args.length < 1 or args.max_stones < 0:
         print("enum pyramid: bad --length/--max-stones", file=sys.stderr)
         return EXIT_USAGE
-    groups = pyr.enumerate_pyramids(args.length, args.max_stones, sector=args.sector)
+    groups = pyr.enumerate_pyramids(pyr.build_erc(args.length), args.max_stones, sector=args.sector)
     out = {
         "length": args.length,
         "groups": [

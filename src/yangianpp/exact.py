@@ -40,8 +40,11 @@ class RationalField:
     zero, one = Fraction(0), Fraction(1)
 
     def of(self, x):
-        """A rational (int, Fraction or 'p/q' string) as a scalar."""
-        return Fraction(x)
+        """A rational (int, Fraction or 'p/q' string) as a scalar; ValueError on a zero denominator."""
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
 
     def reduce(self, x):
         return x
@@ -78,7 +81,7 @@ class PrimeField:
 
     def of(self, x):
         """A rational (int, Fraction or 'p/q' string) as a residue."""
-        fr = Fraction(x)
+        fr = QQ.of(x)
         if fr.denominator % PRIME == 0:
             raise RetrySpecialization("denominator divisible by PRIME")
         return fr.numerator * pow(fr.denominator, -1, PRIME) % PRIME
@@ -240,7 +243,7 @@ class Params:
     def make(cls, h1, h2, chi, mode="rational"):
         if mode not in FIELDS:
             raise ValueError(f"unknown mode {mode!r}")
-        h1, h2, chi = Fraction(h1), Fraction(h2), Fraction(chi)
+        h1, h2, chi = QQ.of(h1), QQ.of(h2), QQ.of(chi)
         _check_generic(h1, h2, RESONANCE_BOUND)
         f = FIELDS[mode]
         params = cls(f.of(h1), f.of(h2), f.of(-h1 - h2), f.of(chi), f)

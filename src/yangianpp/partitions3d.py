@@ -4,7 +4,8 @@ These index the torus-fixed basis of the rank-one Hilbert-scheme side.
 Boxes are (i, j, k) tuples with the corner box at (0, 0, 0); a partition is
 canonically stored as a lexicographically sorted tuple of boxes.  `grow`
 enumerates graded order ideals of any poset.  `C3` is the geometry: its
-`atoms` and `kinds` state h(z) and the lowering factor once, per box, and
+`moves` add boxes (a label's removals are the moves into it), its `atoms`
+and `kinds` state h(z) and the lowering factor once, per box, and
 `reps.h_rat` is their whole form (the tests state both independently).
 """
 
@@ -93,11 +94,6 @@ class Partition3D:
         """Boxes whose addition keeps the order-ideal property."""
         return sorted(_addible(set(self.boxes)))
 
-    def removable_boxes(self):
-        """Boxes whose removal keeps the order-ideal property."""
-        s = set(self.boxes)
-        return sorted(b for b in self.boxes if not any(x in s for x in _succs(b)))
-
     def to_json(self):
         return [list(b) for b in self.boxes]
 
@@ -158,9 +154,6 @@ class C3:
         """(sign of h, sign of F, [(kind, lattice vector)]): the head's pole at
         the corner, which the diagonal boxes (k, k, k) share, then the boxes."""
         return 1, 1, [("head", (0, 0, 0))] + [("box", b) for b in lam]
-
-    def removable(self, lam):
-        return [self._weight(b) for b in lam.removable_boxes()]
 
     def _weight(self, box):
         """box_weight(box), computed once per box."""

@@ -3,22 +3,23 @@
 Stones come in two colors.  Blacks live on odd layers 2k+1 (k = 0..m-1) and
 carry indices a in [0, k] (q/h position) and c in [k, m-1] (t position);
 whites live on even layers 2k (k = 1..m-1) with a in [0, k-1], c in [k, m-1].
-Weights:
-
-    black (k; a, c):  chi + a*q + (k-a)*h + c*t
-    white (k; a, c):  chi + a*q + (k-1-a)*h + c*t
+A black (k; a, c) sits at the lattice vector (c, a, k-a) on the axes t, q, h
+(`black_vector`) and weighs `box_weight` of it, chi + c*t + a*q + (k-a)*h; a
+white (k; a, c) weighs chi + c*t + a*q + (k-1-a)*h, so the white (k+1; a, c)
+weighs the same as the black (k; a, c).
 
 The covering relation ("directly above") is reconstructed from the arrow
 weights: a white sits directly below the blacks one layer up whose weight
 exceeds it by q or h; a black sits directly below the whites one layer up at
 weight offset 0 or t.  `ERC` tables it once, with the frontier tables `below`
-(its inverse) and `tops` (the stones with no cover), so growth and the pair
-moves look only at the stones next to a pyramid, never at the whole room.
+(its inverse) and `tops` (the stones with no cover), so growth looks only at
+the stones next to a pyramid, never at the whole room.
 
 A pyramid partition is an upward-closed subset; adding or removing happens
 through equal-weight black/white pairs (black (k; a, c) with white
-(k+1; a, c)).  `Conifold` is the geometry: its `atoms` and `kinds` state h(z)
-and the lowering factor once, per pair or unpaired black, and `reps.h_rat` is
+(k+1; a, c)).  `Conifold` is the geometry: its `moves` add the pairs, whose
+removals are the moves into a pyramid, and its `atoms` and `kinds` state h(z)
+and the lowering factor once, per pair or unpaired black; `reps.h_rat` is
 their whole form.
 """
 
@@ -28,7 +29,7 @@ from collections import namedtuple
 
 from .errors import CapExceeded
 from .exact import Kernel
-from .partitions3d import distinct_weights, grow
+from .partitions3d import box_weight, distinct_weights, grow
 
 Stone = namedtuple("Stone", ["color", "k", "a", "c"])  # color: 'B' | 'W'
 
@@ -37,10 +38,9 @@ Pair = namedtuple("Pair", ["black", "white"])
 DEFAULT_CAP = 5
 
 
-def stone_weight(s: Stone, params):
-    q, h, t = params.q, params.h, params.t
-    b = (s.k - s.a) if s.color == "B" else (s.k - 1 - s.a)
-    return params.field.reduce(params.chi + s.a * q + b * h + s.c * t)
+def black_vector(s: Stone):
+    """The lattice vector (c, a, k - a) of a black (k; a, c), on the axes t, q, h."""
+    return s.c, s.a, s.k - s.a
 
 
 def stone_layer(s: Stone) -> int:
@@ -154,16 +154,8 @@ def addible_pairs(pi: PyramidPartition, erc: ERC):
             and all(c in s or c == p.black for c in erc.covers(p.black) + erc.covers(p.white))]
 
 
-def removable_pairs(pi: PyramidPartition, erc: ERC):
-    """Pairs inside pi whose removal keeps it upward-closed: no stone of pi
-    but the white sits directly below the pair's black or white."""
-    s = set(pi.stones)
-    return [p for p in erc.pairs if p.black in s and p.white in s
-            and not any(t in s and t != p.white for t in erc.below[p.black] + erc.below[p.white])]
-
-
-def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_CAP):
-    """All pyramid partitions of length m with at most max_stones stones.
+def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
+    """All pyramid partitions of the room erc with at most max_stones stones.
 
     Returns a dict keyed by (#black, #white) with canonically ordered lists,
     optionally filtered to one sector.  Enumeration is by single-stone
@@ -176,7 +168,6 @@ def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_
     """
     if max_stones < 0:
         raise ValueError("max_stones must be nonnegative")
-    erc = build_erc(m, cap=cap)
     if max_stones > len(erc.stones):
         raise CapExceeded(f"max_stones {max_stones} exceeds ERC size {len(erc.stones)}")
     nb = nw = max_stones
@@ -192,7 +183,7 @@ def enumerate_pyramids(m: int, max_stones: int, sector=None, cap: int = DEFAULT_
         return [s for s in cands if room[s.color] and cur.issuperset(erc.covers(s))]
 
     ideals = (fs for level in grow(max_stones, addible) for fs in level)
-    kept = (PyramidPartition(m, fs) for fs in ideals if sector is None or 2 * len(fs & blacks) - len(fs) == sector)
+    kept = (PyramidPartition(erc.m, fs) for fs in ideals if sector is None or 2 * len(fs & blacks) - len(fs) == sector)
     groups = {}
     for pi in sorted(kept, key=lambda pi: tuple(map(_stone_sort_key, pi.stones))):
         groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
@@ -226,28 +217,24 @@ class Conifold:
 
     def basis(self):
         max_stones = min(self.sector + 2 * self.level_cap, len(self.erc.stones))
-        groups = enumerate_pyramids(self.m, max_stones, sector=self.sector, cap=max(DEFAULT_CAP, self.m))
+        groups = enumerate_pyramids(self.erc, max_stones, sector=self.sector)
         return [groups.get((self.sector + nw, nw), []) for nw in range(self.level_cap + 1)]
 
     def moves(self, pi):
-        """(pi + pair, weight, its black's lattice vector) per addible pair; Resonance on a collision."""
-        ws = [(p, stone_weight(p.black, self.params)) for p in addible_pairs(pi, self.erc)]
-        ws = distinct_weights(ws, "addible pairs", pi)
-        return [(pi.with_pair(p), x, (p.black.c, p.black.a, p.black.k - p.black.a)) for p, x in ws]
+        """(pi + pair, box_weight(v), v) per addible pair, v its black's lattice vector; Resonance on a collision."""
+        ws = [(p, box_weight(black_vector(p.black), self.params)) for p in addible_pairs(pi, self.erc)]
+        return [(pi.with_pair(p), x, black_vector(p.black)) for p, x in distinct_weights(ws, "addible pairs", pi)]
 
     def atoms(self, pi):
         """(sign of h, sign of F, [(kind, lattice vector)]) on the axes t, q, h:
         the head at (m, 0, 0), the framing factors at (i, 0, 0), i = 0..m, and
         each black (k; a, c) at (c, a, k - a), as a completed pair or unpaired."""
         present, m = set(pi.stones), self.m
-        blacks = [("pair" if self.erc.pair_white_of(s) in present else "black", (s.c, s.a, s.k - s.a))
+        blacks = [("pair" if self.erc.pair_white_of(s) in present else "black", black_vector(s))
                   for s in pi.blacks()]
         sign = (-1) ** (m + 1)
         atoms = [("head", (m, 0, 0))] + [("framing", (i, 0, 0)) for i in range(m + 1)] + blacks
         return sign * (-1) ** sum(kind == "black" for kind, _ in blacks), sign, atoms
-
-    def removable(self, pi):
-        return [stone_weight(p.black, self.params) for p in removable_pairs(pi, self.erc)]
 
     def expected_shift(self):
         """(l, z1) of the shift: l = +1 at chi + m*t."""

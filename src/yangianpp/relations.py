@@ -6,7 +6,8 @@ The (coefficient, word) tables of `quad_terms`, `serre_terms` and
 check reads the quadratic table.  No check multiplies operators:
 `apply_tables` applies a family's tables to one source basis vector at a
 time, by sparse matrix-vector steps, and a check's cells are the entries of
-those vectors.
+those vectors.  ef-matches-h and psi-e-compat share psi_k, the diagonal of
+[e_0, f_k], built once per k in one pass over e_0's entries (`OperatorSet.psi`).
 
 The quadratic, Serre and ef-diagonal checks evaluate only their generating
 instance, (m,n)=(0,0), (i1,i2,i3)=(0,0,0) and [e_0,f_0].  On operators of
@@ -77,12 +78,13 @@ class RelationReport:
 
 
 class OperatorSet:
-    """e_i / f_j operators on one representation, built lazily."""
+    """e_i / f_j operators and psi_k on one representation, built lazily."""
 
     def __init__(self, rep: Representation):
         self.rep = rep
         self._e = {}
         self._f = {}
+        self._psi = {}
 
     def e(self, i) -> SparseOperator:
         if i not in self._e:
@@ -93,6 +95,23 @@ class OperatorSet:
         if j not in self._f:
             self._f[j] = self.rep.build_f(j)
         return self._f[j]
+
+    def psi(self, k):
+        """psi_k, the diagonal of [e_0, f_k], as {(level, state index): nonzero
+        scalar}, one pass over e_0: an entry a at (t, s) from level n and f_k's
+        (s, t) entry b at level n + 1 add a*b at (n + 1, t) and take it from (n, s)."""
+        if k not in self._psi:
+            e0, fk = self.e(0), self.f(k)
+            field = same_field(same_field(self.rep.geometry.params.field, e0.field), fk.field)
+            acc = {}
+            for n, blk in e0.blocks.items():
+                col = fk.blocks.get(n + 1, {})
+                for (t, s), a in blk.items():
+                    ab = a * col.get((s, t), 0)
+                    acc[n + 1, t] = acc.get((n + 1, t), 0) + ab
+                    acc[n, s] = acc.get((n, s), 0) - ab
+            self._psi[k] = field.nonzero(acc)
+        return self._psi[k]
 
     @property
     def top(self):
@@ -272,9 +291,8 @@ def check_ef_matches_h(ops: OperatorSet, nmax: int) -> RelationReport:
         lab: rep.h_rat(lab).residues_at_infinity(range(nmax + 1))
         for n in levels for lab in rep.basis.level(n)
     }
-    vecs = ef_vectors(ops, [(0, nn) for nn in range(nmax + 1)], levels)
     cells = [  # (level, state index, n, lhs, rhs)
-        (n, idx, nn, vecs[n][idx][nn].get(idx, field.zero), res_inf[lab][nn])
+        (n, idx, nn, ops.psi(nn).get((n, idx), field.zero), res_inf[lab][nn])
         for nn in range(nmax + 1) for n in levels for idx, lab in enumerate(rep.basis.level(n))
     ]
     eps = next((1 if a == b else -1 for *_, a, b in cells if a != 0 and a in (b, field.reduce(-b))), 1)
@@ -364,9 +382,9 @@ def check_serre_f(ops: OperatorSet, imax: int) -> RelationReport:
 
 def check_psi_e_compat(ops: OperatorSet, imax: int) -> RelationReport:
     """The psi-e relation on each raising step lam -> mu at weight x below
-    the top level, whose psi is truncated.  With psi_k, the diagonal of
-    [e_0, f_k], read off e_0 and f_k entry by entry, and D_k = psi_k(mu) -
-    psi_k(lam), instance (m, 0) is e_0 R_m,
+    the top level, whose psi is truncated.  With psi_k = ops.psi(k), the
+    diagonal of [e_0, f_k] that ef-matches-h reads too, and D_k =
+    psi_k(mu) - psi_k(lam), instance (m, 0) is e_0 R_m,
 
         R_m = 3x D_{m+2} - 3x^2 D_{m+1} - D_{m+3} + x^3 D_m
               - sigma2 (D_{m+1} - x D_m) + sigma3 (psi_m(lam) + psi_m(mu)),
@@ -378,18 +396,13 @@ def check_psi_e_compat(ops: OperatorSet, imax: int) -> RelationReport:
     start = time.monotonic()
     rep, p = ops.rep, ops.rep.geometry.params
     field, s2, s3, ks = p.field, p.sigma2, p.sigma3, range(imax + 4)
-    e0, fs = ops.e(0).blocks, [ops.f(k).blocks for k in ks]
-    psi = {}  # (level, state index) -> [psi_k for k in ks]
-    for n in range(ops.top):
-        for si, ti, _, _, _ in rep.transitions(n):
-            ef = [e0.get(n, {}).get((ti, si), 0) * f.get(n + 1, {}).get((si, ti), 0) for f in fs]
-            psi[n, si] = [v - w for v, w in zip(psi.get((n, si), [0] * len(ks)), ef)]
-            psi[n + 1, ti] = [v + w for v, w in zip(psi.get((n + 1, ti), [0] * len(ks)), ef)]
+    psis = [ops.psi(k) for k in ks]
+    e0 = ops.e(0).blocks
     levels = _nonempty(rep, range(ops.top - 1))  # n + 1 < top
     steps = [(n, si, ti, x) for n in levels for si, ti, x, _, _ in rep.transitions(n)]
     worst = None
     for n, si, ti, x in steps:
-        lam, mu = psi[n, si], psi[n + 1, ti]
+        lam, mu = [psi.get((n, si), 0) for psi in psis], [psi.get((n + 1, ti), 0) for psi in psis]
         d = [b - a for a, b in zip(lam, mu)]
         for m in range(imax + 1):
             r = (3 * x * d[m + 2] - 3 * x * x * d[m + 1] - d[m + 3] + x**3 * d[m]
@@ -401,22 +414,25 @@ def check_psi_e_compat(ops: OperatorSet, imax: int) -> RelationReport:
 
 
 def check_pole_support(rep: Representation) -> RelationReport:
-    """Pole set of h(z) on each basis vector equals the addible plus
-    removable weights exactly, with all poles simple."""
+    """Pole set of h(z) on each basis vector equals the weights of its moves
+    out and in exactly, with all poles simple: the levels come in order and
+    are complete, so the moves into a label are all its removals."""
     start = time.monotonic()
     g = rep.geometry
-    domain = 0
+    into = {}  # label -> weights of the moves into it
     worst = None
     for n, lab in rep.basis:
-        domain += 1
+        moves = g.moves(lab)
+        for tgt, x, _ in moves:
+            into.setdefault(tgt, set()).add(x)
+        expected = {x for _, x, _ in moves} | into.pop(lab, set())
         h = rep.h_rat(lab)
         if any(e < -1 for _, e in h.factors):
             worst = worst or (1, f"level {n}: {lab!r}")
             continue
-        expected = {x for _, x, _ in g.moves(lab)} | set(g.removable(lab))
         if set(h.poles()) != expected and worst is None:
             worst = (1, f"level {n}: {lab!r}")
-    return _report("pole-support", start, domain, worst, g.params.field)
+    return _report("pole-support", start, rep.basis.size(), worst, g.params.field)
 
 
 def check_shift(rep: Representation, expect) -> RelationReport:

@@ -13,7 +13,10 @@ products, quotients, values and finite residues (`mul`, `div`,
 `eval_form`, `eval_reduced`, `residue_at`), and the series of a product of
 factors by Newton's identities over the field (`_product_coeffs`, the
 oracle of the integer series behind the residues at infinity), with the
-stone product, the unpaired-black count and a bundle's verdicts.
+stone product, the unpaired-black count and a bundle's verdicts.  The
+removal rules (`removable_boxes`, `removable_pairs_scan`) and the weight
+of every stone, white or black (`stone_weight`), are stated here only: the
+package reads a label's removals off the moves into it.
 """
 
 from fractions import Fraction
@@ -175,6 +178,13 @@ def is_plane_partition(boxes):
     )
 
 
+def removable_boxes(lam):
+    """Boxes of lam with no box of lam directly above them, (i+1, j, k),
+    (i, j+1, k) or (i, j, k+1): the removal rule, sorted."""
+    s = set(lam)
+    return sorted(b for b in lam if not any(x in s for x in p3._succs(b)))
+
+
 def addible_weights(lam, params):
     """Weights of the addible boxes of lam, each weighed afresh; Resonance
     if two collide."""
@@ -193,6 +203,14 @@ def plane_partition_counts_gf(nmax):
             for idx in range(k, nmax + 1):
                 coeffs[idx] += coeffs[idx - k]
     return coeffs
+
+
+def stone_weight(s, params):
+    """chi + a*q + b*h + c*t of a stone (k; a, c): b = k - a for a black,
+    k - 1 - a for a white."""
+    q, h, t = params.q, params.h, params.t
+    b = (s.k - s.a) if s.color == "B" else (s.k - 1 - s.a)
+    return params.field.reduce(params.chi + s.a * q + b * h + s.c * t)
 
 
 def upward_closed_subsets(erc):
@@ -286,7 +304,7 @@ def integrand_e(label, geometry):
     sign = (-1) ** black_only_count(label, geometry.erc)
     f = LinForm(sign, [(p.chi + i * p.t, -1) for i in range(geometry.m)], p.field)
     for s in label:
-        x = pyr.stone_weight(s, p)
+        x = stone_weight(s, p)
         if s.color == "B":
             f = mul(f, LinForm(1, [(x, 1), (x + p.t, -1)], p.field))
         else:
@@ -306,7 +324,7 @@ def lowering_form(label, geometry):
     present = set(label.stones)
     factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
     for st in label.blacks():
-        x = pyr.stone_weight(st, p)
+        x = stone_weight(st, p)
         paired = geometry.erc.pair_white_of(st) in present
         factors += geometry.kernel.fac(x) if paired else [(x - p.q, 1), (x - p.h, 1)]
     return LinForm((-1) ** (geometry.m + 1) * p.field.one, factors, p.field)

@@ -71,7 +71,7 @@ def test_criterion_02_pyramid_enumeration():
         erc = build_erc(m)
         cap = min(8, len(erc.stones))
         oracle = {fs for fs in upward_closed_subsets(erc) if len(fs) <= cap}
-        groups = enumerate_pyramids(m, cap)
+        groups = enumerate_pyramids(erc, cap)
         ours = {frozenset(pi.stones) for pis in groups.values() for pi in pis}
         ok = ok and ours == oracle
     elapsed = time.monotonic() - t0
@@ -79,7 +79,7 @@ def test_criterion_02_pyramid_enumeration():
 
 
 def _pole_support_c3(params):
-    from oracles import addible_weights
+    from oracles import addible_weights, removable_boxes
     from yangianpp.partitions3d import box_weight
 
     g = Geometry("c3", params, 6)
@@ -90,7 +90,7 @@ def _pole_support_c3(params):
                 if any(e < -1 for _, e in h.factors):
                     return False
                 expected = {x for _, x in addible_weights(lam, params)} | {
-                    box_weight(b, params) for b in lam.removable_boxes()
+                    box_weight(b, params) for b in removable_boxes(lam)
                 }
                 if set(h.poles()) != expected:
                     return False
@@ -98,17 +98,20 @@ def _pole_support_c3(params):
 
 
 def _pole_support_conifold(params):
+    from oracles import removable_pairs_scan, stone_weight
+
     for m in (1, 2, 3):
         erc = build_erc(m)
         cap = min(8, len(erc.stones))
-        groups = enumerate_pyramids(m, cap)
+        groups = enumerate_pyramids(erc, cap)
         g = Geometry("conifold", params, 4, m=m, sector=0)
         for pis in groups.values():
             for pi in pis:
                 h = h_rat(pi, g)
                 if any(e < -1 for _, e in h.factors):
                     return False
-                expected = {x for _, x, _ in g.moves(pi)} | set(g.removable(pi))
+                removable = {stone_weight(p.black, params) for p in removable_pairs_scan(pi, erc)}
+                expected = {x for _, x, _ in g.moves(pi)} | removable
                 if set(h.poles()) != expected:
                     return False
     return True

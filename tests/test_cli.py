@@ -392,3 +392,26 @@ def test_empty_basis_is_usage_error(tmp_path, capsys, command):
                          "--level", "2", "--out", str(out_file))
     assert code == 2 and out == "" and not out_file.exists()
     assert err.startswith("error: ") and "empty basis" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "build", "--geometry", "c3", "--params", "1/0,2,3"],
+        ["shift", "--geometry", "c3", "--params", "1,2,1/0"],
+        ["shuffle", "mul", "x", "x", "--kernel", "jordan:1/0"],
+        ["shuffle", "check", "--kernel", "c3", "--params", "1,0/0,3"],
+        ["rep", "check", "--operators"],
+    ],
+    ids=["rep-build", "shift", "shuffle-mul", "shuffle-check", "rep-check-operators"],
+)
+def test_zero_denominator_is_usage_error(op_file, capsys, argv):
+    """A rational with a zero denominator, on the command line or as an
+    operator file's h1, is a malformed input: exit 2 with an error line."""
+    if argv[-1] == "--operators":
+        blob = json.loads(op_file.read_text())
+        blob["params"]["h1"] = "1/0"
+        op_file.write_text(json.dumps(blob))
+        argv = argv + [str(op_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and "zero denominator" in err

@@ -8,16 +8,11 @@ from oracles import (
     enumerate_pyramids_rescan,
     is_upward_closed,
     removable_pairs_scan,
+    stone_weight,
     upward_closed_subsets,
 )
-from yangianpp import CapExceeded, Geometry, build_erc, enumerate_pyramids
-from yangianpp.pyramid import (
-    PyramidPartition,
-    Stone,
-    addible_pairs,
-    removable_pairs,
-    stone_weight,
-)
+from yangianpp import CapExceeded, Geometry, build_erc, enumerate_pyramids, pyramid
+from yangianpp.pyramid import PyramidPartition, Stone, addible_pairs
 
 
 def test_erc_m1_is_one_black_stone():
@@ -66,16 +61,16 @@ def test_cap_enforced():
     with pytest.raises(CapExceeded):
         build_erc(6)
     with pytest.raises(CapExceeded):
-        enumerate_pyramids(2, 99)
+        enumerate_pyramids(build_erc(2), 99)
 
 
 def test_enumerate_m1():
-    groups = enumerate_pyramids(1, 1)
+    groups = enumerate_pyramids(build_erc(1), 1)
     assert {k: len(v) for k, v in groups.items()} == {(0, 0): 1, (1, 0): 1}
 
 
 def test_enumerate_m2_small():
-    groups = enumerate_pyramids(2, 2)
+    groups = enumerate_pyramids(build_erc(2), 2)
     sizes = {}
     for (b, w), pis in groups.items():
         sizes[b + w] = sizes.get(b + w, 0) + len(pis)
@@ -86,7 +81,7 @@ def test_enumerate_m2_small():
 def test_enumeration_matches_subset_oracle(m):
     erc = build_erc(m)
     oracle = {fs for fs in upward_closed_subsets(erc) if len(fs) <= 8}
-    groups = enumerate_pyramids(m, min(8, len(erc.stones)))
+    groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
     ours = {frozenset(pi.stones) for pis in groups.values() for pi in pis}
     assert ours == oracle
 
@@ -102,16 +97,16 @@ def test_sector_enumeration_matches_subset_oracle(m):
                 fs for fs in subsets
                 if len(fs) <= max_stones and 2 * sum(s.color == "B" for s in fs) - len(fs) == sector
             }
-            groups = enumerate_pyramids(m, max_stones, sector=sector)
+            groups = enumerate_pyramids(erc, max_stones, sector=sector)
             ours = [frozenset(pi.stones) for pis in groups.values() for pi in pis]
             assert len(ours) == len(oracle) and set(ours) == oracle, (max_stones, sector)
 
 
 def test_negative_max_stones_is_refused():
     with pytest.raises(ValueError, match="max_stones must be nonnegative"):
-        enumerate_pyramids(2, -1)
+        enumerate_pyramids(build_erc(2), -1)
     with pytest.raises(ValueError):
-        enumerate_pyramids(2, -1, sector=0)
+        enumerate_pyramids(build_erc(2), -1, sector=0)
 
 
 def test_frontier_tables_invert_the_covers():
@@ -128,16 +123,17 @@ def test_frontier_tables_invert_the_covers():
 def test_frontier_enumeration_equals_the_rescan(m, sector):
     """Up to the conifold sweep's max_stones (sector + 2 * level 5): the same
     groups in the same order as the whole-room rescan, and on every label of
-    the largest basis the pair moves equal their definitional scans."""
+    the largest basis the addible pairs equal their definitional scan (the
+    removals, read off the moves, are checked in test_relations)."""
     erc = build_erc(m)
     for max_stones in range(sector + 11):
-        groups = enumerate_pyramids(m, max_stones, sector=sector)
+        groups = enumerate_pyramids(erc, max_stones, sector=sector)
         assert list(groups.items()) == list(enumerate_pyramids_rescan(m, max_stones, sector).items()), max_stones
     labels = [pi for pis in groups.values() for pi in pis]
-    moves = [(addible_pairs(pi, erc), removable_pairs(pi, erc)) for pi in labels]
-    assert moves == [(addible_pairs_scan(pi, erc), removable_pairs_scan(pi, erc)) for pi in labels]
-    # sector 0 holds only the empty pyramid; every other basis has moves both ways
-    assert len(labels) == 1 if sector == 0 else any(a and r for a, r in moves)
+    moves = [addible_pairs(pi, erc) for pi in labels]
+    assert moves == [addible_pairs_scan(pi, erc) for pi in labels]
+    # sector 0 holds only the empty pyramid; every other basis has moves
+    assert len(labels) == 1 if sector == 0 else any(moves)
 
 
 def test_addible_pairs_examples(params):
@@ -157,25 +153,25 @@ def test_addible_pairs_examples(params):
 def test_removable_pairs_examples():
     erc = build_erc(2)
     b00 = Stone("B", 0, 0, 0)
-    assert removable_pairs(PyramidPartition(2, [b00]), erc) == []
-    assert removable_pairs(PyramidPartition(2), erc) == []
+    assert removable_pairs_scan(PyramidPartition(2, [b00]), erc) == []
+    assert removable_pairs_scan(PyramidPartition(2), erc) == []
     b01 = Stone("B", 0, 0, 1)
     w11 = Stone("W", 1, 0, 1)
     pi = PyramidPartition(2, [b00, b01, w11])
-    pairs = removable_pairs(pi, erc)
+    pairs = removable_pairs_scan(pi, erc)
     assert len(pairs) == 1 and pairs[0].black == b01
 
 
 def test_add_then_remove_roundtrip():
     for m in (2, 3):
         erc = build_erc(m)
-        groups = enumerate_pyramids(m, min(8, len(erc.stones)))
+        groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
         for pis in groups.values():
             for pi in pis:
                 for p in addible_pairs(pi, erc):
                     bigger = pi.with_pair(p)
                     assert is_upward_closed(bigger, erc)
-                    assert p in removable_pairs(bigger, erc)
+                    assert p in removable_pairs_scan(bigger, erc)
                     assert PyramidPartition(m, set(bigger) - {p.black, p.white}) == pi
 
 
@@ -194,7 +190,7 @@ def test_black_only_count(params):
 def test_black_only_equals_sector():
     for m in (1, 2, 3):
         erc = build_erc(m)
-        groups = enumerate_pyramids(m, min(8, len(erc.stones)))
+        groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
         for pis in groups.values():
             for pi in pis:
                 assert black_only_count(pi, erc) == pi.black_count - pi.white_count
@@ -203,7 +199,7 @@ def test_black_only_equals_sector():
 def test_every_white_is_paired_upward():
     for m in (2, 3):
         erc = build_erc(m)
-        groups = enumerate_pyramids(m, min(8, len(erc.stones)))
+        groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
         for pis in groups.values():
             for pi in pis:
                 stones = set(pi.stones)
@@ -216,7 +212,7 @@ def test_addible_implies_black_condition(params):
     added black has the stone one step in front of it already present."""
     for m in (2, 3):
         erc = build_erc(m)
-        groups = enumerate_pyramids(m, min(8, len(erc.stones)))
+        groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
         for pis in groups.values():
             for pi in pis:
                 stones = set(pi.stones)
@@ -228,7 +224,7 @@ def test_addible_implies_black_condition(params):
 
 def test_pair_weight_distinctness(params):
     g = Geometry("conifold", params, 4, m=3, sector=0)
-    groups = enumerate_pyramids(3, 8)
+    groups = enumerate_pyramids(g.erc, 8)
     for pis in groups.values():
         for pi in pis:
             ws = [x for _, x, _ in g.moves(pi)]
@@ -237,9 +233,17 @@ def test_pair_weight_distinctness(params):
 
 def test_sector_preserved_by_pairs():
     erc = build_erc(3)
-    groups = enumerate_pyramids(3, 8)
+    groups = enumerate_pyramids(erc, 8)
     for pis in groups.values():
         for pi in pis:
             for p in addible_pairs(pi, erc):
                 bigger = pi.with_pair(p)
                 assert bigger.black_count - bigger.white_count == pi.black_count - pi.white_count
+
+
+def test_conifold_builds_its_room_once(monkeypatch, params):
+    """The basis grows in the Conifold's own ERC; enumeration builds none."""
+    built = []
+    monkeypatch.setattr(pyramid, "build_erc", lambda *a, **k: built.append(a) or build_erc(*a, **k))
+    g = Geometry("conifold", params, 5, m=4, sector=2)
+    assert g.basis()[2] and len(built) == 1

@@ -5,7 +5,18 @@ import json
 
 import pytest
 
-from oracles import assert_in_field, ef_letters, evaluate, operator_sum, reference_statuses, verdicts
+from oracles import (
+    assert_in_field,
+    ef_bracket,
+    ef_letters,
+    evaluate,
+    operator_sum,
+    reference_statuses,
+    removable_boxes,
+    removable_pairs_scan,
+    stone_weight,
+    verdicts,
+)
 from yangianpp import Geometry, LinForm, Params, Representation, cli
 from yangianpp import relations, reps
 from yangianpp.exact import random_params
@@ -27,6 +38,7 @@ from yangianpp.relations import (
     run_suite,
     serre_terms,
 )
+from yangianpp.partitions3d import box_weight
 from yangianpp.reps import SparseOperator
 
 
@@ -379,7 +391,7 @@ class _RationalE0(OperatorSet):
 
 def test_generators_of_another_field_are_refused(c3_ops_by_mode):
     ops = _RationalE0(c3_ops_by_mode["prime-field"].rep)
-    for check in (check_ee, check_serre_e, check_ef_diag):
+    for check in (check_ee, check_serre_e, check_ef_diag, check_ef_matches_h, check_psi_e_compat):
         with pytest.raises(ValueError, match="do not mix"):
             check(ops, 1)
 
@@ -448,14 +460,98 @@ def test_sign_conflict_fails_rep_check(monkeypatch, capsys):
     assert "FAILED: ef-diagonal, ef-matches-h" in err
 
 
+CONTROLS = [_BumpedE0, _BumpedE0Level2, _BumpedF0Level3, _BumpedE4Level4, _BumpedF2Level1, _ShiftedF1, _NegatedF]
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("control", [
-    _BumpedE0, _BumpedE0Level2, _BumpedF0Level3, _BumpedE4Level4, _BumpedF2Level1, _ShiftedF1, _NegatedF,
-])
+@pytest.mark.parametrize("control", CONTROLS)
 def test_control_statuses_agree_with_matrix_route(c3_ops_by_mode, mode, control):
     ops = control(c3_ops_by_mode[mode].rep)
     got = _statuses(ops, 1, 2)
     assert got == reference_statuses(ops, 1, 2) and "fail" in got.values()
+
+
+def _diagonal(op):
+    """{(level, state index): entry} of the diagonal of a shift-0 operator."""
+    return {(n, s): v for n, blk in op.blocks.items() for (t, s), v in blk.items() if t == s}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", ["c3", (4, 2)])
+def test_psi_is_the_diagonal_of_the_bracket(coni_ops_by_case, mode, case):
+    """psi_k, k = 0..5, is the diagonal of [e_0, f_k] by the matrix route on
+    every level, the top level's truncated one included: c3 N=6 and
+    conifold (4, 2) N=5."""
+    if case == "c3":
+        ops = OperatorSet(Representation(Geometry("c3", Params.make(F(101, 13), F(47, 7), F(7), mode=mode), 6)))
+    else:
+        ops = coni_ops_by_case[(*case, mode)]
+    field = ops.rep.geometry.params.field
+    for k in range(6):
+        psi = ops.psi(k)
+        assert psi == _diagonal(ef_bracket(ops, 0, k)) and psi, k
+        assert ops.psi(k) is psi
+        for v in psi.values():
+            assert_in_field(v, field)
+
+
+class _OffStepEF(OperatorSet):
+    """e_0 and every f_k with one entry added on no step, at the first
+    (level 3, level 2) pair of states that no step joins, transposed for f."""
+
+    def _key(self):
+        blk = super().e(0).blocks[2]
+        sizes = [len(self.rep.basis.level(n)) for n in (2, 3)]
+        return min((t, s) for t in range(sizes[1]) for s in range(sizes[0]) if (t, s) not in blk)
+
+    def e(self, i):
+        op = super().e(i)
+        if i != 0:
+            return op
+        out = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()}, op.field)
+        out.add_entry(2, *self._key(), 1)
+        return out
+
+    def f(self, j):
+        op = super().f(j)
+        out = SparseOperator(op.shift, {n: dict(b) for n, b in op.blocks.items()}, op.field)
+        out.add_entry(3, *self._key()[::-1], 1)
+        return out
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("control", CONTROLS + [_OffStepEF])
+def test_psi_of_a_control_is_the_diagonal_of_its_bracket(c3_ops_by_mode, mode, control):
+    """The same on each control, whose generators it reads through e and f,
+    and on an e_0 and f_k with an entry on no step."""
+    ops = control(c3_ops_by_mode[mode].rep)
+    for k in range(6):
+        assert ops.psi(k) == _diagonal(ef_bracket(ops, 0, k)), k
+
+
+@pytest.mark.parametrize("kind,level,m,sector", [("c3", 8, 0, 0)] + [
+    ("conifold", 5, m, sector) for m in (3, 4, 5) for sector in (1, 2)
+])
+def test_removals_are_the_moves_into_a_label(kind, level, m, sector):
+    """The removals pole-support reads, the moves into each label, are the
+    oracle's removal rule on every label of the basis: each removable box
+    at its box weight on c3, each removable pair at its black's weight on
+    the conifold, with the atom's lattice vector."""
+    params = Params.make(F(101, 13), F(47, 7), F(7))
+    g = Geometry(kind, params, level, m=m, sector=sector)
+    labels = [lab for lvl in g.basis() for lab in lvl]
+    into = {}
+    for lab in labels:
+        for tgt, x, v in g.moves(lab):
+            into.setdefault(tgt, []).append((x, v))
+    for lab in labels:
+        if kind == "c3":
+            want = [(box_weight(b, params), b) for b in removable_boxes(lab)]
+        else:
+            blacks = [p.black for p in removable_pairs_scan(lab, g.erc)]
+            want = [(stone_weight(b, params), (b.c, b.a, b.k - b.a)) for b in blacks]
+        assert sorted(into.get(lab, [])) == sorted(want), lab
+    assert any(into.get(lab) for lab in labels)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from oracles import (
 from yangianpp import Geometry, LinForm, Params, Representation, Resonance, detect_shift
 from yangianpp.exact import FIELDS, GFP, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
-from yangianpp.pyramid import PyramidPartition, Stone, stone_weight
+from yangianpp.pyramid import PyramidPartition, Stone
 from yangianpp.relations import OperatorSet, ef_vectors
 from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
 from yangianpp.reps import SparseOperator, h_rat, operators_to_json
