@@ -8,7 +8,7 @@ exactly on every basis vector of every level the truncation can see.
 from fractions import Fraction as F
 
 from yangianpp import Geometry, Params, Representation
-from yangianpp.relations import OperatorSet, ef_vectors, quad_terms, run_suite
+from yangianpp.relations import OperatorSet, apply_table, ef_terms, quad_terms, run_suite
 
 params = Params.make(F(101, 13), F(47, 7), F(7))
 
@@ -21,7 +21,7 @@ ops = OperatorSet(rep)
 print("e_0 level-0 block:", ops.e(0).blocks[0])
 # every relation is one table of (coefficient, word) pairs over the generators,
 # applied to one basis vector at a time
-[[vacuum]] = ef_vectors(ops, [(0, 0)], [0])[0]
+[vacuum] = apply_table(ef_terms(0, 0), lambda g: getattr(ops, g[0])(g[1]), rep, [0])[0]
 print("[e_0,f_0] on the vacuum:", vacuum[0])
 print("quadratic relation (m,n)=(0,1):", len(quad_terms(0, 1, params.sigma2, params.sigma3)), "words")
 

@@ -19,7 +19,7 @@ print("three-loop kernel: 1 * 1 =", show(prod))
 print("  (= 2(x1-x2)^2 + 2*sigma2, sigma2 =", params.sigma2, ")")
 
 for report in (
-    check_a1_anticomm(5),
+    check_a1_anticomm(),
     check_c3_ee(params, imax=2),
     check_jordan_ee(5),
     check_assoc(c3, trials=10),

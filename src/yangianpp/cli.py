@@ -1,8 +1,9 @@
 """Command line surface.
 
 Commands: enum, rep build, rep check, shuffle mul, shuffle check, shift.
-Exit codes: 0 pass, 1 relation failure, 2 usage, 3 cap exceeded,
-4 resonance, 5 kernel error.
+Exit codes: 0 pass, 1 relation failure, 2 usage, 3 cap exceeded (`enum`
+only), 4 resonance, 5 kernel error.  A flag several commands share with
+one default is declared once, in a parent parser.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ EXIT_CAP = 3
 EXIT_RESONANCE = 4
 EXIT_KERNEL = 5
 
+MAX_BOXES = 10  # enum pp's cap on --max-boxes
+MAX_LENGTH = 5  # enum pyramid's cap on --length
+
 
 def _parse_geometry(s: str):
     if s == "c3":
@@ -36,19 +40,24 @@ def _parse_geometry(s: str):
 
 
 def _params_from_args(args) -> Params:
-    mode = getattr(args, "mode", "rational")
-    raw = getattr(args, "params", "random")
-    if raw == "random":
-        return random_params(getattr(args, "seed", 2024), mode=mode)
-    h1, h2, chi = raw.split(",")
+    mode = getattr(args, "mode", "rational")  # the shuffle commands have no --mode
+    if args.params == "random":
+        return random_params(args.seed, mode=mode)
+    h1, h2, chi = args.params.split(",")
     return Params.make(h1, h2, chi, mode=mode)
 
 
+def _rep(args) -> Representation:
+    """The representation `rep build` and `shift` read off their flags."""
+    kind, m = _parse_geometry(args.geometry)
+    return Representation(Geometry(kind, _params_from_args(args), args.level, m=m, sector=args.sector))
+
+
 def _emit(obj, args):
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    """obj as sorted JSON, or text as it is, to --out or stdout."""
+    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True, indent=1)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -59,6 +68,8 @@ def cmd_enum(args) -> int:
         if args.max_boxes < 0:
             print("enum pp: --max-boxes must be nonnegative", file=sys.stderr)
             return EXIT_USAGE
+        if args.max_boxes > MAX_BOXES:
+            raise CapExceeded(f"max_boxes {args.max_boxes} exceeds cap {MAX_BOXES}")
         levels = p3.enumerate_plane_partitions(args.max_boxes)
         out = {
             "counts": [len(L) for L in levels],
@@ -70,6 +81,8 @@ def cmd_enum(args) -> int:
     if args.length < 1 or args.max_stones < 0:
         print("enum pyramid: bad --length/--max-stones", file=sys.stderr)
         return EXIT_USAGE
+    if args.length > MAX_LENGTH:
+        raise CapExceeded(f"length {args.length} exceeds cap {MAX_LENGTH}")
     groups = pyr.enumerate_pyramids(pyr.build_erc(args.length), args.max_stones, sector=args.sector)
     out = {
         "length": args.length,
@@ -89,25 +102,16 @@ def cmd_enum(args) -> int:
 
 
 def cmd_rep_build(args) -> int:
-    kind, m = _parse_geometry(args.geometry)
-    params = _params_from_args(args)
-    geometry = Geometry(kind, params, args.level, m=m, sector=args.sector)
-    rep = Representation(geometry)
-    text = dump_operators(rep, args.imax)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(dump_operators(_rep(args), args.imax), args)
     return EXIT_OK
 
 
-def _verify_operator_file(path, args) -> int:
+def _verify_operator_file(path) -> int:
     """Recompute the basis and operators for the stored config and compare.
 
     The e and f families must both hold exactly the keys 0..k; a file that
-    cannot be read, lacks a section or holds one of the wrong type is a
-    usage error.
+    cannot be read, lacks a section or holds one of the wrong type, or that
+    writes a number otherwise than `rep build` does, is a usage error.
     """
     try:
         with open(path) as fh:
@@ -120,9 +124,12 @@ def _verify_operator_file(path, args) -> int:
         families = {fam: stored[fam] for fam in ("e", "f")}
         if not (isinstance(labels, list) and all(isinstance(ops, dict) for ops in families.values())):
             raise TypeError("basis levels must be a list and each operator family an object")
-        # h1/h2/chi are the source rationals; older prime-field files store
-        # residues instead, which map to the same field elements
-        h1, h2, chi = (QQ.of(pj[k]) for k in ("h1", "h2", "chi"))
+        # h1/h2/chi are the source rationals as strings; older prime-field
+        # files store residue strings instead, which map to the same field elements
+        raw = [pj[k] for k in ("h1", "h2", "chi")]
+        if not all(type(v) is str for v in raw):
+            raise TypeError("params h1, h2 and chi must be strings")
+        h1, h2, chi = map(QQ.of, raw)
         mode = pj.get("mode", "rational")
     except OSError as exc:
         raise ValueError(f"cannot read operator file: {exc}") from exc
@@ -161,7 +168,7 @@ def _verify_operator_file(path, args) -> int:
 
 def cmd_rep_check(args) -> int:
     if args.operators:
-        return _verify_operator_file(args.operators, args)
+        return _verify_operator_file(args.operators)
     kind, m = _parse_geometry(args.geometry)
     which = tuple(args.relations.split(","))
     bundle = full_suite(
@@ -186,12 +193,9 @@ def cmd_rep_check(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    kind, m = _parse_geometry(args.geometry)
-    params = _params_from_args(args)
-    geometry = Geometry(kind, params, args.level, m=m, sector=args.sector)
-    rep = Representation(geometry)
+    rep = _rep(args)
     l, z1 = detect_shift(rep)
-    _emit({"l": l, "z1": params.field.str(z1)}, args)
+    _emit({"l": l, "z1": rep.geometry.params.field.str(z1)}, args)
     return EXIT_OK
 
 
@@ -238,13 +242,20 @@ def cmd_shuffle(args) -> int:
     # shuffle check
     reports = [check_assoc(kernel, trials=12)]
     if args.kernel == "a1":
-        reports.append(check_a1_anticomm(5))
+        reports.append(check_a1_anticomm())
     elif args.kernel == "c3":
         reports.append(check_c3_ee(params, imax=2))
     elif args.kernel.startswith("jordan:"):
         reports.append(check_jordan_ee(kernel.numerator_weights[0]))
     _emit({"relations": [r.to_json() for r in reports]}, args)
     return EXIT_OK if all(r.status == "pass" for r in reports) else EXIT_RELATION
+
+
+def _flag(*names, **kw):
+    """A parent parser that declares one shared flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kw)
+    return parent
 
 
 def build_parser():
@@ -254,70 +265,56 @@ def build_parser():
         "on plane partitions and pyramid partitions, with relation verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # Parents share their Action objects: a set_defaults on one command
+    # would change a shared flag's default in every command.
+    out = _flag("--out")
+    seed = _flag("--seed", type=int, default=2024)
+    params = _flag("--params", default="random", help='"h1,h2,chi" as p/q strings or "random"')
+    mode = _flag("--mode", choices=("rational", "prime-field"), default="rational")
+    sector = _flag("--sector", type=int, default=1)
+    kernel = _flag("--kernel", default="c3")
 
     p_enum = sub.add_parser("enum", help="enumerate fixed-point bases")
     enum_sub = p_enum.add_subparsers(dest="what", required=True)
-    pp = enum_sub.add_parser("pp", help="3D plane partitions by box count")
+    pp = enum_sub.add_parser("pp", parents=[out], help="3D plane partitions by box count")
     pp.add_argument("--max-boxes", type=int, required=True)
-    pp.add_argument("--out")
     pp.set_defaults(func=cmd_enum)
-    py = enum_sub.add_parser("pyramid", help="pyramid partitions of a length-m room")
+    py = enum_sub.add_parser("pyramid", parents=[out], help="pyramid partitions of a length-m room")
     py.add_argument("--length", type=int, required=True)
     py.add_argument("--max-stones", type=int, required=True)
     py.add_argument("--sector", type=int, default=None)
-    py.add_argument("--out")
     py.set_defaults(func=cmd_enum)
 
     p_rep = sub.add_parser("rep", help="build or check a representation")
     rep_sub = p_rep.add_subparsers(dest="action", required=True)
-    rb = rep_sub.add_parser("build", help="write basis and operator matrices")
+    rb = rep_sub.add_parser("build", parents=[params, seed, mode, sector, out],
+                            help="write basis and operator matrices")
     rb.add_argument("--geometry", required=True, help="c3 or conifold:m")
     rb.add_argument("--level", type=int, default=3)
     rb.add_argument("--imax", type=int, default=1)
-    rb.add_argument("--sector", type=int, default=1)
-    rb.add_argument("--params", default="random", help='"h1,h2,chi" as p/q strings or "random"')
-    rb.add_argument("--seed", type=int, default=2024)
-    rb.add_argument("--mode", choices=("rational", "prime-field"), default="rational")
-    rb.add_argument("--out")
     rb.set_defaults(func=cmd_rep_build)
-    rc = rep_sub.add_parser("check", help="run the relation suite")
+    rc = rep_sub.add_parser("check", parents=[seed, mode, sector, out], help="run the relation suite")
     rc.add_argument("--geometry", default="c3")
     rc.add_argument("--level", type=int, default=5)
     rc.add_argument("--imax", type=int, default=2)
-    rc.add_argument("--sector", type=int, default=1)
     rc.add_argument("--relations", default="all", help="all or comma list: " + ",".join(GROUPS))
     rc.add_argument("--specializations", type=int, default=3)
-    rc.add_argument("--seed", type=int, default=2024)
-    rc.add_argument("--mode", choices=("rational", "prime-field"), default="rational")
     rc.add_argument("--operators", help="verify a stored operator file instead")
-    rc.add_argument("--out")
     rc.set_defaults(func=cmd_rep_check)
 
     p_shuffle = sub.add_parser("shuffle", help="shuffle-algebra products and checks")
     sh_sub = p_shuffle.add_subparsers(dest="action", required=True)
-    sm = sh_sub.add_parser("mul", help="multiply two one-variable monomials")
+    sm = sh_sub.add_parser("mul", parents=[kernel, params, seed, out], help="multiply two one-variable monomials")
     sm.add_argument("left")
     sm.add_argument("right")
-    sm.add_argument("--kernel", default="c3")
-    sm.add_argument("--params", default="random")
-    sm.add_argument("--seed", type=int, default=2024)
-    sm.add_argument("--out")
     sm.set_defaults(func=cmd_shuffle)
-    sc = sh_sub.add_parser("check", help="kernel relation checks")
-    sc.add_argument("--kernel", default="c3")
-    sc.add_argument("--params", default="random")
-    sc.add_argument("--seed", type=int, default=2024)
-    sc.add_argument("--out")
+    sc = sh_sub.add_parser("check", parents=[kernel, params, seed, out], help="kernel relation checks")
     sc.set_defaults(func=cmd_shuffle)
 
-    p_shift = sub.add_parser("shift", help="detect the shift degree and point")
+    p_shift = sub.add_parser("shift", parents=[params, seed, mode, sector, out],
+                             help="detect the shift degree and point")
     p_shift.add_argument("--geometry", required=True)
     p_shift.add_argument("--level", type=int, default=3)
-    p_shift.add_argument("--sector", type=int, default=1)
-    p_shift.add_argument("--params", default="random")
-    p_shift.add_argument("--seed", type=int, default=2024)
-    p_shift.add_argument("--mode", choices=("rational", "prime-field"), default="rational")
-    p_shift.add_argument("--out")
     p_shift.set_defaults(func=cmd_shift)
 
     return ap

@@ -6,7 +6,8 @@ class YangianppError(Exception):
 
 
 class CapExceeded(YangianppError):
-    """An enumeration request exceeded its configured size cap."""
+    """An enumeration request exceeded a size limit: a cap of the `enum`
+    command, or a stone count beyond the room."""
 
 
 class Resonance(YangianppError):

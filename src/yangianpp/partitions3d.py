@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import CapExceeded, Resonance
+from .errors import Resonance
 from .exact import Kernel
-
-DEFAULT_CAP = 10
 
 
 def _preds(box):
@@ -111,16 +109,14 @@ def distinct_weights(ws, what, label):
     return ws
 
 
-def enumerate_plane_partitions(max_boxes: int, cap: int = DEFAULT_CAP):
+def enumerate_plane_partitions(max_boxes: int):
     """All plane partitions with 0..max_boxes boxes, grouped by box count.
 
     Levels are complete, duplicate-free and canonically ordered; growth is by
-    single-box addition.
+    single-box addition.  The size is the caller's to bound (`enum pp` caps it).
     """
     if max_boxes < 0:
         raise ValueError("max_boxes must be nonnegative")
-    if max_boxes > cap:
-        raise CapExceeded(f"max_boxes {max_boxes} exceeds cap {cap}")
     return [sorted(map(Partition3D, level)) for level in grow(max_boxes, _addible)]
 
 
@@ -143,7 +139,7 @@ class C3:
         return {"kind": self.kind, "N": self.level_cap, "params": self.params.to_json()}
 
     def basis(self):
-        return enumerate_plane_partitions(self.level_cap, cap=max(DEFAULT_CAP, self.level_cap))
+        return enumerate_plane_partitions(self.level_cap)
 
     def moves(self, lam):
         """(lam + box, weight, box) per addible box; Resonance on a collision."""

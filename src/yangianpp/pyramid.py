@@ -35,8 +35,6 @@ Stone = namedtuple("Stone", ["color", "k", "a", "c"])  # color: 'B' | 'W'
 
 Pair = namedtuple("Pair", ["black", "white"])
 
-DEFAULT_CAP = 5
-
 
 def black_vector(s: Stone):
     """The lattice vector (c, a, k - a) of a black (k; a, c), on the axes t, q, h."""
@@ -48,13 +46,12 @@ def stone_layer(s: Stone) -> int:
 
 
 class ERC:
-    """The full stone arrangement of length m, with its covering relation."""
+    """The full stone arrangement of length m >= 1, with its covering
+    relation; the `enum pyramid` command caps m, the library does not."""
 
-    def __init__(self, m: int, cap: int = DEFAULT_CAP):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError("length m must be positive")
-        if m > cap:
-            raise CapExceeded(f"length {m} exceeds cap {cap}")
         self.m = m
         blacks = [Stone("B", k, a, c) for k in range(m) for a in range(k + 1) for c in range(k, m)]
         whites = [Stone("W", k, a, c) for k in range(1, m) for a in range(k) for c in range(k, m)]
@@ -142,8 +139,8 @@ class PyramidPartition:
         return [{"color": s.color, "k": s.k, "a": s.a, "c": s.c} for s in self.stones]
 
 
-def build_erc(m: int, cap: int = DEFAULT_CAP) -> ERC:
-    return ERC(m, cap=cap)
+def build_erc(m: int) -> ERC:
+    return ERC(m)
 
 
 def addible_pairs(pi: PyramidPartition, erc: ERC):
@@ -164,7 +161,8 @@ def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
     sector s, growth stops at (max_stones+s)//2 blacks and (max_stones-s)//2
     whites: every pyramid of the sector lies within those bounds, and so do
     all its sub-pyramids.  A stone's candidates are the tops and the stones
-    directly below a present one.
+    directly below a present one.  A max_stones beyond the room's size is
+    CapExceeded, a bound the room itself sets.
     """
     if max_stones < 0:
         raise ValueError("max_stones must be nonnegative")
@@ -202,7 +200,7 @@ class Conifold:
         self.level_cap = level_cap
         self.m = m
         self.sector = sector
-        self.erc = build_erc(m, cap=max(DEFAULT_CAP, m))
+        self.erc = build_erc(m)
         self.kernel = Kernel.c3(params)
         self.tag = f"conifold:{m}(sector {sector})"
         q, h, t = params.q, params.h, params.t

@@ -4,9 +4,9 @@ fixed-point representation.
 The (coefficient, word) tables of `quad_terms`, `serre_terms` and
 `commutator` are the single statement of each relation, and the shuffle
 check reads the quadratic table.  No check multiplies operators:
-`apply_tables` applies a family's tables to one source basis vector at a
-time, by sparse matrix-vector steps, and a check's cells are the entries of
-those vectors.  ef-matches-h and psi-e-compat share psi_k, the diagonal of
+`apply_table` applies one table to one source basis vector at a time, by
+sparse matrix-vector steps, and a check's cells are the entries of those
+vectors.  ef-matches-h and psi-e-compat share psi_k, the diagonal of
 [e_0, f_k], built once per k in one pass over e_0's entries (`OperatorSet.psi`).
 
 The quadratic, Serre and ef-diagonal checks evaluate only their generating
@@ -171,17 +171,17 @@ def ef_terms(i, j):
     return commutator(gen(("e", i)), gen(("f", j)))
 
 
-def apply_tables(tables, get, rep, levels):
-    """Every table applied to every basis vector of each level in `levels`.
+def apply_table(terms, get, rep, levels):
+    """The table applied to every basis vector of each level in `levels`.
 
-    out[n][s][k] is the vector sum c * X_{w0} ... X_{wr} |s> of tables[k],
-    X_a = get(a), for the basis vector s of level n, as {target index:
-    nonzero scalar}.  Words act right to left, by sparse matrix-vector
-    steps over the generators' entries; each word suffix is applied once
-    per source, whichever tables share it.  Words run on int numerators
-    over one denominator per vector (`field.clear` of each generator
-    block), and a table sums its words over the lcm of their denominators;
-    only a nonzero cell becomes a scalar (`field.ratio`).
+    out[n][s] is the vector sum c * X_{w0} ... X_{wr} |s> over the table's
+    (c, word) pairs, X_a = get(a), for the basis vector s of level n, as
+    {target index: nonzero scalar}.  Words act right to left, by sparse
+    matrix-vector steps over the generators' entries; each word suffix is
+    applied once per source.  Words run on int numerators over one
+    denominator per vector (`field.clear` of each generator block), and the
+    table sums its words over the lcm of their denominators; only a nonzero
+    cell becomes a scalar (`field.ratio`).
     """
     field = rep.geometry.params.field
 
@@ -196,23 +196,20 @@ def apply_tables(tables, get, rep, levels):
                 cols.setdefault(n, {}).setdefault(s, []).append((t, v))
         return op.shift, cols, dens
 
-    splits = [[(*field.split(c), word) for c, word in terms] for terms in tables]
+    splits = [(*field.split(c), word) for c, word in terms]
     out = {}
     for n in levels:
         out[n] = rows = []
         for s in range(len(rep.basis.level(n))):
             memo = {(): (n, {s: 1}, 1)}  # word suffix -> (level, numerators, denominator) of it on s
-            row = []
-            for terms in splits:
-                words = [(p, q, *_applied(word, memo, columns, field)[1:]) for p, q, word in terms]
-                d = math.lcm(*{q * vd for _, q, _, vd in words})
-                acc = {}
-                for p, q, vec, vd in words:
-                    k = p * (d // (q * vd))
-                    for t, v in vec.items():
-                        acc[t] = acc.get(t, 0) + k * v
-                row.append({t: field.ratio(v, d) for t, v in field.nonzero(acc).items()})
-            rows.append(row)
+            words = [(p, q, *_applied(word, memo, columns, field)[1:]) for p, q, word in splits]
+            d = math.lcm(*{q * vd for _, q, _, vd in words})
+            acc = {}
+            for p, q, vec, vd in words:
+                k = p * (d // (q * vd))
+                for t, v in vec.items():
+                    acc[t] = acc.get(t, 0) + k * v
+            rows.append({t: field.ratio(v, d) for t, v in field.nonzero(acc).items()})
     return out
 
 
@@ -228,12 +225,6 @@ def _applied(word, memo, columns, field):
                 acc[t] = acc.get(t, 0) + v * c
         memo[word] = n + shift, field.nonzero(acc), d * bd
     return memo[word]
-
-
-def ef_vectors(ops, pairs, levels):
-    """apply_tables of [e_i, f_j] for each (i, j) in pairs, on ops."""
-    tables = [ef_terms(i, j) for i, j in pairs]
-    return apply_tables(tables, lambda g: getattr(ops, g[0])(g[1]), ops.rep, levels)
 
 
 def _entry(rep, n, shift, tgt, src):
@@ -262,8 +253,8 @@ def check_ef_diag(ops: OperatorSet, imax: int) -> RelationReport:
     start = time.monotonic()
     rep = ops.rep
     levels = _nonempty(rep, range(0, ops.top))  # one raising level of headroom
-    vecs = ef_vectors(ops, [(0, 0)], levels)
-    off = [(n, t, s, v) for n in levels for s, (vec,) in enumerate(vecs[n]) for t, v in vec.items() if t != s]
+    vecs = apply_table(ef_terms(0, 0), lambda g: getattr(ops, g[0])(g[1]), rep, levels)
+    off = [(n, t, s, v) for n in levels for s, vec in enumerate(vecs[n]) for t, v in vec.items() if t != s]
     if off:
         n, t, s, v = min(off)
         worst = (v, f"[e_0,f_0] off the diagonal, {_entry(rep, n, 0, t, s)}")
@@ -340,8 +331,8 @@ def _check(relation, ops, family, levels, instances):
     shift = get(0).shift
     name, terms = next(iter(instances.items()))
     length = len(terms[0][1])
-    vecs = apply_tables([terms], get, rep, levels)
-    cells = [(n, t, s, v) for n in levels for s, (vec,) in enumerate(vecs[n]) for t, v in vec.items()]
+    vecs = apply_table(terms, get, rep, levels)
+    cells = [(n, t, s, v) for n in levels for s, vec in enumerate(vecs[n]) for t, v in vec.items()]
     if cells:
         n, t, s, v = min(cells)
         worst = (v, f"{name}, {_entry(rep, n, length * shift, t, s)}")

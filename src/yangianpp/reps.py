@@ -137,20 +137,30 @@ class SparseOperator:
 
     @classmethod
     def from_json(cls, obj, field):
-        """Inverse of to_json, reading entries as scalars of `field`; a
-        repeated level or (target, source) key, or a zero entry, which
-        to_json never writes, is a ValueError."""
-        op = cls(int(obj["shift"]), field=field)
+        """Inverse of to_json, reading only what to_json writes: the shift,
+        levels and indices as ints, each entry as `field`'s own string of a
+        nonzero scalar, each level and (target, source) key once.  Anything
+        else is a TypeError or a ValueError."""
+        op = cls(_int(obj["shift"]), field=field)
         for lev in obj["levels"]:
-            n, blk = int(lev["n"]), {}
+            n, blk = _int(lev["n"]), {}
             if op.blocks.setdefault(n, blk) is not blk:
                 raise ValueError(f"level {n} is repeated")
             for i, j, v in lev["entries"]:
-                key, v = (int(i), int(j)), field.of(v)
-                if key in blk or not v:
+                key, x = (_int(i), _int(j)), field.of(v)
+                if field.str(x) != v:
+                    raise ValueError(f"entry {key} of level {n} is not written as {field.str(x)!r}")
+                if key in blk or not x:
                     raise ValueError(f"entry {key} of level {n} is repeated or zero")
-                blk[key] = v
+                blk[key] = x
         return op
+
+
+def _int(x):
+    """x when it is an int (a bool is not); else a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------

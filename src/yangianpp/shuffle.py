@@ -176,12 +176,12 @@ class SymPoly:
         return out
 
     @classmethod
-    def power(cls, r, coeff=1, field=QQ):
-        """coeff * x^r in one variable, the rational coeff mapped into
-        `field`; a negative r is a ValueError."""
+    def power(cls, r, field=QQ):
+        """x^r in one variable over `field` (scale it with *); a negative r
+        is a ValueError."""
         if r < 0:
             raise ValueError(f"shuffle elements are polynomials, got exponent {r}")
-        return cls(MPoly.monomial(1, (r,), field.of(coeff), field))
+        return cls(MPoly.monomial(1, (r,), field.one, field))
 
     def is_zero(self):
         return self.poly.is_zero()
@@ -259,6 +259,8 @@ def shuffle_mul(f: SymPoly, g: SymPoly, kernel: Kernel) -> SymPoly:
 
 #: check_jordan_ee reads the instances p, q = 0..JORDAN_PMAX.
 JORDAN_PMAX = 2
+#: check_a1_anticomm reads the instances r1, r2 = 0..A1_RMAX.
+A1_RMAX = 5
 #: check_assoc draws its trial inputs from random.Random(ASSOC_SEED).
 ASSOC_SEED = 7
 
@@ -289,22 +291,22 @@ def _report(relation, start, domain, failure, detail=""):
     return RelationReport(relation, "pass", domain, "0", dt, detail)
 
 
-def check_a1_anticomm(rmax: int) -> RelationReport:
+def check_a1_anticomm() -> RelationReport:
     """x^r1 * x^r2 + x^r2 * x^r1 = 0 for the arrowless kernel."""
     start = time.monotonic()
-    rs = range(rmax + 1)
+    rs = range(A1_RMAX + 1)
     instances = {f"(r1,r2)={(a, b)}": [(1, (a, b)), (1, (b, a))] for a in rs for b in rs}
     return _report("a1-anticommutator", start, len(instances), _first_nonzero(instances, Kernel.a1(), {}))
 
 
-def check_c3_ee(params, imax: int, sigma2_sign: int = -1, sigma3_sign: int = +1) -> RelationReport:
+def check_c3_ee(params, imax: int, sigma2_sign: int = -1) -> RelationReport:
     """Quadratic raising relation inside the shuffle algebra, e_m = x^m.
 
-    The sign arguments exist so tests can flip either term as a negative
-    control; the defaults are the verified convention.
+    sigma2_sign = +1 flips the sigma2 term, a negative control that must
+    fail; the default is the verified convention.
     """
     start = time.monotonic()
-    s2, s3 = -sigma2_sign * params.sigma2, sigma3_sign * params.sigma3
+    s2, s3 = -sigma2_sign * params.sigma2, params.sigma3
     ms = range(imax + 1)
     instances = {f"(m,n)={(m, n)}": quad_terms(m, n, s2, s3) for m in ms for n in ms}
     return _report("c3-ee-quadratic", start, len(instances), _first_nonzero(instances, Kernel.c3(params), {}))

@@ -333,6 +333,31 @@ MUTANTS = [
         "return EXIT_CAP",
         CLI + "test_rep_build_resonant_params_exit4",
     ),
+    # Shared CLI flags are declared once, caps bound only enum's input, and an
+    # operator file is read only as rep build writes it.
+    (
+        "rep-build-level-default",
+        "cli.py",
+        'rb.add_argument("--level", type=int, default=3)',
+        'rb.add_argument("--level", type=int, default=5)',
+        CLI + "test_parsed_defaults[rep-build]",
+    ),
+    (
+        "enum-box-cap-inclusive",
+        "cli.py",
+        "if args.max_boxes > MAX_BOXES:",
+        "if args.max_boxes >= MAX_BOXES:",
+        CLI + "test_enum_limits[pp-10]",
+    ),
+    (
+        "operator-file-ints-coerced",
+        "reps.py",
+        "    if type(x) is not int:\n"
+        '        raise TypeError(f"expected an integer, got {x!r}")\n'
+        "    return x\n",
+        "    return int(x)\n",
+        CLI + "test_rep_check_operator_file_rewritten_to_the_same_operator_is_usage_error[shift-float]",
+    ),
     (
         "jordan-sign-term-dropped",
         "shuffle.py",

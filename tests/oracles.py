@@ -13,7 +13,8 @@ products, quotients, values and finite residues (`mul`, `div`,
 `eval_form`, `eval_reduced`, `residue_at`), and the series of a product of
 factors by Newton's identities over the field (`_product_coeffs`, the
 oracle of the integer series behind the residues at infinity), with the
-stone product, the unpaired-black count and a bundle's verdicts.  The
+stone product, the unpaired-black count and a bundle's verdicts, and a
+parameter with its sign flipped for the negative controls.  The
 removal rules (`removable_boxes`, `removable_pairs_scan`) and the weight
 of every stone, white or black (`stone_weight`), are stated here only: the
 package reads a label's removals off the moves into it.
@@ -25,7 +26,7 @@ from itertools import combinations
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
 from yangianpp.errors import Resonance, YangianppError
-from yangianpp.exact import GFP, PRIME, LinForm, same_field
+from yangianpp.exact import GFP, PRIME, LinForm, Params, same_field
 from yangianpp.relations import ef_terms, quad_terms, serre_terms
 from yangianpp.reps import SparseOperator, _atom_form, h_rat
 
@@ -506,6 +507,12 @@ def evaluate(terms, get):
 def ef_letters(ops):
     """Letters ("e", i) and ("f", j) looked up on an OperatorSet."""
     return lambda g: getattr(ops, g[0])(g[1])
+
+
+def flipped_param(name):
+    """The Params property `name` with its sign flipped, to monkeypatch in."""
+    prop = getattr(Params, name)
+    return property(lambda self: self.field.reduce(-prop.fget(self)))
 
 
 def ef_bracket(ops, i, j):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangianpp.cli import main
+from yangianpp.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -23,9 +23,54 @@ def test_enum_pp_negative_is_usage_error(capsys):
     assert code == 2
 
 
-def test_enum_pp_cap_exit(capsys):
-    code, _, err = run(capsys, "enum", "pp", "--max-boxes", "11")
-    assert code == 3 and "cap" in err
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["pp", "--max-boxes", "10"], 0, ""),
+        (["pp", "--max-boxes", "11"], 3, "cap exceeded: max_boxes 11 exceeds cap 10\n"),
+        (["pyramid", "--length", "5", "--max-stones", "2"], 0, ""),
+        (["pyramid", "--length", "6", "--max-stones", "2"], 3, "cap exceeded: length 6 exceeds cap 5\n"),
+        (["pyramid", "--length", "2", "--max-stones", "5"], 0, ""),
+        (["pyramid", "--length", "2", "--max-stones", "6"], 3, "cap exceeded: max_stones 6 exceeds ERC size 5\n"),
+    ],
+    ids=["pp-10", "pp-11", "length-5", "length-6", "stones-5-of-5", "stones-6-of-5"],
+)
+def test_enum_limits(capsys, argv, code, err):
+    """enum caps --max-boxes at 10 and --length at 5, and the room's size
+    bounds --max-stones: the limit itself runs, one past it exits 3."""
+    got, out, got_err = run(capsys, "enum", *argv)
+    assert (got, got_err) == (code, err) and bool(out) == (code == 0)
+
+
+RANDOM = {"params": "random", "seed": 2024}
+REP = {"mode": "rational", "sector": 1, "out": None}
+
+
+@pytest.mark.parametrize(
+    "argv,parsed",
+    [
+        (["enum", "pp", "--max-boxes", "1"], {"command": "enum", "what": "pp", "max_boxes": 1, "out": None}),
+        (["enum", "pyramid", "--length", "1", "--max-stones", "1"],
+         {"command": "enum", "what": "pyramid", "length": 1, "max_stones": 1, "sector": None, "out": None}),
+        (["rep", "build", "--geometry", "c3"],
+         {**RANDOM, **REP, "command": "rep", "action": "build", "geometry": "c3", "level": 3, "imax": 1}),
+        (["rep", "check"],
+         {**REP, "command": "rep", "action": "check", "geometry": "c3", "level": 5, "imax": 2, "seed": 2024,
+          "relations": "all", "specializations": 3, "operators": None}),
+        (["shift", "--geometry", "c3"], {**RANDOM, **REP, "command": "shift", "geometry": "c3", "level": 3}),
+        (["shuffle", "mul", "1", "x"],
+         {**RANDOM, "command": "shuffle", "action": "mul", "left": "1", "right": "x", "kernel": "c3", "out": None}),
+        (["shuffle", "check"], {**RANDOM, "command": "shuffle", "action": "check", "kernel": "c3", "out": None}),
+    ],
+    ids=["enum-pp", "enum-pyramid", "rep-build", "rep-check", "shift", "shuffle-mul", "shuffle-check"],
+)
+def test_parsed_defaults(argv, parsed):
+    """Each command's namespace with no optional flag.  Shared flags are
+    declared once and share their argparse actions, so a default set for
+    one command would show up in the others."""
+    args = vars(build_parser().parse_args(argv))
+    assert callable(args.pop("func"))
+    assert args == parsed
 
 
 def test_enum_pyramid_m1(capsys):
@@ -305,10 +350,12 @@ def test_rep_check_incomplete_operator_file_fails(op_file, capsys, edit, missing
         lambda blob: blob["operators"]["e"]["0"]["levels"][0].pop("n"),
         lambda blob: blob["operators"]["f"]["1"]["levels"][0].pop("entries"),
         lambda blob: blob["operators"]["e"]["0"]["levels"][0]["entries"][0].pop(),
+        lambda blob: blob["params"].update(chi=7),
+        lambda blob: blob["params"].update(chi=7.0),
     ],
     ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family", "no-kind", "no-N",
          "no-basis", "geometry-list", "N-string", "e-family-list", "levels-int", "op-no-shift",
-         "level-no-n", "level-no-entries", "entry-two-values"],
+         "level-no-n", "level-no-entries", "entry-two-values", "chi-int", "chi-float"],
 )
 def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit):
     if edit is None:
@@ -337,20 +384,35 @@ def _e0_level_split(ops):
     levels[k:k + 1] = [{"n": n, "entries": entries[:1]}, {"n": n, "entries": entries[1:]}]
 
 
+def _e0_first(ops):
+    """e_0's first level and that level's first entry, [0, 0, "1/1"]."""
+    level = ops["e"]["0"]["levels"][0]
+    return level, level["entries"][0]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         _first_e0_entry_halved,
         _e0_level_split,
         lambda ops: ops["e"]["0"]["levels"][0]["entries"].append([5, 0, "0/1"]),
+        lambda ops: ops["e"]["0"].update(shift=1.5),
+        lambda ops: ops["e"]["0"].update(shift="1"),
+        lambda ops: _e0_first(ops)[1].__setitem__(0, 0.0),
+        lambda ops: _e0_first(ops)[1].__setitem__(1, False),
+        lambda ops: _e0_first(ops)[0].update(n=0.0),
+        lambda ops: _e0_first(ops)[1].__setitem__(2, 1.0),
+        lambda ops: _e0_first(ops)[1].__setitem__(2, "2/2"),
     ],
-    ids=["key-repeated", "level-repeated", "zero-entry-out-of-range"],
+    ids=["key-repeated", "level-repeated", "zero-entry-out-of-range", "shift-float", "shift-string",
+         "index-float", "index-bool", "level-float", "entry-float", "entry-not-canonical"],
 )
 def test_rep_check_operator_file_rewritten_to_the_same_operator_is_usage_error(op_file, capsys, edit):
     """An operator file that rep build cannot have written is malformed, even
-    where it sums to the built operator: a (target, source) key or a level
-    given twice, or an explicit zero entry, here at a target index outside
-    level 1."""
+    where it reads as the built operator: a (target, source) key or a level
+    given twice, an explicit zero entry, here at a target index outside
+    level 1, a shift, level or index that is not an int, or an entry that is
+    not the field's own string of it."""
     blob = json.loads(op_file.read_text())
     edit(blob["operators"])
     op_file.write_text(json.dumps(blob))

@@ -13,7 +13,7 @@ from oracles import (
     removable_boxes,
     stone_product,
 )
-from yangianpp import CapExceeded, LinForm, Params, Partition3D, box_weight, enumerate_plane_partitions
+from yangianpp import LinForm, Params, Partition3D, box_weight, enumerate_plane_partitions
 from yangianpp import partitions3d as p3
 from yangianpp.exact import random_params
 from yangianpp.reps import h_rat
@@ -49,9 +49,11 @@ def test_counts_match_generating_function():
     assert [len(L) for L in levels] == plane_partition_counts_gf(8)
 
 
-def test_cap_enforced():
-    with pytest.raises(CapExceeded):
-        enumerate_plane_partitions(11)
+def test_library_enumerates_past_the_enum_cap():
+    """Only the enum command caps --max-boxes (at 10); the counts at 11 are
+    OEIS A000219."""
+    levels = enumerate_plane_partitions(11)
+    assert [len(L) for L in levels] == [1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859]
 
 
 def test_addible_of_empty_and_single():

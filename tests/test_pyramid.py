@@ -57,9 +57,10 @@ def test_pair_weights_are_equal(params):
         assert p.white.k == p.black.k + 1
 
 
-def test_cap_enforced():
-    with pytest.raises(CapExceeded):
-        build_erc(6)
+def test_room_bounds_max_stones_and_the_library_caps_no_length():
+    """Only the enum command caps --length (at 5): a length-6 room builds.
+    A max_stones beyond the room is refused whatever the caller."""
+    assert len(build_erc(6).stones) == 91
     with pytest.raises(CapExceeded):
         enumerate_pyramids(build_erc(2), 99)
 

@@ -10,6 +10,7 @@ from oracles import (
     ef_bracket,
     ef_letters,
     evaluate,
+    flipped_param,
     operator_sum,
     reference_statuses,
     removable_boxes,
@@ -22,7 +23,7 @@ from yangianpp import relations, reps
 from yangianpp.exact import random_params
 from yangianpp.relations import (
     OperatorSet,
-    apply_tables,
+    apply_table,
     check_ee,
     check_ef_diag,
     check_ef_matches_h,
@@ -432,10 +433,10 @@ def test_sign_conflict_fails_a_named_cell(c3_ops_by_mode, mode):
     demands -1, and the first cell off eps = +1 fails with its level and labels."""
     ops = _NegatedF(c3_ops_by_mode[mode].rep)
     rep, field = ops.rep, ops.rep.geometry.params.field
-    vecs = relations.ef_vectors(ops, [(0, 0)], [0, 3])
+    vecs = apply_table(ef_terms(0, 0), ef_letters(ops), rep, [0, 3])
 
     def sides(n, k):  # (eigenvalue of [e_0, f_0], Res_inf h) on state k of level n
-        return vecs[n][k][0].get(k, 0), rep.h_rat(rep.basis.level(n)[k]).residue_at_infinity(0)
+        return vecs[n][k].get(k, 0), rep.h_rat(rep.basis.level(n)[k]).residue_at_infinity(0)
 
     lhs, rhs = sides(0, 0)
     assert lhs == rhs != 0
@@ -579,7 +580,7 @@ COLUMN_CASES = [  # (operator set fixture, family, table of the params)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("draw,family,table", COLUMN_CASES)
 def test_tables_applied_per_source_are_the_operator_columns(request, mode, draw, family, table):
-    """apply_tables, on int numerators, equals the matrix route's columns,
+    """apply_table, on int numerators, equals the matrix route's columns,
     also for tables with a fractional sigma2 and cancelling words over
     generators whose block denominators differ; every value it returns is
     a scalar of the field."""
@@ -589,9 +590,9 @@ def test_tables_applied_per_source_are_the_operator_columns(request, mode, draw,
     get = ef_letters(ops) if family == "ef" else getattr(ops, family)
     levels = range(0, ops.top + 1)
     matrix = evaluate(table, get)
-    vecs = apply_tables([table], get, ops.rep, levels)
+    vecs = apply_table(table, get, ops.rep, levels)
     for n in levels:
-        for s, (vec,) in enumerate(vecs[n]):
+        for s, vec in enumerate(vecs[n]):
             assert vec == {t: v for (t, src), v in matrix.blocks.get(n, {}).items() if src == s}
             for v in vec.values():
                 assert_in_field(v, field)
@@ -620,12 +621,6 @@ def coni_ops_by_case():
     }
 
 
-def _flipped(name):
-    """The Params property `name` with its sign flipped."""
-    prop = getattr(Params, name)
-    return property(lambda self: self.field.reduce(-prop.fget(self)))
-
-
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case", ["c3", (4, 2)])
 def test_psi_e_compat_reads_the_operators(c3_ops_by_mode, coni_ops_by_case, monkeypatch, mode, case):
@@ -640,7 +635,7 @@ def test_psi_e_compat_reads_the_operators(c3_ops_by_mode, coni_ops_by_case, monk
     monkeypatch.setattr(Representation, "h_rat", None)
     for name in ("sigma2", "sigma3"):
         with monkeypatch.context() as m:
-            m.setattr(Params, name, _flipped(name))
+            m.setattr(Params, name, flipped_param(name))
             flipped = check_psi_e_compat(ops, 2)
         assert (flipped.status, flipped.domain) == ("fail", r.domain), name
         assert flipped.detail.startswith("(m,n)=(") and ", level 0, entry " in flipped.detail

@@ -9,6 +9,7 @@ from oracles import (
     assert_in_field,
     box_local_factor,
     div,
+    ef_letters,
     eval_form,
     eval_reduced,
     exponent_of,
@@ -23,7 +24,7 @@ from yangianpp import Geometry, LinForm, Params, Representation, Resonance, dete
 from yangianpp.exact import FIELDS, GFP, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone
-from yangianpp.relations import OperatorSet, ef_vectors
+from yangianpp.relations import OperatorSet, apply_table, ef_terms
 from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
 from yangianpp.reps import SparseOperator, h_rat, operators_to_json
 
@@ -373,7 +374,8 @@ def test_operator_grading(c3):
 
 
 def test_ef_vacuum_commutator(c3):
-    [[vacuum]] = ef_vectors(OperatorSet(Representation(c3)), [(0, 0)], [0])[0]
+    rep = Representation(c3)
+    [vacuum] = apply_table(ef_terms(0, 0), ef_letters(OperatorSet(rep)), rep, [0])[0]
     assert vacuum == {0: -1}  # [e_0, f_0] acts by -1 on the vacuum
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_local_factor, orbit_terms, sympy_shuffle
+from oracles import box_local_factor, flipped_param, orbit_terms, sympy_shuffle
 from yangianpp import Kernel, LinForm, Params, SymPoly, shuffle, shuffle_mul
 from yangianpp.errors import DenominatorNotCancelled
 from yangianpp.exact import GFP, PRIME, QQ, random_params
@@ -51,7 +51,8 @@ def test_power_refuses_a_negative_exponent(field):
 
 
 def test_a1_anticommutator_check():
-    assert check_a1_anticomm(5).status == "pass"
+    r = check_a1_anticomm()
+    assert (r.status, r.domain) == ("pass", 36)  # r1, r2 = 0..5
 
 
 @pytest.mark.parametrize("r1,r2", [(0, 0), (0, 1), (2, 5)])
@@ -65,9 +66,9 @@ def test_c3_ee_relation(iparams):
     assert check_c3_ee(params, imax=2).status == "pass"
 
 
-def test_c3_ee_sigma3_flip_is_nonzero(iparams):
-    params = iparams
-    assert check_c3_ee(params, imax=1, sigma3_sign=-1).status == "fail"
+def test_c3_ee_sigma3_flip_is_nonzero(iparams, monkeypatch):
+    monkeypatch.setattr(Params, "sigma3", flipped_param("sigma3"))
+    assert check_c3_ee(iparams, imax=1).status == "fail"
 
 
 def test_c3_ee_sigma2_flip_is_nonzero(iparams):
@@ -188,7 +189,7 @@ def test_shuffle_mul_matches_sympy_oracle_prime_field(kernel, v1, v2):
 
 def test_operands_of_another_field_are_refused():
     kernel = Kernel.c3(random_params(2024, mode="prime-field"))
-    half = SymPoly.power(1, F(1, 2))  # a rational operand
+    half = SymPoly.power(1) * F(1, 2)  # a rational operand
     with pytest.raises(ValueError, match="do not mix"):
         shuffle_mul(half, SymPoly.power(0), kernel)
     with pytest.raises(ValueError, match="do not mix"):
@@ -198,7 +199,7 @@ def test_operands_of_another_field_are_refused():
     with pytest.raises(ValueError, match="do not mix"):
         MPoly(1, {(1,): 1}) - MPoly(1, {(1,): 1}, GFP)
     # built in the kernel's field, the half is the residue of 1/2
-    prod = shuffle_mul(SymPoly.power(1, F(1, 2), GFP), SymPoly.power(0, field=GFP), kernel)
+    prod = shuffle_mul(SymPoly.power(1, field=GFP) * GFP.of(F(1, 2)), SymPoly.power(0, field=GFP), kernel)
     rational = shuffle_mul(half, SymPoly.power(0), Kernel.c3(random_params(2024)))
     assert prod.poly.terms == {e: GFP.of(c) for e, c in rational.poly.terms.items()}
     assert all(type(c) is int and 0 <= c < PRIME for c in prod.poly.terms.values())
@@ -289,7 +290,7 @@ def test_assoc_failure_names_trial_shape_and_exponents(iparams, monkeypatch):
 
 
 def test_a1_anticomm_failure_names_instance(monkeypatch):
-    assert check_a1_anticomm(2).detail == ""
+    assert check_a1_anticomm().detail == ""
     raw = shuffle.shuffle_mul
 
     def flipped(f, g, kernel):
@@ -298,7 +299,7 @@ def test_a1_anticomm_failure_names_instance(monkeypatch):
         return prod * -1 if max(f.poly.terms) > max(g.poly.terms) else prod
 
     monkeypatch.setattr(shuffle, "shuffle_mul", flipped)
-    r = check_a1_anticomm(2)
+    r = check_a1_anticomm()
     assert r.status == "fail"
     # x^0 * x^0 = 0, so the first failing instance is (0, 1)
     assert r.detail == "(r1,r2)=(0, 1)"
