@@ -109,9 +109,10 @@ def cmd_rep_build(args) -> int:
 def _verify_operator_file(path) -> int:
     """Recompute the basis and operators for the stored config and compare.
 
-    The e and f families must both hold exactly the keys 0..k; a file that
+    The e and f families must both hold exactly the keys 0..k, and params,
+    repeated as geometry.params, as `rep build` writes them; a file that
     cannot be read, lacks a section or holds one of the wrong type, or that
-    writes a number otherwise than `rep build` does, is a usage error.
+    writes an entry otherwise than `rep build` does, is a usage error.
     """
     try:
         with open(path) as fh:
@@ -124,12 +125,12 @@ def _verify_operator_file(path) -> int:
         families = {fam: stored[fam] for fam in ("e", "f")}
         if not (isinstance(labels, list) and all(isinstance(ops, dict) for ops in families.values())):
             raise TypeError("basis levels must be a list and each operator family an object")
-        # h1/h2/chi are the source rationals as strings; older prime-field
+        # h1/h2/h3/chi are the source rationals as strings; older prime-field
         # files store residue strings instead, which map to the same field elements
-        raw = [pj[k] for k in ("h1", "h2", "chi")]
-        if not all(type(v) is str for v in raw):
-            raise TypeError("params h1, h2 and chi must be strings")
-        h1, h2, chi = map(QQ.of, raw)
+        raw = {k: pj[k] for k in ("h1", "h2", "h3", "chi")}
+        if not all(type(v) is str for v in raw.values()) or not isinstance(g["params"], dict):
+            raise TypeError("params h1, h2, h3 and chi must be strings and geometry params an object")
+        h1, h2, _, chi = map(QQ.of, raw.values())
         mode = pj.get("mode", "rational")
     except OSError as exc:
         raise ValueError(f"cannot read operator file: {exc}") from exc
@@ -144,6 +145,13 @@ def _verify_operator_file(path) -> int:
             print(f"operator file incomplete: {fam}_{missing[0]} is missing", file=sys.stderr)
             return EXIT_RELATION
     params = Params.make(h1, h2, chi, mode=mode)
+    written = [params.to_json(), {k: params.field.str(getattr(params, k)) for k in raw}]  # the older: residues
+    expect, gp = min(written, key=lambda w: sum(w[k] != v for k, v in raw.items())), g["params"]
+    wrong = [f"params.{k} {v!r} is not {expect[k]!r}" for k, v in raw.items() if v != expect[k]]
+    wrong += [f"geometry.params.{k} differs from params.{k}" for k in sorted(gp | pj) if gp.get(k) != pj.get(k)]
+    if wrong:
+        print(f"operator file mismatch: {wrong[0]}", file=sys.stderr)
+        return EXIT_RELATION
     geometry = Geometry(kind, params, level, m=m, sector=sector)
     rep = Representation(geometry)
     for n, (ours, theirs) in enumerate(itertools.zip_longest(rep.basis.to_json(), labels)):
@@ -168,6 +176,9 @@ def _verify_operator_file(path) -> int:
 
 def cmd_rep_check(args) -> int:
     if args.operators:
+        defaults = vars(build_parser().parse_args(["rep", "check", "--operators", args.operators]))
+        if unused := [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v != defaults[k]]:
+            raise ValueError(f"rep check --operators reads only the file, not {', '.join(unused)}")
         return _verify_operator_file(args.operators)
     kind, m = _parse_geometry(args.geometry)
     which = tuple(args.relations.split(","))

@@ -8,6 +8,10 @@ check reads the quadratic table.  No check multiplies operators:
 sparse matrix-vector steps, and a check's cells are the entries of those
 vectors.  ef-matches-h and psi-e-compat share psi_k, the diagonal of
 [e_0, f_k], built once per k in one pass over e_0's entries (`OperatorSet.psi`).
+psi (each state's sum an unreduced (numerator, denominator) pair), the
+power-form guard and R_m run on ints read from a scalar's `numerator` and
+`denominator` (a prime-field int is itself over 1); only a failing cell's
+discrepancy becomes a `Fraction`.
 
 The quadratic, Serre and ef-diagonal checks evaluate only their generating
 instance, (m,n)=(0,0), (i1,i2,i3)=(0,0,0) and [e_0,f_0].  On operators of
@@ -99,18 +103,26 @@ class OperatorSet:
     def psi(self, k):
         """psi_k, the diagonal of [e_0, f_k], as {(level, state index): nonzero
         scalar}, one pass over e_0: an entry a at (t, s) from level n and f_k's
-        (s, t) entry b at level n + 1 add a*b at (n + 1, t) and take it from (n, s)."""
+        (s, t) entry b at level n + 1 add a*b at (n + 1, t) and take it from
+        (n, s), each state's sum kept as an unreduced (numerator, denominator) pair."""
         if k not in self._psi:
             e0, fk = self.e(0), self.f(k)
             field = same_field(same_field(self.rep.geometry.params.field, e0.field), fk.field)
-            acc = {}
+            num, den = {}, {}  # state -> numerator, denominator (absent: 1)
             for n, blk in e0.blocks.items():
                 col = fk.blocks.get(n + 1, {})
                 for (t, s), a in blk.items():
-                    ab = a * col.get((s, t), 0)
-                    acc[n + 1, t] = acc.get((n + 1, t), 0) + ab
-                    acc[n, s] = acc.get((n, s), 0) - ab
-            self._psi[k] = field.nonzero(acc)
+                    if (b := col.get((s, t))) is None:
+                        continue
+                    v, w = a.numerator * b.numerator, a.denominator * b.denominator
+                    if w == 1 and not den:  # every denominator so far is 1
+                        num[n + 1, t] = num.get((n + 1, t), 0) + v
+                        num[n, s] = num.get((n, s), 0) - v
+                        continue
+                    for key, v in (((n + 1, t), v), ((n, s), -v)):
+                        c, d = num.get(key, 0), den.get(key, 1)
+                        num[key], den[key] = (c + v, d) if d == w else (c * w + v * d, d * w)
+            self._psi[k] = field.nonzero({key: field.ratio(v, den.get(key, 1)) for key, v in num.items()})
         return self._psi[k]
 
     @property
@@ -299,7 +311,9 @@ def _power_form(rep, family, get, levels, letters):
     """None when X_i = x^i X_0 entrywise, X = `family`, on the steps from
     every source level in `levels` for every i in `letters`, x the weight
     of the step; else (discrepancy, where) of the first entry that breaks
-    it.  An entry on no step breaks it too."""
+    it.  An entry on no step breaks it too.  With X_0 = a/b and x = p/q, an
+    entry c/d passes when c b q^i = d a p^i, on ints, one power per letter
+    (ascending); only a failing x^i X_0 is built as a scalar."""
     field = rep.geometry.params.field
     base = get(0)
     for n in levels:
@@ -308,14 +322,21 @@ def _power_form(rep, family, get, levels, letters):
         else:  # lowering steps from level n reverse the raising steps from n - 1
             steps = {(si, ti): x for si, ti, x, _, _ in rep.transitions(n - 1)}
         x0 = base.blocks.get(n, {})
+        want = {key: (v.numerator, v.denominator, x.numerator, x.denominator)  # (a p^i, b q^i, p, q)
+                for key, x in steps.items() if key in x0 for v in [x0[key]]}
+        last = 0
         for i in letters:
-            want = field.nonzero({key: x**i * x0[key] for key, x in steps.items() if key in x0})
+            if i > last:
+                e, last = i - last, i
+                want = {key: (field.reduce(a * p**e), b * q**e, p, q) for key, (a, b, p, q) in want.items()}
             got = get(i).blocks.get(n, {})
-            bad = [key for key in got.keys() | want.keys() if got.get(key) != want.get(key)]
+            bad = got.keys() - want.keys()
+            bad |= {key for key, (a, b, _, _) in want.items()
+                    for c in [got.get(key, 0)] if c.numerator * b != c.denominator * a}
             if bad:
                 key = min(bad)
                 where = f"{family}_{i} != x^{i} {family}_0, {_entry(rep, n, base.shift, *key)}"
-                return got.get(key, 0) - want.get(key, 0), where
+                return got.get(key, 0) - (field.reduce(steps[key] ** i * x0[key]) if key in want else 0), where
     return None
 
 
@@ -382,23 +403,34 @@ def check_psi_e_compat(ops: OperatorSet, imax: int) -> RelationReport:
 
     and on power-form e instance (m, n) is x^n times it: the guard then
     checks e_0..e_{imax+3}.  R_m = 0, whatever the sigmas and the step's
-    e_0 f_0, on a step whose two states lie on no other step.
+    e_0 f_0, on a step whose two states lie on no other step.  A step's x,
+    sigmas and psi values are cleared over one D (each state's psi once),
+    and D^4 R_m is an int.
     """
     start = time.monotonic()
     rep, p = ops.rep, ops.rep.geometry.params
-    field, s2, s3, ks = p.field, p.sigma2, p.sigma3, range(imax + 4)
+    field, ks = p.field, range(imax + 4)
+    (s2, s2d), (s3, s3d) = ((s.numerator, s.denominator) for s in (p.sigma2, p.sigma3))
     psis = [ops.psi(k) for k in ks]
     e0 = ops.e(0).blocks
     levels = _nonempty(rep, range(ops.top - 1))  # n + 1 < top
     steps = [(n, si, ti, x) for n in levels for si, ti, x, _, _ in rep.transitions(n)]
-    worst = None
+    cleared, worst = {}, None  # state -> (its psi_k values times L, L)
     for n, si, ti, x in steps:
-        lam, mu = [psi.get((n, si), 0) for psi in psis], [psi.get((n + 1, ti), 0) for psi in psis]
-        d = [b - a for a, b in zip(lam, mu)]
-        for m in range(imax + 1):
-            r = (3 * x * d[m + 2] - 3 * x * x * d[m + 1] - d[m + 3] + x**3 * d[m]
-                 - s2 * (d[m + 1] - x * d[m]) + s3 * (lam[m] + mu[m]))
-            if worst is None and (v := field.reduce(e0.get(n, {}).get((ti, si), 0) * r)):
+        for st in ((n, si), (n + 1, ti)):
+            if st not in cleared:
+                nums, L = field.clear(dict(enumerate(psi.get(st, 0) for psi in psis)))
+                cleared[st] = list(nums.values()), L
+        (lam, Ll), (mu, Lm), X, xd = cleared[n, si], cleared[n + 1, ti], x.numerator, x.denominator
+        D, S2, S3 = math.lcm(xd, s2d, s3d, Ll, Lm), s2, s3
+        if D > 1:  # each value times D
+            X, S2, S3 = X * (D // xd), s2 * (D // s2d), s3 * (D // s3d)
+            lam, mu = [v * (D // Ll) for v in lam], [v * (D // Lm) for v in mu]
+        a, d = e0.get(n, {}).get((ti, si), 0), [y - z for z, y in zip(lam, mu)]
+        for m in range(imax + 1):  # D^4 R_m by powers of D
+            r = (D * (D * (3 * X * d[m + 2] - D * d[m + 3] - S2 * d[m + 1] + S3 * (lam[m] + mu[m]))
+                      - X * (3 * X * d[m + 1] - S2 * d[m])) + X**3 * d[m])
+            if worst is None and field.reduce(r) and (v := field.reduce(a * field.ratio(r, D**4))):
                 worst = (v, f"(m,n)=({m},0), {_entry(rep, n, 1, ti, si)}")
     worst = worst or _power_form(rep, "e", ops.e, levels, ks)
     return _report("psi-e-compat", start, len(steps), worst, field=field)

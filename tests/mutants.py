@@ -53,8 +53,16 @@ MUTANTS = [
     (
         "guard-power-capped",
         "relations.py",
-        "{key: x**i * x0[key]",
-        "{key: x**min(i, 1) * x0[key]",
+        "if i > last:",
+        "if last < i <= 1:",
+        REL + "test_c3_ee_ff",
+    ),
+    # The guard compares cleared integers: c b q^i against d a p^i.
+    (
+        "guard-denominator-power-dropped",
+        "relations.py",
+        "b * q**e, p, q)",
+        "b, p, q)",
         REL + "test_c3_ee_ff",
     ),
     (
@@ -137,15 +145,29 @@ MUTANTS = [
     (
         "psi-sigma3-sign",
         "relations.py",
-        "+ s3 * (lam[m] + mu[m]))",
-        "- s3 * (lam[m] + mu[m]))",
+        "+ S3 * (lam[m] + mu[m]))",
+        "- S3 * (lam[m] + mu[m]))",
         REL + "test_psi_e_compat_reads_the_operators",
     ),
     (
         "psi-first-bracket-index",
         "relations.py",
-        "3 * x * d[m + 2]",
-        "3 * x * d[m + 1]",
+        "3 * X * d[m + 2]",
+        "3 * X * d[m + 1]",
+        REL + "test_psi_e_compat_reads_the_operators",
+    ),
+    (
+        "psi-e-cleared-power-short",
+        "relations.py",
+        "- D * d[m + 3]",
+        "- d[m + 3]",
+        REL + "test_psi_e_compat_reads_the_operators",
+    ),
+    (
+        "psi-e-state-denominator-swapped",
+        "relations.py",
+        "[v * (D // Ll) for v in lam]",
+        "[v * (D // Lm) for v in lam]",
         REL + "test_psi_e_compat_reads_the_operators",
     ),
     (
@@ -155,20 +177,28 @@ MUTANTS = [
         "_nonempty(rep, range(ops.top))",
         REL + "test_psi_e_compat_reads_the_operators",
     ),
-    # psi_k is one pass over e_0's entries, shared by both Cartan checks, and
-    # pole support reads a label's removals off the moves into it.
+    # psi_k is one pass over e_0's entries, summed as unreduced pairs and
+    # shared by both Cartan checks, and pole support reads a label's
+    # removals off the moves into it.
     (
         "psi-outgoing-sign-flipped",
         "relations.py",
-        "acc[n, s] = acc.get((n, s), 0) - ab",
-        "acc[n, s] = acc.get((n, s), 0) + ab",
+        "((n, s), -v)",
+        "((n, s), v)",
         REL + "test_c3_ef_matches_h",
     ),
     (
         "psi-f-untransposed",
         "relations.py",
-        "ab = a * col.get((s, t), 0)",
-        "ab = a * col.get((t, s), 0)",
+        "(b := col.get((s, t)))",
+        "(b := col.get((t, s)))",
+        REL + "test_c3_ef_matches_h",
+    ),
+    (
+        "psi-pair-sum-without-cross-denominators",
+        "relations.py",
+        "(c * w + v * d, d * w)",
+        "(c + v, d * w)",
         REL + "test_c3_ef_matches_h",
     ),
     (

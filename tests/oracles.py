@@ -17,7 +17,10 @@ stone product, the unpaired-black count and a bundle's verdicts, and a
 parameter with its sign flipped for the negative controls.  The
 removal rules (`removable_boxes`, `removable_pairs_scan`) and the weight
 of every stone, white or black (`stone_weight`), are stated here only: the
-package reads a label's removals off the moves into it.
+package reads a label's removals off the moves into it.  The Cartan half and
+the power-form guard are restated on field scalars (`psi_scalars`,
+`psi_e_worst`, `power_form_scalars`): each sum, power and product one
+normalised scalar, where the package compares cleared integers.
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
 from yangianpp.errors import Resonance, YangianppError
 from yangianpp.exact import GFP, PRIME, LinForm, Params, same_field
-from yangianpp.relations import ef_terms, quad_terms, serre_terms
+from yangianpp.relations import _entry, ef_terms, quad_terms, serre_terms
 from yangianpp.reps import SparseOperator, _atom_form, h_rat
 
 
@@ -564,3 +567,64 @@ def reference_statuses(ops, imax, nmax):
     ok = any(all(a == field.reduce(eps * b) for a, b in zip(lhs, rhs)) for eps in (1, -1))
     out["ef-matches-h"] = ("pass" if ok else "fail") if levels else "empty-domain"
     return out
+
+
+# ---------------------------------------------------------------------------
+# The Cartan half and the power-form guard on field scalars
+# ---------------------------------------------------------------------------
+
+
+def psi_scalars(ops, k):
+    """OperatorSet.psi(k) with every product and sum a field scalar."""
+    e0, fk = ops.e(0), ops.f(k)
+    field = same_field(same_field(ops.rep.geometry.params.field, e0.field), fk.field)
+    acc = {}
+    for n, blk in e0.blocks.items():
+        col = fk.blocks.get(n + 1, {})
+        for (t, s), a in blk.items():
+            ab = a * col.get((s, t), 0)
+            acc[n + 1, t] = acc.get((n + 1, t), 0) + ab
+            acc[n, s] = acc.get((n, s), 0) - ab
+    return field.nonzero(acc)
+
+
+def power_form_scalars(rep, family, get, levels, letters):
+    """relations._power_form with x^i X_0 built as a scalar for every entry
+    and letter, and compared as one."""
+    field = rep.geometry.params.field
+    base = get(0)
+    for n in levels:
+        if base.shift > 0:
+            steps = {(ti, si): x for si, ti, x, _, _ in rep.transitions(n)}
+        else:
+            steps = {(si, ti): x for si, ti, x, _, _ in rep.transitions(n - 1)}
+        x0 = base.blocks.get(n, {})
+        for i in letters:
+            want = field.nonzero({key: x**i * x0[key] for key, x in steps.items() if key in x0})
+            got = get(i).blocks.get(n, {})
+            bad = [key for key in got.keys() | want.keys() if got.get(key) != want.get(key)]
+            if bad:
+                key = min(bad)
+                where = f"{family}_{i} != x^{i} {family}_0, {_entry(rep, n, base.shift, *key)}"
+                return got.get(key, 0) - want.get(key, 0), where
+    return None
+
+
+def psi_e_worst(ops, imax):
+    """The (discrepancy, where) that check_psi_e_compat reports, or None:
+    R_m summed in field scalars on every step, then the power-form guard."""
+    rep, p = ops.rep, ops.rep.geometry.params
+    field, s2, s3, ks = p.field, p.sigma2, p.sigma3, range(imax + 4)
+    psis = [psi_scalars(ops, k) for k in ks]
+    e0 = ops.e(0).blocks
+    levels = [n for n in range(ops.top - 1) if rep.basis.level(n)]
+    for n in levels:
+        for si, ti, x, _, _ in rep.transitions(n):
+            lam, mu = [psi.get((n, si), 0) for psi in psis], [psi.get((n + 1, ti), 0) for psi in psis]
+            d = [b - a for a, b in zip(lam, mu)]
+            for m in range(imax + 1):
+                r = (3 * x * d[m + 2] - 3 * x * x * d[m + 1] - d[m + 3] + x**3 * d[m]
+                     - s2 * (d[m + 1] - x * d[m]) + s3 * (lam[m] + mu[m]))
+                if v := field.reduce(e0.get(n, {}).get((ti, si), 0) * r):
+                    return v, f"(m,n)=({m},0), {_entry(rep, n, 1, ti, si)}"
+    return power_form_scalars(rep, "e", ops.e, levels, ks)

@@ -421,6 +421,43 @@ def test_rep_check_operator_file_rewritten_to_the_same_operator_is_usage_error(o
 
 
 @pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda blob: blob["params"].update(chi="14/2"), "params.chi '14/2' is not '7/1'"),
+        (lambda blob: blob["params"].update(h3="999/1"), "params.h3 '999/1' is not '-1318/91'"),
+        (lambda blob: blob["geometry"]["params"].update(h1="5/1"), "geometry.params.h1 differs from params.h1"),
+        (lambda blob: blob["geometry"]["params"].pop("mode"), "geometry.params.mode differs from params.mode"),
+    ],
+    ids=["chi-not-lowest-terms", "h3-not-minus-h1-minus-h2", "geometry-h1-differs", "geometry-mode-missing"],
+)
+def test_rep_check_operator_file_with_params_rep_build_never_writes_fails(op_file, capsys, edit, message):
+    """The params are certified too: written in lowest terms, with h3 =
+    -h1 - h2, and repeated unchanged as geometry.params; else exit 1 naming
+    the field."""
+    blob = json.loads(op_file.read_text())
+    edit(blob)
+    op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert (code, out, err) == (1, "", f"operator file mismatch: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--mode", "prime-field", "--level", "9"], "--mode, --level"),
+        (["--geometry", "conifold:2", "--relations", "ee"], "--geometry, --relations"),
+        (["--out", "report.json"], "--out"),
+    ],
+)
+def test_rep_check_operators_refuses_the_suite_flags(op_file, capsys, flags, named):
+    """With --operators, rep check reads only the file: a suite flag set to
+    anything but its default is a usage error that names it."""
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: rep check --operators reads only the file, not {named}\n"
+
+
+@pytest.mark.parametrize(
     "edit,level",
     [
         (lambda levels: levels[1].clear(), 1),

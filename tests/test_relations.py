@@ -12,6 +12,9 @@ from oracles import (
     evaluate,
     flipped_param,
     operator_sum,
+    power_form_scalars,
+    psi_e_worst,
+    psi_scalars,
     reference_statuses,
     removable_boxes,
     removable_pairs_scan,
@@ -528,6 +531,49 @@ def test_psi_of_a_control_is_the_diagonal_of_its_bracket(c3_ops_by_mode, mode, c
     ops = control(c3_ops_by_mode[mode].rep)
     for k in range(6):
         assert ops.psi(k) == _diagonal(ef_bracket(ops, 0, k)), k
+
+
+SCALAR_CASES = ["c3 N=6", (4, 2), (5, 2)] + CONTROLS + [_BumpedE1Level4, _BumpedF1Level5, _OffStepEF]
+
+
+def _worst(v):
+    """A (discrepancy, where) pair or None, with the discrepancy's type."""
+    return v and (v, type(v[0]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", SCALAR_CASES, ids=lambda c: getattr(c, "__name__", str(c)))
+def test_cleared_integers_equal_the_scalar_route(c3_ops_by_mode, monkeypatch, mode, case):
+    """psi, the power-form guard and psi-e-compat's R_m compare cleared
+    integers; the oracles build every value as a field scalar.  The psi
+    values, the guard's (discrepancy, where) and each check's reported one
+    agree with them, scalar types included, on c3 N=6 at the seed-2024
+    draw, conifold (4, 2) and (5, 2) at N=5, and on every control."""
+    if case == "c3 N=6":
+        ops = OperatorSet(Representation(Geometry("c3", random_params(2024, mode=mode), 6)))
+    elif isinstance(case, tuple):
+        params = Params.make(F(101, 13), F(47, 7), F(7), mode=mode)
+        ops = OperatorSet(Representation(Geometry("conifold", params, 5, m=case[0], sector=case[1])))
+    else:
+        ops = case(c3_ops_by_mode[mode].rep)
+    for k in range(6):
+        got, want = ops.psi(k), psi_scalars(ops, k)
+        assert got == want and {key: type(v) for key, v in got.items()} == {key: type(v) for key, v in want.items()}
+    for family, levels in (("e", range(0, ops.top)), ("f", range(1, ops.top + 1))):
+        for letters in (range(6), range(2, 5)):
+            args = (ops.rep, family, getattr(ops, family), levels, letters)
+            assert _worst(relations._power_form(*args)) == _worst(power_form_scalars(*args))
+    reported, report = [], relations._report
+    monkeypatch.setattr(relations, "_report", lambda *a, **k: reported.append(_worst(a[3])) or report(*a, **k))
+    checks = (check_ef_diag, check_ee, check_ff, check_serre_e, check_serre_f)
+    for check in checks:
+        check(ops, 1)
+    check_psi_e_compat(ops, 2)
+    monkeypatch.setattr(relations, "_power_form", power_form_scalars)
+    for check in checks:
+        check(ops, 1)
+    assert reported[:len(checks)] == reported[len(checks) + 1:]
+    assert reported[len(checks)] == _worst(psi_e_worst(ops, 2))
 
 
 @pytest.mark.parametrize("kind,level,m,sector", [("c3", 8, 0, 0)] + [
