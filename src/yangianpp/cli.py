@@ -9,6 +9,7 @@ one default is declared once, in a parent parser.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -176,8 +177,7 @@ def _verify_operator_file(path) -> int:
 
 def cmd_rep_check(args) -> int:
     if args.operators:
-        defaults = vars(build_parser().parse_args(["rep", "check", "--operators", args.operators]))
-        if unused := [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v != defaults[k]]:
+        if unused := [f"--{k.replace('_', '-')}" for k in vars(args) if k in getattr(args, "given", ())]:
             raise ValueError(f"rep check --operators reads only the file, not {', '.join(unused)}")
         return _verify_operator_file(args.operators)
     kind, m = _parse_geometry(args.geometry)
@@ -262,13 +262,23 @@ def cmd_shuffle(args) -> int:
     return EXIT_OK if all(r.status == "pass" for r in reports) else EXIT_RELATION
 
 
+class _Given(argparse.Action):
+    """Stores a flag's value and notes its dest in `given`, so a command can
+    tell a flag given at its default from one left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.dest,)
+
+
 def _flag(*names, **kw):
     """A parent parser that declares one shared flag."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*names, **kw)
+    parent.add_argument(*names, action=_Given, **kw)
     return parent
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="yangianpp",
@@ -305,11 +315,11 @@ def build_parser():
     rb.add_argument("--imax", type=int, default=1)
     rb.set_defaults(func=cmd_rep_build)
     rc = rep_sub.add_parser("check", parents=[seed, mode, sector, out], help="run the relation suite")
-    rc.add_argument("--geometry", default="c3")
-    rc.add_argument("--level", type=int, default=5)
-    rc.add_argument("--imax", type=int, default=2)
-    rc.add_argument("--relations", default="all", help="all or comma list: " + ",".join(GROUPS))
-    rc.add_argument("--specializations", type=int, default=3)
+    rc.add_argument("--geometry", action=_Given, default="c3")
+    rc.add_argument("--level", action=_Given, type=int, default=5)
+    rc.add_argument("--imax", action=_Given, type=int, default=2)
+    rc.add_argument("--relations", action=_Given, default="all", help="all or comma list: " + ",".join(GROUPS))
+    rc.add_argument("--specializations", action=_Given, type=int, default=3)
     rc.add_argument("--operators", help="verify a stored operator file instead")
     rc.set_defaults(func=cmd_rep_check)
 

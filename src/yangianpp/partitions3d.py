@@ -33,16 +33,16 @@ def _addible(boxes):
     return [c for c in cands if c not in boxes and all(p in boxes for p in _preds(c))]
 
 
-def grow(max_size, addible):
+def grow(empty, max_size, children):
     """Graded order ideals: level n is the set of n-element ideals.
 
     Growth is from the empty ideal by single-element addition, where
-    addible(ideal) lists the elements that may join it.  Holding an element
+    children(ideal) lists the ideals one element larger.  Holding an element
     back prunes every ideal that only that addition would reach.
     """
-    levels = [{frozenset()}]
+    levels = [{empty}]
     for _ in range(max_size):
-        levels.append({cur | {x} for cur in levels[-1] for x in addible(cur)})
+        levels.append({child for cur in levels[-1] for child in children(cur)})
     return levels
 
 
@@ -117,7 +117,8 @@ def enumerate_plane_partitions(max_boxes: int):
     """
     if max_boxes < 0:
         raise ValueError("max_boxes must be nonnegative")
-    return [sorted(map(Partition3D, level)) for level in grow(max_boxes, _addible)]
+    levels = grow(frozenset(), max_boxes, lambda boxes: [boxes | {b} for b in _addible(boxes)])
+    return [sorted(map(Partition3D, level)) for level in levels]
 
 
 class C3:

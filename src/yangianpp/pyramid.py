@@ -11,9 +11,11 @@ weighs the same as the black (k; a, c).
 The covering relation ("directly above") is reconstructed from the arrow
 weights: a white sits directly below the blacks one layer up whose weight
 exceeds it by q or h; a black sits directly below the whites one layer up at
-weight offset 0 or t.  `ERC` tables it once, with the frontier tables `below`
-(its inverse) and `tops` (the stones with no cover), so growth looks only at
-the stones next to a pyramid, never at the whole room.
+weight offset 0 or t.  `ERC` tables it once and gives every stone a bit in
+the canonical stone order, so a subset of the room is an int.  Its masks
+(per stone its covers and the stones directly below, the blacks, the tops,
+per pair its two stones and those that must be present) let growth and the
+pair moves look only at the stones next to a pyramid, never at the whole room.
 
 A pyramid partition is an upward-closed subset; adding or removing happens
 through equal-weight black/white pairs (black (k; a, c) with white
@@ -62,12 +64,21 @@ class ERC:
         below = ((b, Stone("W", b.k + 1, b.a, b.c)) for b in blacks)
         self.pairs = tuple(Pair(b, w) for b, w in below if w in self.stones)
         self._pair_white_of_black = {p.black: p.white for p in self.pairs}
-        self._covers = {s: self._directly_above(s) for s in self.stones}
-        self.below = {s: [] for s in self.stones}
-        for s, cs in self._covers.items():
+        self.covers = {s: self._directly_above(s) for s in self.stones}  # the stones directly above s
+        # Stone i of the canonical order is the bit 1 << i, so an int is a subset.
+        self.order = tuple(sorted(self.stones, key=_stone_sort_key))
+        self.bit = {s: 1 << i for i, s in enumerate(self.order)}
+        # per bit, the stones directly above and directly below; the blacks; the tops
+        self.cover_bits = {self.bit[s]: self.mask(cs) for s, cs in self.covers.items()}
+        self.below_bits = dict.fromkeys(self.cover_bits, 0)
+        for s, cs in self.covers.items():
             for c in cs:
-                self.below[c].append(s)
-        self.tops = frozenset(s for s, cs in self._covers.items() if not cs)
+                self.below_bits[self.bit[c]] |= self.bit[s]
+        self.black_bits = self.mask(blacks)
+        self.top_bits = self.mask(s for s, cs in self.covers.items() if not cs)
+        # (pair, its two bits, the bits that must be present before it joins)
+        self.pair_bits = tuple((p, self.mask(p), self.mask(self.covers[p.black] + self.covers[p.white])
+                                & ~self.bit[p.black]) for p in self.pairs)
 
     def _directly_above(self, s: Stone):
         if s.color == "W":
@@ -76,10 +87,9 @@ class ERC:
             cands = (Stone("W", s.k, s.a, s.c), Stone("W", s.k, s.a - 1, s.c))
         return tuple(c for c in cands if c in self.stones)
 
-    def covers(self, s: Stone):
-        """Stones directly above s (one layer toward the top), tabled once
-        per ERC."""
-        return self._covers[s]
+    def mask(self, stones) -> int:
+        """The int whose set bits are the given stones."""
+        return sum(map(self.bit.__getitem__, stones))
 
     def pair_white_of(self, black: Stone):
         """The equal-weight white below a black, or None if the slot is absent."""
@@ -121,14 +131,6 @@ class PyramidPartition:
     def __repr__(self):
         return f"PyramidPartition(m={self.m}, stones={list(self.stones)})"
 
-    @property
-    def black_count(self):
-        return sum(1 for s in self.stones if s.color == "B")
-
-    @property
-    def white_count(self):
-        return len(self.stones) - self.black_count
-
     def blacks(self):
         return [s for s in self.stones if s.color == "B"]
 
@@ -146,9 +148,8 @@ def build_erc(m: int) -> ERC:
 def addible_pairs(pi: PyramidPartition, erc: ERC):
     """Pairs not in pi whose addition keeps the subset upward-closed: every
     stone directly above the pair's black or white is in pi or is the black."""
-    s = set(pi.stones)
-    return [p for p in erc.pairs if p.black not in s and p.white not in s
-            and all(c in s or c == p.black for c in erc.covers(p.black) + erc.covers(p.white))]
+    ideal = erc.mask(pi.stones)
+    return [p for p, own, need in erc.pair_bits if not ideal & own and ideal & need == need]
 
 
 def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
@@ -160,8 +161,11 @@ def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
     present), which reaches exactly the upward-closed subsets.  With a
     sector s, growth stops at (max_stones+s)//2 blacks and (max_stones-s)//2
     whites: every pyramid of the sector lies within those bounds, and so do
-    all its sub-pyramids.  A stone's candidates are the tops and the stones
-    directly below a present one.  A max_stones beyond the room's size is
+    all its sub-pyramids.  Ideals grow as ints over `ERC.bit`, each with the
+    mask of the stones directly below its stones: a stone's candidates are
+    the tops and that mask, and the color counts are popcounts.  Bit order
+    is the canonical stone order, so sorting the ideals by their set bits
+    sorts the partitions.  A max_stones beyond the room's size is
     CapExceeded, a bound the room itself sets.
     """
     if max_stones < 0:
@@ -171,20 +175,27 @@ def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
     nb = nw = max_stones
     if sector is not None:
         nb, nw = (max_stones + sector) // 2, (max_stones - sector) // 2
+    black, top, covers, below = erc.black_bits, erc.top_bits, erc.cover_bits, erc.below_bits
 
-    blacks = frozenset(erc.blacks)
+    def children(node):  # (ideal, the stones directly below its stones)
+        ideal, under = node
+        b = (ideal & black).bit_count()
+        room = (black if b < nb else 0) | (~black if ideal.bit_count() - b < nw else 0)
+        cands = (top | under) & room & ~ideal
+        out = []
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if (c := covers[low]) & ideal == c:
+                out.append((ideal | low, under | below[low]))
+        return out
 
-    def addible(cur):
-        b = len(cur & blacks)
-        room = {"B": b < nb, "W": len(cur) - b < nw}
-        cands = erc.tops.union(t for s in cur for t in erc.below[s]) - cur
-        return [s for s in cands if room[s.color] and cur.issuperset(erc.covers(s))]
-
-    ideals = (fs for level in grow(max_stones, addible) for fs in level)
-    kept = (PyramidPartition(erc.m, fs) for fs in ideals if sector is None or 2 * len(fs & blacks) - len(fs) == sector)
+    kept = (ideal for level in grow((0, 0), max_stones, children) for ideal, _ in level
+            if sector is None or 2 * (ideal & black).bit_count() - ideal.bit_count() == sector)
     groups = {}
-    for pi in sorted(kept, key=lambda pi: tuple(map(_stone_sort_key, pi.stones))):
-        groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
+    for bits, ideal in sorted(([i for i, d in enumerate(bin(ideal)[:1:-1]) if d == "1"], ideal) for ideal in kept):
+        b = (ideal & black).bit_count()
+        groups.setdefault((b, len(bits) - b), []).append(PyramidPartition(erc.m, [erc.order[i] for i in bits]))
     return dict(sorted(groups.items()))
 
 

@@ -333,12 +333,12 @@ MUTANTS = [
         "x = p3.box_weight(v[::-1], params)",
         REPS + "test_h_rat_equals_raising_times_lowering",
     ),
-    # Pyramid growth and the pair moves read the ERC's frontier tables.
+    # Pyramid growth and the pair moves read the ERC's masks.
     (
         "tops-dropped",
         "pyramid.py",
-        "cands = erc.tops.union(",
-        "cands = frozenset().union(",
+        "self.top_bits = self.mask(",
+        "self.top_bits = 0 * self.mask(",
         PYR + "test_frontier_enumeration_equals_the_rescan[2-4]",
     ),
     (
@@ -347,6 +347,27 @@ MUTANTS = [
         "            for c in cs:\n",
         "            for c in cs[:1]:\n",
         PYR + "test_frontier_tables_invert_the_covers",
+    ),
+    (
+        "growth-covers-unchecked",
+        "pyramid.py",
+        "if (c := covers[low]) & ideal == c:",
+        "if (c := covers[low]) or True:",
+        PYR + "test_frontier_enumeration_equals_the_rescan[None-3]",
+    ),
+    (
+        "pair-needs-its-own-black",
+        "pyramid.py",
+        "\n                                & ~self.bit[p.black])",
+        ")",
+        PYR + "test_addible_pairs_examples",
+    ),
+    (
+        "pair-presence-unchecked",
+        "pyramid.py",
+        "if not ideal & own and ideal & need == need]",
+        "if ideal & need == need]",
+        PYR + "test_addible_pairs_examples",
     ),
     (
         "division-leftover-unchecked",

@@ -13,8 +13,9 @@ products, quotients, values and finite residues (`mul`, `div`,
 `eval_form`, `eval_reduced`, `residue_at`), and the series of a product of
 factors by Newton's identities over the field (`_product_coeffs`, the
 oracle of the integer series behind the residues at infinity), with the
-stone product, the unpaired-black count and a bundle's verdicts, and a
-parameter with its sign flipped for the negative controls.  The
+stone product, a pyramid's color counts (`stone_counts`), the
+unpaired-black count and a bundle's verdicts, and a parameter with its
+sign flipped for the negative controls.  The
 removal rules (`removable_boxes`, `removable_pairs_scan`) and the weight
 of every stone, white or black (`stone_weight`), are stated here only: the
 package reads a label's removals off the moves into it.  The Cartan half and
@@ -25,6 +26,7 @@ normalised scalar, where the package compares cleared integers.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 
 from yangianpp import partitions3d as p3
 from yangianpp import pyramid as pyr
@@ -140,6 +142,12 @@ def stone_product(label, geometry) -> LinForm:
     return _atom_form(1, [(kind, v) for kind, v in atoms if kind != "head"], geometry)
 
 
+def stone_counts(pi):
+    """(#black, #white) of a pyramid partition."""
+    blacks = sum(s.color == "B" for s in pi.stones)
+    return blacks, len(pi.stones) - blacks
+
+
 def black_only_count(pi, erc) -> int:
     """Blacks in pi whose equal-weight paired white is absent.
 
@@ -228,7 +236,7 @@ def upward_closed_subsets(erc):
 def is_upward_closed(stones, erc):
     """Every stone directly above a stone of the set is in the set."""
     s = set(stones)
-    return all(c in s for st in s for c in erc.covers(st))
+    return all(c in s for st in s for c in erc.covers[st])
 
 
 def enumerate_pyramids_rescan(m, max_stones, sector=None):
@@ -244,13 +252,14 @@ stones' sort keys."""
     def addible(cur):
         b = sum(s.color == "B" for s in cur)
         room = {"B": b < nb, "W": len(cur) - b < nw}
-        return [s for s in erc.stones - cur if room[s.color] and all(c in cur for c in erc.covers(s))]
+        return [s for s in erc.stones - cur if room[s.color] and all(c in cur for c in erc.covers[s])]
 
-    pis = (pyr.PyramidPartition(m, fs) for level in p3.grow(max_stones, addible) for fs in level)
+    ideals = p3.grow(frozenset(), max_stones, lambda cur: [cur | {s} for s in addible(cur)])
+    pis = (pyr.PyramidPartition(m, fs) for level in ideals for fs in level)
     groups = {}
-    kept = (pi for pi in pis if sector is None or pi.black_count - pi.white_count == sector)
+    kept = (pi for pi in pis if sector is None or sub(*stone_counts(pi)) == sector)
     for pi in sorted(kept, key=lambda pi: tuple(map(pyr._stone_sort_key, pi.stones))):
-        groups.setdefault((pi.black_count, pi.white_count), []).append(pi)
+        groups.setdefault(stone_counts(pi), []).append(pi)
     return dict(sorted(groups.items()))
 
 

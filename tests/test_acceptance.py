@@ -205,7 +205,7 @@ def test_criterion_08_residue_closure():
         erc = ercs[m]
         stones = set()
         for _ in range(rng.randint(0, min(8, len(erc.stones)))):
-            options = [s for s in erc.stones - stones if all(c in stones for c in erc.covers(s))]
+            options = [s for s in erc.stones - stones if all(c in stones for c in erc.covers[s])]
             if not options:
                 break
             stones.add(rng.choice(sorted(options)))

@@ -447,11 +447,15 @@ def test_rep_check_operator_file_with_params_rep_build_never_writes_fails(op_fil
         (["--mode", "prime-field", "--level", "9"], "--mode, --level"),
         (["--geometry", "conifold:2", "--relations", "ee"], "--geometry, --relations"),
         (["--out", "report.json"], "--out"),
+        (["--mode", "rational"], "--mode"),
+        (["--level", "5"], "--level"),
+        (["--seed", "2024"], "--seed"),
+        (["--level", "5", "--mode", "rational"], "--mode, --level"),
     ],
 )
 def test_rep_check_operators_refuses_the_suite_flags(op_file, capsys, flags, named):
-    """With --operators, rep check reads only the file: a suite flag set to
-    anything but its default is a usage error that names it."""
+    """With --operators, rep check reads only the file: a suite flag given,
+    even at its default, is a usage error that names it."""
     code, out, err = run(capsys, "rep", "check", "--operators", str(op_file), *flags)
     assert (code, out) == (2, "")
     assert err == f"error: rep check --operators reads only the file, not {named}\n"

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracles import (
     enumerate_pyramids_rescan,
     is_upward_closed,
     removable_pairs_scan,
+    stone_counts,
     stone_weight,
     upward_closed_subsets,
 )
@@ -111,30 +113,50 @@ def test_negative_max_stones_is_refused():
 
 
 def test_frontier_tables_invert_the_covers():
+    """Each stone's bit round-trips through the canonical order, and every
+    mask holds the stones its definition names: the covers, their inverse,
+    the blacks, the tops, and per pair its own two stones and the stones
+    that must already be present (everything above either, but the black)."""
     for m in range(1, 6):
         erc = build_erc(m)
-        assert erc.tops == {s for s in erc.stones if not erc.covers(s)}
-        assert erc.tops == {Stone("B", 0, 0, c) for c in range(m)}
+
+        def stones(mask):
+            return {s for s in erc.stones if erc.bit[s] & mask}
+
+        assert list(erc.order) == sorted(erc.stones, key=pyramid._stone_sort_key)
+        assert sorted(erc.bit.values()) == [1 << i for i in range(len(erc.stones))]
         for s in erc.stones:
-            assert sorted(erc.below[s]) == sorted(t for t in erc.stones if s in erc.covers(t))
+            assert erc.order[erc.bit[s].bit_length() - 1] == s
+            assert stones(erc.cover_bits[erc.bit[s]]) == set(erc.covers[s])
+            assert stones(erc.below_bits[erc.bit[s]]) == {t for t in erc.stones if s in erc.covers[t]}
+        assert stones(erc.black_bits) == set(erc.blacks)
+        assert stones(erc.top_bits) == {s for s in erc.stones if not erc.covers[s]}
+        assert stones(erc.top_bits) == {Stone("B", 0, 0, c) for c in range(m)}
+        assert [p for p, _, _ in erc.pair_bits] == list(erc.pairs)
+        for p, own, need in erc.pair_bits:
+            assert stones(own) == {p.black, p.white}
+            assert stones(need) == set(erc.covers[p.black] + erc.covers[p.white]) - {p.black}
 
 
-@pytest.mark.parametrize("m", [4, 5])
-@pytest.mark.parametrize("sector", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("sector", [None, 0, 1, 2, 3])
 def test_frontier_enumeration_equals_the_rescan(m, sector):
-    """Up to the conifold sweep's max_stones (sector + 2 * level 5): the same
-    groups in the same order as the whole-room rescan, and on every label of
-    the largest basis the addible pairs equal their definitional scan (the
-    removals, read off the moves, are checked in test_relations)."""
+    """Up to the conifold sweep's max_stones (sector + 2 * level 5) or the
+    room's size: the same groups in the same order as the whole-room
+    rescan, and on every label enumerated the addible pairs equal their
+    definitional scan (the removals, read off the moves, are checked in
+    test_relations)."""
     erc = build_erc(m)
-    for max_stones in range(sector + 11):
+    labels = set()
+    for max_stones in range(min(len(erc.stones), (sector or 0) + 10) + 1):
         groups = enumerate_pyramids(erc, max_stones, sector=sector)
         assert list(groups.items()) == list(enumerate_pyramids_rescan(m, max_stones, sector).items()), max_stones
-    labels = [pi for pis in groups.values() for pi in pis]
+        labels.update(pi for pis in groups.values() for pi in pis)
     moves = [addible_pairs(pi, erc) for pi in labels]
     assert moves == [addible_pairs_scan(pi, erc) for pi in labels]
-    # sector 0 holds only the empty pyramid; every other basis has moves
-    assert len(labels) == 1 if sector == 0 else any(moves)
+    # sector 0 holds only the empty pyramid; from length 3 on, every other
+    # enumeration has moves
+    assert any(moves) == (sector != 0) or m < 3
 
 
 def test_addible_pairs_examples(params):
@@ -194,7 +216,7 @@ def test_black_only_equals_sector():
         groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
         for pis in groups.values():
             for pi in pis:
-                assert black_only_count(pi, erc) == pi.black_count - pi.white_count
+                assert black_only_count(pi, erc) == sub(*stone_counts(pi))
 
 
 def test_every_white_is_paired_upward():
@@ -239,7 +261,7 @@ def test_sector_preserved_by_pairs():
         for pi in pis:
             for p in addible_pairs(pi, erc):
                 bigger = pi.with_pair(p)
-                assert bigger.black_count - bigger.white_count == pi.black_count - pi.white_count
+                assert sub(*stone_counts(bigger)) == sub(*stone_counts(pi))
 
 
 def test_conifold_builds_its_room_once(monkeypatch, params):
