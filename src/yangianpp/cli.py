@@ -3,7 +3,8 @@
 Commands: enum, rep build, rep check, shuffle mul, shuffle check, shift.
 Exit codes: 0 pass, 1 relation failure, 2 usage, 3 cap exceeded (`enum`
 only), 4 resonance, 5 kernel error.  A flag several commands share with
-one default is declared once, in a parent parser.
+one default is declared once, in a parent parser.  `rep check --operators`
+verifies a file as exactly what `rep build` writes for its header.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import pyramid as pyr
 from .errors import CapExceeded, DenominatorNotCancelled, InconsistentShift, Resonance, YangianppError
 from .exact import QQ, Kernel, Params, random_params
 from .relations import GROUPS, full_suite
-from .reps import Geometry, Representation, SparseOperator, detect_shift, dump_operators
+from .reps import Geometry, Representation, detect_shift, dump_operators, operators_built, operators_header
 
 EXIT_OK = 0
 EXIT_RELATION = 1
@@ -107,70 +108,55 @@ def cmd_rep_build(args) -> int:
     return EXIT_OK
 
 
-def _verify_operator_file(path) -> int:
-    """Recompute the basis and operators for the stored config and compare.
+def _text(x) -> str:
+    """x as JSON text with sorted keys, so 1.0 is not 1 and false is not 0."""
+    return json.dumps(x, sort_keys=True)
 
-    The e and f families must both hold exactly the keys 0..k, and params,
-    repeated as geometry.params, as `rep build` writes them; a file that
-    cannot be read, lacks a section or holds one of the wrong type, or that
-    writes an entry otherwise than `rep build` does, is a usage error.
-    """
+
+def _differing(ours: dict, theirs) -> list:
+    """The keys, sorted, that one of two objects lacks or at which their
+    values differ as JSON text; every key of ours when theirs is no object."""
+    if not isinstance(theirs, dict):
+        return sorted(ours)
+    return [k for k in sorted(ours | theirs) if k not in ours or k not in theirs or _text(ours[k]) != _text(theirs[k])]
+
+
+def _verify_operator_file(path) -> int:
+    """Compare the file, as JSON text, one section and then one operator at
+    a time, with what `rep build` writes for its header: the geometry's kind,
+    N, m and sector, the params' mode, h1, h2 and chi (or an older prime-field
+    file's residues), and the e and f key count.  Exit 2 if the header cannot
+    say what to rebuild, else 1 naming the first section that differs."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         g, pj, stored = data["geometry"], data["params"], data["operators"]
-        kind, level, labels = g["kind"], g["N"], data["basis"]["levels"]
-        m, sector = g.get("m", 0), g.get("sector", 0)
-        if not all(type(v) is int for v in (level, m, sector)):
-            raise TypeError("geometry N, m and sector must be integers")
-        families = {fam: stored[fam] for fam in ("e", "f")}
-        if not (isinstance(labels, list) and all(isinstance(ops, dict) for ops in families.values())):
-            raise TypeError("basis levels must be a list and each operator family an object")
-        # h1/h2/h3/chi are the source rationals as strings; older prime-field
-        # files store residue strings instead, which map to the same field elements
-        raw = {k: pj[k] for k in ("h1", "h2", "h3", "chi")}
-        if not all(type(v) is str for v in raw.values()) or not isinstance(g["params"], dict):
-            raise TypeError("params h1, h2, h3 and chi must be strings and geometry params an object")
-        h1, h2, _, chi = map(QQ.of, raw.values())
-        mode = pj.get("mode", "rational")
-    except OSError as exc:
-        raise ValueError(f"cannot read operator file: {exc}") from exc
-    except KeyError as exc:
-        raise ValueError(f"operator file has no {exc} entry") from exc
-    except TypeError as exc:
-        raise ValueError(f"operator file has a malformed section: {exc}") from exc
-    count = max(len(families["e"]), len(families["f"]), 1)
-    for fam, ops in families.items():
-        missing = [i for i in range(count) if str(i) not in ops]
-        if missing:
-            print(f"operator file incomplete: {fam}_{missing[0]} is missing", file=sys.stderr)
-            return EXIT_RELATION
-    params = Params.make(h1, h2, chi, mode=mode)
-    written = [params.to_json(), {k: params.field.str(getattr(params, k)) for k in raw}]  # the older: residues
-    expect, gp = min(written, key=lambda w: sum(w[k] != v for k, v in raw.items())), g["params"]
-    wrong = [f"params.{k} {v!r} is not {expect[k]!r}" for k, v in raw.items() if v != expect[k]]
-    wrong += [f"geometry.params.{k} differs from params.{k}" for k in sorted(gp | pj) if gp.get(k) != pj.get(k)]
-    if wrong:
-        print(f"operator file mismatch: {wrong[0]}", file=sys.stderr)
+        kind, header, families = g["kind"], [g["N"], g.get("m", 0), g.get("sector", 0)], [stored["e"], stored["f"]]
+        if not all(type(v) is int for v in header) or not all(isinstance(ops, dict) for ops in families):
+            raise TypeError("geometry N, m and sector must be integers and each operator family an object")
+        params = Params.make(pj["h1"], pj["h2"], pj["chi"], mode=pj.get("mode", "rational"))
+    except (OSError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"cannot read what to rebuild from the operator file: {exc!r}") from exc
+    rep = Representation(Geometry(kind, params, *header))
+    count = max(len(families[0]), len(families[1]), 1)  # each family must hold the keys 0..count-1
+    want = operators_header(rep)
+    residues = {k: params.field.str(getattr(params, k)) for k in ("h1", "h2", "h3", "chi")}
+    pexp = min(want["params"], want["params"] | residues, key=lambda w: len(_differing(w, pj)))
+    want["params"] = want["geometry"]["params"] = pexp
+    levels, basis = want["basis"]["levels"], data.get("basis")
+    theirs = basis["levels"] if isinstance(basis, dict) and isinstance(basis.get("levels"), list) else []
+    wrong = [f"{fam}_{i} is missing" for fam, ops in zip("ef", families) for i in range(count) if str(i) not in ops]
+    wrong += [f"params.{k} {pj.get(k)!r} is not {pexp.get(k)!r}" for k in _differing(pexp, pj)]
+    wrong += [f"geometry.params.{k} differs from params.{k}" for k in _differing(pexp, g.get("params"))]
+    wrong += [f"basis level {n} disagrees with recomputation"
+              for n, (a, b) in enumerate(itertools.zip_longest(levels, theirs)) if _text(a) != _text(b)]
+    wrong += [f"{k} disagrees with recomputation" for k in _differing(want, data) if k != "operators"]
+    wrong += [f"operators.{k} disagrees with recomputation" for k in sorted(stored.keys() - {"e", "f"})]
+    wrong_op = (f"{fam}_{key} disagrees with recomputation" for fam, key, op in operators_built(rep, count - 1)
+                if _text(op) != _text(stored[fam][key]))
+    if first := next(itertools.chain(wrong, wrong_op), None):
+        print(f"operator file mismatch: {first}", file=sys.stderr)
         return EXIT_RELATION
-    geometry = Geometry(kind, params, level, m=m, sector=sector)
-    rep = Representation(geometry)
-    for n, (ours, theirs) in enumerate(itertools.zip_longest(rep.basis.to_json(), labels)):
-        if ours != theirs:
-            print(f"operator file mismatch: basis level {n} disagrees with recomputation", file=sys.stderr)
-            return EXIT_RELATION
-    for fam, builder in (("e", rep.build_e), ("f", rep.build_f)):
-        for key, opjson in families[fam].items():
-            try:
-                stored_op = SparseOperator.from_json(opjson, params.field)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"operator file has a malformed {fam}_{key}: {exc!r}") from exc
-            if builder(int(key)).to_json() != stored_op.to_json():
-                print(
-                    f"operator file mismatch: {fam}_{key} disagrees with recomputation",
-                    file=sys.stderr,
-                )
-                return EXIT_RELATION
     print("operator file verified")
     return EXIT_OK
 

@@ -27,6 +27,7 @@ their whole form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 
 from .errors import CapExceeded
@@ -63,7 +64,7 @@ class ERC:
         # pairs: black (k;a,c) with the equal-weight white one layer below
         below = ((b, Stone("W", b.k + 1, b.a, b.c)) for b in blacks)
         self.pairs = tuple(Pair(b, w) for b, w in below if w in self.stones)
-        self._pair_white_of_black = {p.black: p.white for p in self.pairs}
+        self.pair_white = {p.black: p.white for p in self.pairs}  # a black's pair white, if in the room
         self.covers = {s: self._directly_above(s) for s in self.stones}  # the stones directly above s
         # Stone i of the canonical order is the bit 1 << i, so an int is a subset.
         self.order = tuple(sorted(self.stones, key=_stone_sort_key))
@@ -90,10 +91,6 @@ class ERC:
     def mask(self, stones) -> int:
         """The int whose set bits are the given stones."""
         return sum(map(self.bit.__getitem__, stones))
-
-    def pair_white_of(self, black: Stone):
-        """The equal-weight white below a black, or None if the slot is absent."""
-        return self._pair_white_of_black.get(black)
 
 
 def _stone_sort_key(s: Stone):
@@ -135,10 +132,22 @@ class PyramidPartition:
         return [s for s in self.stones if s.color == "B"]
 
     def with_pair(self, pair: Pair) -> "PyramidPartition":
-        return PyramidPartition(self.m, self.stones + (pair.black, pair.white))
+        """This partition with the pair's stones inserted where they sort; nothing is sorted again."""
+        stones = self.stones
+        for s in pair:
+            i = bisect_left(stones, _stone_sort_key(s), key=_stone_sort_key)
+            stones = stones if stones[i:i + 1] == (s,) else stones[:i] + (s,) + stones[i:]
+        return _label(self.m, stones)
 
     def to_json(self):
         return [{"color": s.color, "k": s.k, "a": s.a, "c": s.c} for s in self.stones]
+
+
+def _label(m: int, stones: tuple) -> PyramidPartition:
+    """The partition of stones already in canonical order, kept as given."""
+    new = object.__new__(PyramidPartition)
+    new.m, new.stones = m, stones
+    return new
 
 
 def build_erc(m: int) -> ERC:
@@ -195,7 +204,7 @@ def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
     groups = {}
     for bits, ideal in sorted(([i for i, d in enumerate(bin(ideal)[:1:-1]) if d == "1"], ideal) for ideal in kept):
         b = (ideal & black).bit_count()
-        groups.setdefault((b, len(bits) - b), []).append(PyramidPartition(erc.m, [erc.order[i] for i in bits]))
+        groups.setdefault((b, len(bits) - b), []).append(_label(erc.m, tuple(erc.order[i] for i in bits)))
     return dict(sorted(groups.items()))
 
 
@@ -239,7 +248,7 @@ class Conifold:
         the head at (m, 0, 0), the framing factors at (i, 0, 0), i = 0..m, and
         each black (k; a, c) at (c, a, k - a), as a completed pair or unpaired."""
         present, m = set(pi.stones), self.m
-        blacks = [("pair" if self.erc.pair_white_of(s) in present else "black", black_vector(s))
+        blacks = [("pair" if self.erc.pair_white.get(s) in present else "black", black_vector(s))
                   for s in pi.blacks()]
         sign = (-1) ** (m + 1)
         atoms = [("head", (m, 0, 0))] + [("framing", (i, 0, 0)) for i in range(m + 1)] + blacks

@@ -306,20 +306,24 @@ def detect_shift(rep):
 # ---------------------------------------------------------------------------
 
 
-def operators_to_json(rep: Representation, imax: int):
-    """Deterministic JSON blob with the basis and e_0..imax, f_0..imax."""
-    if imax < 0:
-        raise ValueError(f"imax must be nonnegative, got {imax}")
-    return {
-        "geometry": rep.geometry.to_json(),
-        "params": rep.geometry.params.to_json(),
-        "basis": {"levels": rep.basis.to_json()},
-        "operators": {
-            "e": {str(i): rep.build_e(i).to_json() for i in range(imax + 1)},
-            "f": {str(j): rep.build_f(j).to_json() for j in range(imax + 1)},
-        },
-    }
+def operators_header(rep: Representation):
+    """An operator file's sections besides its operators: geometry, params and basis."""
+    g = rep.geometry
+    return {"geometry": g.to_json(), "params": g.params.to_json(), "basis": {"levels": rep.basis.to_json()}}
+
+
+def operators_built(rep: Representation, imax: int):
+    """(family, key, JSON) of e_0..imax, then f_0..imax, each built when asked for."""
+    for fam, build in (("e", rep.build_e), ("f", rep.build_f)):
+        for i in range(imax + 1):
+            yield fam, str(i), build(i).to_json()
 
 
 def dump_operators(rep: Representation, imax: int) -> str:
-    return json.dumps(operators_to_json(rep, imax), sort_keys=True, indent=1)
+    """The operator file, header and e_0..imax, f_0..imax, as deterministic JSON text."""
+    if imax < 0:
+        raise ValueError(f"imax must be nonnegative, got {imax}")
+    ops = {}
+    for fam, key, op in operators_built(rep, imax):
+        ops.setdefault(fam, {})[key] = op
+    return json.dumps(operators_header(rep) | {"operators": ops}, sort_keys=True, indent=1)

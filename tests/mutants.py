@@ -385,7 +385,8 @@ MUTANTS = [
         CLI + "test_rep_build_resonant_params_exit4",
     ),
     # Shared CLI flags are declared once, caps bound only enum's input, and an
-    # operator file is read only as rep build writes it.
+    # operator file verifies only as the JSON text rep build writes; from_json
+    # reads only what to_json writes.
     (
         "rep-build-level-default",
         "cli.py",
@@ -407,7 +408,14 @@ MUTANTS = [
         '        raise TypeError(f"expected an integer, got {x!r}")\n'
         "    return x\n",
         "    return int(x)\n",
-        CLI + "test_rep_check_operator_file_rewritten_to_the_same_operator_is_usage_error[shift-float]",
+        REPS + "test_from_json_refuses_what_to_json_never_writes[shift-float]",
+    ),
+    (
+        "operator-file-compared-by-value",
+        "cli.py",
+        "    return json.dumps(x, sort_keys=True)\n",
+        "    return x\n",
+        CLI + "test_rep_check_operator_file_rewritten_to_the_same_operator_fails[index-bool]",
     ),
     (
         "jordan-sign-term-dropped",

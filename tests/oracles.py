@@ -155,7 +155,7 @@ def black_only_count(pi, erc) -> int:
     equals the sector of pi, which the tests assert.
     """
     s = set(pi.stones)
-    return sum(erc.pair_white_of(b) not in s for b in pi.blacks())
+    return sum(erc.pair_white.get(b) not in s for b in pi.blacks())
 
 
 def verdicts(bundle):
@@ -338,7 +338,7 @@ def lowering_form(label, geometry):
     factors = [(p.chi + i * p.t, 1) for i in range(geometry.m + 1)]
     for st in label.blacks():
         x = stone_weight(st, p)
-        paired = geometry.erc.pair_white_of(st) in present
+        paired = geometry.erc.pair_white.get(st) in present
         factors += geometry.kernel.fac(x) if paired else [(x - p.q, 1), (x - p.h, 1)]
     return LinForm((-1) ** (geometry.m + 1) * p.field.one, factors, p.field)
 

@@ -1,8 +1,8 @@
 import json
-from fractions import Fraction
 
 import pytest
 
+from test_reps import E0_REWRITES
 from yangianpp.cli import build_parser, main
 
 
@@ -226,6 +226,32 @@ def test_rep_check_operator_file_roundtrip_each_mode(tmp_path, capsys, mode):
     assert all(("/" in v) == (mode == "rational") for _, _, v in entries)
 
 
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize("geometry", [["c3"], ["conifold:3", "--sector", "2"]], ids=["c3", "conifold-3-2"])
+def test_rep_check_operator_file_written_compactly_still_verifies(tmp_path, capsys, geometry, mode):
+    """The file is compared as parsed, not as laid out: written again as
+    compact JSON, without indent, it still verifies."""
+    op_file = tmp_path / "ops.json"
+    argv = ["rep", "build", "--geometry", *geometry, "--level", "3", "--imax", "1", "--mode", mode]
+    assert main(argv + ["--out", str(op_file)]) == 0
+    op_file.write_text(json.dumps(json.loads(op_file.read_text())))
+    assert "\n" not in op_file.read_text()
+    assert run(capsys, "rep", "check", "--operators", str(op_file)) == (0, "operator file verified\n", "")
+
+
+def test_rep_check_conifold_operator_file_of_another_sector_fails(tmp_path, capsys):
+    """A file whose geometry.sector is edited is rebuilt for the edited
+    sector, whose basis differs from the stored one from level 0 on."""
+    op_file = tmp_path / "ops.json"
+    argv = ["rep", "build", "--geometry", "conifold:3", "--sector", "2", "--level", "3", "--imax", "1"]
+    assert main(argv + ["--out", str(op_file)]) == 0
+    blob = json.loads(op_file.read_text())
+    blob["geometry"]["sector"] = 1
+    op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert (code, out, err) == (1, "", "operator file mismatch: basis level 0 disagrees with recomputation\n")
+
+
 def test_prime_operator_file_stores_source_rationals(tmp_path):
     from yangianpp.exact import random_params, rational_str
 
@@ -341,21 +367,17 @@ def test_rep_check_incomplete_operator_file_fails(op_file, capsys, edit, missing
         lambda blob: blob["operators"].pop("f"),
         lambda blob: blob["geometry"].pop("kind"),
         lambda blob: blob["geometry"].pop("N"),
-        lambda blob: blob.pop("basis"),
         lambda blob: blob.update(geometry=["c3"]),
         lambda blob: blob["geometry"].update(N="2"),
+        lambda blob: blob["geometry"].update(m=0.0),
+        lambda blob: blob["geometry"].update(sector=True),
         lambda blob: blob["operators"].update(e=["0", "1"]),
-        lambda blob: blob["basis"].update(levels=5),
-        lambda blob: blob["operators"]["e"]["0"].pop("shift"),
-        lambda blob: blob["operators"]["e"]["0"]["levels"][0].pop("n"),
-        lambda blob: blob["operators"]["f"]["1"]["levels"][0].pop("entries"),
-        lambda blob: blob["operators"]["e"]["0"]["levels"][0]["entries"][0].pop(),
-        lambda blob: blob["params"].update(chi=7),
-        lambda blob: blob["params"].update(chi=7.0),
+        lambda blob: blob["params"].update(mode="exact"),
+        lambda blob: blob["params"].update(chi=float("inf")),
     ],
     ids=["missing-file", "no-operators", "no-params", "no-h1", "no-f-family", "no-kind", "no-N",
-         "no-basis", "geometry-list", "N-string", "e-family-list", "levels-int", "op-no-shift",
-         "level-no-n", "level-no-entries", "entry-two-values", "chi-int", "chi-float"],
+         "geometry-list", "N-string", "m-float", "sector-bool", "e-family-list", "unknown-mode",
+         "chi-infinite"],
 )
 def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit):
     if edit is None:
@@ -368,56 +390,71 @@ def test_rep_check_unreadable_operator_file_is_usage_error(op_file, capsys, edit
     assert code == 2 and err.startswith("error: ") and out == ""
 
 
-def _first_e0_entry_halved(ops):
-    """The first e_0 entry written as two halves: the same sum, one key twice."""
-    entries = ops["e"]["0"]["levels"][0]["entries"]
-    i, j, v = entries[0]
-    half = Fraction(v) / 2
-    entries[:1] = [[i, j, f"{half.numerator}/{half.denominator}"]] * 2
+def test_rep_check_operator_file_that_is_no_json_is_usage_error(op_file, capsys):
+    op_file.write_text(op_file.read_text()[:-3])
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert code == 2 and err.startswith("error: ") and out == ""
 
 
-def _e0_level_split(ops):
-    """The first e_0 level of two or more entries written as two levels of one n."""
-    levels = ops["e"]["0"]["levels"]
-    k = next(k for k, lev in enumerate(levels) if len(lev["entries"]) > 1)
-    n, entries = levels[k]["n"], levels[k]["entries"]
-    levels[k:k + 1] = [{"n": n, "entries": entries[:1]}, {"n": n, "entries": entries[1:]}]
+def _note_in_both_params(blob):
+    """A key rep build never writes, in params and in geometry.params."""
+    blob["params"]["note"] = blob["geometry"]["params"]["note"] = "x"
 
 
-def _e0_first(ops):
-    """e_0's first level and that level's first entry, [0, 0, "1/1"]."""
-    level = ops["e"]["0"]["levels"][0]
-    return level, level["entries"][0]
+def _no_mode_anywhere(blob):
+    """A rational file with mode in neither params nor geometry.params."""
+    del blob["params"]["mode"], blob["geometry"]["params"]["mode"]
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,message",
     [
-        _first_e0_entry_halved,
-        _e0_level_split,
-        lambda ops: ops["e"]["0"]["levels"][0]["entries"].append([5, 0, "0/1"]),
-        lambda ops: ops["e"]["0"].update(shift=1.5),
-        lambda ops: ops["e"]["0"].update(shift="1"),
-        lambda ops: _e0_first(ops)[1].__setitem__(0, 0.0),
-        lambda ops: _e0_first(ops)[1].__setitem__(1, False),
-        lambda ops: _e0_first(ops)[0].update(n=0.0),
-        lambda ops: _e0_first(ops)[1].__setitem__(2, 1.0),
-        lambda ops: _e0_first(ops)[1].__setitem__(2, "2/2"),
+        (lambda blob: blob.pop("basis"), "basis level 0 disagrees with recomputation"),
+        (lambda blob: blob["basis"].update(levels=5), "basis level 0 disagrees with recomputation"),
+        (lambda blob: blob["operators"]["e"]["0"].pop("shift"), "e_0 disagrees with recomputation"),
+        (lambda blob: blob["operators"]["e"]["0"]["levels"][0].pop("n"), "e_0 disagrees with recomputation"),
+        (lambda blob: blob["operators"]["f"]["1"]["levels"][0].pop("entries"), "f_1 disagrees with recomputation"),
+        (lambda blob: blob["operators"]["e"]["0"]["levels"][0]["entries"][0].pop(),
+         "e_0 disagrees with recomputation"),
+        (lambda blob: blob["params"].update(chi=7), "params.chi 7 is not '7/1'"),
+        (lambda blob: blob["params"].update(chi=7.0), "params.chi 7.0 is not '7/1'"),
+        (lambda blob: blob.update(note="built by hand"), "note disagrees with recomputation"),
+        (lambda blob: blob["geometry"].update(m=0), "geometry disagrees with recomputation"),
+        (_note_in_both_params, "params.note 'x' is not None"),
+        (lambda blob: blob["basis"].update(note=[]), "basis disagrees with recomputation"),
+        (lambda blob: blob["operators"]["e"]["0"].update(note=0), "e_0 disagrees with recomputation"),
+        (lambda blob: blob["operators"]["f"]["0"]["levels"][0].update(note=0), "f_0 disagrees with recomputation"),
+        (lambda blob: blob["operators"].update(g={}), "operators.g disagrees with recomputation"),
+        (lambda blob: blob["params"].pop("mode"), "params.mode None is not 'rational'"),
+        (_no_mode_anywhere, "params.mode None is not 'rational'"),
     ],
-    ids=["key-repeated", "level-repeated", "zero-entry-out-of-range", "shift-float", "shift-string",
-         "index-float", "index-bool", "level-float", "entry-float", "entry-not-canonical"],
+    ids=["no-basis", "levels-int", "op-no-shift", "level-no-n", "level-no-entries", "entry-two-values",
+         "chi-int", "chi-float", "extra-top-key", "extra-geometry-m", "extra-params-key", "extra-basis-key",
+         "extra-operator-key", "extra-level-key", "extra-family", "no-mode", "no-mode-anywhere"],
 )
-def test_rep_check_operator_file_rewritten_to_the_same_operator_is_usage_error(op_file, capsys, edit):
-    """An operator file that rep build cannot have written is malformed, even
-    where it reads as the built operator: a (target, source) key or a level
-    given twice, an explicit zero entry, here at a target index outside
-    level 1, a shift, level or index that is not an int, or an entry that is
-    not the field's own string of it."""
+def test_rep_check_operator_file_rep_build_cannot_write_fails(op_file, capsys, edit, message):
+    """A file whose header says what to rebuild but which differs from what
+    rep build writes for it anywhere else, a key added or missing included,
+    fails naming the first section that differs."""
+    blob = json.loads(op_file.read_text())
+    edit(blob)
+    op_file.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
+    assert (code, out, err) == (1, "", f"operator file mismatch: {message}\n")
+
+
+@pytest.mark.parametrize("edit", [edit for _, edit in E0_REWRITES], ids=[name for name, _ in E0_REWRITES])
+def test_rep_check_operator_file_rewritten_to_the_same_operator_fails(op_file, capsys, edit):
+    """An operator file that rep build cannot have written fails, even where
+    it reads as the built operator: a (target, source) key or a level given
+    twice, an explicit zero entry, here at a target index outside level 1, a
+    shift, level or index that is not an int, or an entry that is not the
+    field's own string of it."""
     blob = json.loads(op_file.read_text())
     edit(blob["operators"])
     op_file.write_text(json.dumps(blob))
     code, out, err = run(capsys, "rep", "check", "--operators", str(op_file))
-    assert code == 2 and err.startswith("error: operator file has a malformed e_0") and out == ""
+    assert (code, out, err) == (1, "", "operator file mismatch: e_0 disagrees with recomputation\n")
 
 
 @pytest.mark.parametrize(

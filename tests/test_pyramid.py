@@ -198,6 +198,19 @@ def test_add_then_remove_roundtrip():
                     assert PyramidPartition(m, set(bigger) - {p.black, p.white}) == pi
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_labels_built_in_order_equal_the_sorted_ones(m):
+    """Enumeration and with_pair build labels without sorting them: each
+    equals the label of the same stones sorted, on every pyramid of the
+    room and every pair, present or not."""
+    erc = build_erc(m)
+    pis = [pi for group in enumerate_pyramids(erc, len(erc.stones)).values() for pi in group]
+    assert all(pi == PyramidPartition(m, pi.stones) for pi in pis)
+    for pi in pis:
+        for p in erc.pairs:
+            assert pi.with_pair(p) == PyramidPartition(m, pi.stones + p)
+
+
 def test_black_only_count(params):
     erc = build_erc(2)
     b00 = Stone("B", 0, 0, 0)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from functools import reduce
 
@@ -26,7 +27,7 @@ from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone
 from yangianpp.relations import OperatorSet, apply_table, ef_terms
 from yangianpp.shuffle import Kernel, SymPoly, shuffle_mul
-from yangianpp.reps import SparseOperator, h_rat, operators_to_json
+from yangianpp.reps import SparseOperator, dump_operators, h_rat
 
 
 @pytest.fixture
@@ -416,13 +417,56 @@ def test_operator_json_roundtrip(c3):
     assert SparseOperator.from_json(op.to_json(), QQ).to_json() == op.to_json()
 
 
+def _first_e0_entry_halved(ops):
+    """The first e_0 entry written as two halves: the same sum, one key twice."""
+    entries = ops["e"]["0"]["levels"][0]["entries"]
+    i, j, v = entries[0]
+    half = F(v) / 2
+    entries[:1] = [[i, j, f"{half.numerator}/{half.denominator}"]] * 2
+
+
+def _e0_level_split(ops):
+    """The first e_0 level of two or more entries written as two levels of one n."""
+    levels = ops["e"]["0"]["levels"]
+    k = next(k for k, lev in enumerate(levels) if len(lev["entries"]) > 1)
+    n, entries = levels[k]["n"], levels[k]["entries"]
+    levels[k:k + 1] = [{"n": n, "entries": entries[:1]}, {"n": n, "entries": entries[1:]}]
+
+
+def _e0_first(ops):
+    """e_0's first level and that level's first entry, [0, 0, "1/1"]."""
+    level = ops["e"]["0"]["levels"][0]
+    return level, level["entries"][0]
+
+
+#: (id, edit of a c3 N=3 file's operators): e_0 written otherwise than
+#: to_json writes it, though it reads as the same operator
+E0_REWRITES = [
+    ("key-repeated", _first_e0_entry_halved),
+    ("level-repeated", _e0_level_split),
+    ("zero-entry-out-of-range", lambda ops: ops["e"]["0"]["levels"][0]["entries"].append([5, 0, "0/1"])),
+    ("shift-float", lambda ops: ops["e"]["0"].update(shift=1.5)),
+    ("shift-string", lambda ops: ops["e"]["0"].update(shift="1")),
+    ("index-float", lambda ops: _e0_first(ops)[1].__setitem__(0, 0.0)),
+    ("index-bool", lambda ops: _e0_first(ops)[1].__setitem__(1, False)),
+    ("level-float", lambda ops: _e0_first(ops)[0].update(n=0.0)),
+    ("entry-float", lambda ops: _e0_first(ops)[1].__setitem__(2, 1.0)),
+    ("entry-not-canonical", lambda ops: _e0_first(ops)[1].__setitem__(2, "2/2")),
+]
+
+
+@pytest.mark.parametrize("edit", [edit for _, edit in E0_REWRITES], ids=[name for name, _ in E0_REWRITES])
+def test_from_json_refuses_what_to_json_never_writes(params, edit):
+    """from_json reads only what to_json writes: each rewrite of e_0 raises."""
+    ops = json.loads(dump_operators(Representation(Geometry("c3", params, 3)), 1))["operators"]
+    edit(ops)
+    with pytest.raises((TypeError, ValueError)):
+        SparseOperator.from_json(ops["e"]["0"], QQ)
+
+
 def test_operator_dump_deterministic(params):
     g = Geometry("c3", params, 3)
-    a = operators_to_json(Representation(g), 1)
-    b = operators_to_json(Representation(g), 1)
-    import json
-
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert dump_operators(Representation(g), 1) == dump_operators(Representation(g), 1)
 
 
 def test_prime_field_mode_builds_same_support(params, params_fp):

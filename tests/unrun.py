@@ -40,11 +40,14 @@ ALLOWED = {
     "partitions3d.Partition3D.__len__": PROTOCOL,
     "partitions3d.Partition3D.__repr__": FAILURE + " (labels in failing cells)",
     "pyramid.PyramidPartition.__contains__": PROTOCOL,
+    "pyramid.PyramidPartition.__init__": "a label from stones in any order; the commands build theirs in order (_label)",
     "pyramid.PyramidPartition.__iter__": PROTOCOL,
     "pyramid.PyramidPartition.__len__": PROTOCOL,
     "pyramid.PyramidPartition.__repr__": FAILURE + " (labels in failing cells)",
     "relations._entry": FAILURE + " (names a failing cell)",
     "reps.SparseOperator.compose": BENCH + " (tracer span reps.compose)",
+    "reps.SparseOperator.from_json": BENCH + " (tracer span reps.load)",
+    "reps._int": BENCH + " (tracer span reps.load, through from_json)",
     "shuffle.MPoly.__repr__": FAILURE,
     "shuffle.SymPoly.__eq__": EQUALITY,
     "shuffle.SymPoly.__repr__": FAILURE,
