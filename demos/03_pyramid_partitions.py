@@ -8,8 +8,8 @@ invariant of the whole ladder.
 
 from fractions import Fraction as F
 
-from yangianpp import Geometry, Params, box_weight, build_erc, enumerate_pyramids
-from yangianpp.pyramid import addible_pairs, black_vector
+from yangianpp import FixedPointBasis, Geometry, Params, box_weight, build_erc, enumerate_pyramids
+from yangianpp.pyramid import black_vector
 
 m = 2
 erc = build_erc(m)
@@ -26,14 +26,18 @@ for (b, w), pis in enumerate_pyramids(erc, len(erc.stones)).items():
     print(f"  ({b},{w}) sector {b-w}: {len(pis)}")
 
 conifold = Geometry("conifold", params, 2, m=m, sector=1)
-labels = [pi for level in conifold.basis() for pi in level]
+basis = FixedPointBasis(conifold)
+pair_at = {black_vector(p.black): p for p in erc.pairs}  # a step names its pair by the black's vector
 print("\nsector-1 pyramids, their pair moves, their removals (the moves into")
 print("them: weight and black's lattice vector) and the lattice vectors of")
 print("their unpaired blacks, as the atoms of h(z) list them:")
-for pi in labels:
-    _, _, atoms = conifold.atoms(pi)
-    print(f"  {list(pi.stones)}")
-    print(f"    addible pairs:   {addible_pairs(pi, erc)}")
-    removals = [f"{x} at {v}" for mu in labels for tgt, x, v in conifold.moves(mu) if tgt == pi]
-    print(f"    removals:        {', '.join(removals) or 'none'}")
-    print(f"    unpaired blacks: {[v for kind, v in atoms if kind == 'black']}")
+into = {}  # (level, index) -> the steps into it
+for n, level in enumerate(basis.levels):
+    for i, (pi, steps) in enumerate(zip(level, basis.steps(n))):
+        _, _, atoms = conifold.atoms(pi)
+        for t, x, v in steps:
+            into.setdefault((n + 1, t), []).append(f"{x} at {v}")
+        print(f"  {list(pi.stones)}")
+        print(f"    addible pairs:   {[pair_at[v] for _, _, v in steps]}")
+        print(f"    removals:        {', '.join(into.get((n, i), [])) or 'none'}")
+        print(f"    unpaired blacks: {[v for kind, v in atoms if kind == 'black']}")

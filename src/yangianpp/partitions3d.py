@@ -4,14 +4,14 @@ These index the torus-fixed basis of the rank-one Hilbert-scheme side.
 Boxes are (i, j, k) tuples with the corner box at (0, 0, 0); a partition is
 canonically stored as a lexicographically sorted tuple of boxes.  `grow`
 enumerates graded order ideals of any poset.  `C3` is the geometry: its
-`moves` add boxes (a label's removals are the moves into it), its `atoms`
-and `kinds` state h(z) and the lowering factor once, per box, and
-`reps.h_rat` is their whole form (the tests state both independently).
+`steps` are a level's addible boxes, each target an index in the next level
+found by the boxes as a frozenset (a label's removals are the steps into
+it), its `atoms` and `kinds` state h(z) and the lowering factor once, per
+box, and `reps.h_rat` is their whole form (the tests state both
+independently).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .errors import Resonance
 from .exact import Kernel
@@ -78,20 +78,6 @@ class Partition3D:
     def __repr__(self):
         return f"Partition3D({list(self.boxes)})"
 
-    def add(self, box) -> "Partition3D":
-        """This partition with box inserted in order; only box is validated."""
-        box = tuple(box)
-        if len(box) != 3 or min(box) < 0:
-            raise ValueError("boxes must be nonnegative integer triples")
-        i = bisect_left(self.boxes, box)
-        new = object.__new__(Partition3D)
-        new.boxes = self.boxes if self.boxes[i:i + 1] == (box,) else self.boxes[:i] + (box,) + self.boxes[i:]
-        return new
-
-    def addible_boxes(self):
-        """Boxes whose addition keeps the order-ideal property."""
-        return sorted(_addible(set(self.boxes)))
-
     def to_json(self):
         return [list(b) for b in self.boxes]
 
@@ -142,10 +128,17 @@ class C3:
     def basis(self):
         return enumerate_plane_partitions(self.level_cap)
 
-    def moves(self, lam):
-        """(lam + box, weight, box) per addible box; Resonance on a collision."""
-        ws = [(b, self._weight(b)) for b in lam.addible_boxes()]
-        return [(lam.add(b), x, b) for b, x in distinct_weights(ws, "addible boxes", lam)]
+    def steps(self, level, above):
+        """Per label of `level`, (index in `above` of the label plus the box,
+        or None when `above` is None; weight; box) per addible box, sorted;
+        Resonance on a collision."""
+        index = None if above is None else {frozenset(mu.boxes): i for i, mu in enumerate(above)}
+        out = []
+        for lam in level:
+            boxes = frozenset(lam.boxes)
+            ws = distinct_weights([(b, self._weight(b)) for b in sorted(_addible(boxes))], "addible boxes", lam)
+            out.append([(None if index is None else index[boxes | {b}], x, b) for b, x in ws])
+        return out
 
     def atoms(self, lam):
         """(sign of h, sign of F, [(kind, lattice vector)]): the head's pole at

@@ -15,19 +15,18 @@ weight offset 0 or t.  `ERC` tables it once and gives every stone a bit in
 the canonical stone order, so a subset of the room is an int.  Its masks
 (per stone its covers and the stones directly below, the blacks, the tops,
 per pair its two stones and those that must be present) let growth and the
-pair moves look only at the stones next to a pyramid, never at the whole room.
+pair steps look only at the stones next to a pyramid, never at the whole room.
 
 A pyramid partition is an upward-closed subset; adding or removing happens
 through equal-weight black/white pairs (black (k; a, c) with white
-(k+1; a, c)).  `Conifold` is the geometry: its `moves` add the pairs, whose
-removals are the moves into a pyramid, and its `atoms` and `kinds` state h(z)
-and the lowering factor once, per pair or unpaired black; `reps.h_rat` is
-their whole form.
+(k+1; a, c)).  `Conifold` is the geometry: its `steps` add the pairs, each
+target found in the next level by its ideal's int, and a pyramid's removals
+are the steps into it; its `atoms` and `kinds` state h(z) and the lowering
+factor once, per pair or unpaired black; `reps.h_rat` is their whole form.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 
 from .errors import CapExceeded
@@ -131,14 +130,6 @@ class PyramidPartition:
     def blacks(self):
         return [s for s in self.stones if s.color == "B"]
 
-    def with_pair(self, pair: Pair) -> "PyramidPartition":
-        """This partition with the pair's stones inserted where they sort; nothing is sorted again."""
-        stones = self.stones
-        for s in pair:
-            i = bisect_left(stones, _stone_sort_key(s), key=_stone_sort_key)
-            stones = stones if stones[i:i + 1] == (s,) else stones[:i] + (s,) + stones[i:]
-        return _label(self.m, stones)
-
     def to_json(self):
         return [{"color": s.color, "k": s.k, "a": s.a, "c": s.c} for s in self.stones]
 
@@ -152,13 +143,6 @@ def _label(m: int, stones: tuple) -> PyramidPartition:
 
 def build_erc(m: int) -> ERC:
     return ERC(m)
-
-
-def addible_pairs(pi: PyramidPartition, erc: ERC):
-    """Pairs not in pi whose addition keeps the subset upward-closed: every
-    stone directly above the pair's black or white is in pi or is the black."""
-    ideal = erc.mask(pi.stones)
-    return [p for p, own, need in erc.pair_bits if not ideal & own and ideal & need == need]
 
 
 def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
@@ -238,10 +222,22 @@ class Conifold:
         groups = enumerate_pyramids(self.erc, max_stones, sector=self.sector)
         return [groups.get((self.sector + nw, nw), []) for nw in range(self.level_cap + 1)]
 
-    def moves(self, pi):
-        """(pi + pair, box_weight(v), v) per addible pair, v its black's lattice vector; Resonance on a collision."""
-        ws = [(p, box_weight(black_vector(p.black), self.params)) for p in addible_pairs(pi, self.erc)]
-        return [(pi.with_pair(p), x, black_vector(p.black)) for p, x in distinct_weights(ws, "addible pairs", pi)]
+    def steps(self, level, above):
+        """Per label of `level`, (index in `above` of the label plus the pair,
+        or None when `above` is None; box_weight(v); v, its black's lattice
+        vector) per addible pair, in `erc.pair_bits` order: the pair is absent
+        and every stone directly above it but its black is present.
+        Resonance on a collision."""
+        mask, params = self.erc.mask, self.params
+        index = None if above is None else {mask(mu.stones): i for i, mu in enumerate(above)}
+        out = []
+        for pi in level:
+            ideal = mask(pi.stones)
+            ws = [((own, v), box_weight(v, params)) for p, own, need in self.erc.pair_bits
+                  if not ideal & own and ideal & need == need for v in [black_vector(p.black)]]
+            out.append([(None if index is None else index[ideal | own], x, v)
+                        for (own, v), x in distinct_weights(ws, "addible pairs", pi)])
+        return out
 
     def atoms(self, pi):
         """(sign of h, sign of F, [(kind, lattice vector)]) on the axes t, q, h:

@@ -348,7 +348,7 @@ def _check(relation, ops, family, levels, instances):
     start = time.monotonic()
     rep = ops.rep
     levels = _nonempty(rep, levels)
-    get = functools.cache(getattr(ops, family))
+    get = getattr(ops, family)
     shift = get(0).shift
     name, terms = next(iter(instances.items()))
     length = len(terms[0][1])
@@ -437,25 +437,23 @@ def check_psi_e_compat(ops: OperatorSet, imax: int) -> RelationReport:
 
 
 def check_pole_support(rep: Representation) -> RelationReport:
-    """Pole set of h(z) on each basis vector equals the weights of its moves
+    """Pole set of h(z) on each basis vector equals the weights of its steps
     out and in exactly, with all poles simple: the levels come in order and
-    are complete, so the moves into a label are all its removals."""
+    are complete, so the steps into a label are all its removals.  Each
+    level's steps are the basis's, which `transitions` reads too."""
     start = time.monotonic()
-    g = rep.geometry
-    into = {}  # label -> weights of the moves into it
+    g, basis = rep.geometry, rep.basis
+    into = {}  # (level, index) -> weights of the steps into it
     worst = None
-    for n, lab in rep.basis:
-        moves = g.moves(lab)
-        for tgt, x, _ in moves:
-            into.setdefault(tgt, set()).add(x)
-        expected = {x for _, x, _ in moves} | into.pop(lab, set())
-        h = rep.h_rat(lab)
-        if any(e < -1 for _, e in h.factors):
-            worst = worst or (1, f"level {n}: {lab!r}")
-            continue
-        if set(h.poles()) != expected and worst is None:
-            worst = (1, f"level {n}: {lab!r}")
-    return _report("pole-support", start, rep.basis.size(), worst, g.params.field)
+    for n, level in enumerate(basis.levels):
+        for si, (lab, steps) in enumerate(zip(level, basis.steps(n))):
+            for ti, x, _ in steps:
+                into.setdefault((n + 1, ti), set()).add(x)
+            expected = {x for _, x, _ in steps} | into.pop((n, si), set())
+            h = rep.h_rat(lab)
+            if worst is None and (any(e < -1 for _, e in h.factors) or set(h.poles()) != expected):
+                worst = (1, f"level {n}: {lab!r}")
+    return _report("pole-support", start, basis.size(), worst, g.params.field)
 
 
 def check_shift(rep: Representation, expect) -> RelationReport:

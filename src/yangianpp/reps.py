@@ -8,14 +8,17 @@ the diagonal series h(z) of lam between e and f,
     <lam|e_i|lam+box> * <lam+box|f_j|lam> = Res_{z=x} z^(i+j) h(z),
 
 the f side being the reduced evaluation at x of the lowering factor F(z),
-finite at the collisions forced by h1 + h2 + h3 = 0.  The geometry states
-its factors once, per atom: `atoms(label)` lists the label's signs and
-atoms, and `kinds` each kind's factors of h and F.  An atom's values at x
-depend only on its displacement to the step, and `transitions` multiplies
-those values; `h_rat` is the whole form of the same statement, which the
-checks read, and `detect_shift` reads the form of the head atoms alone.
-The independent statements of h are in the tests (the raising integrand
-times the lowering factor).  Operators are stored on field scalars.
+finite at the collisions forced by h1 + h2 + h3 = 0.  The steps are the
+crystal's graph: the basis asks the geometry for one level's steps on the
+first request, each a target index in the next level, a weight and a
+lattice vector, and keeps them.  The geometry states its factors once, per
+atom: `atoms(label)` lists the label's signs and atoms, and `kinds` each
+kind's factors of h and F.  An atom's values at x depend only on its
+displacement to the step, and `transitions` multiplies those values;
+`h_rat` is the whole form of the same statement, which the checks read,
+and `detect_shift` reads the form of the head atoms alone.  The
+independent statements of h are in the tests (the raising integrand times
+the lowering factor).  Operators are stored on field scalars.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class FixedPointBasis:
         self.levels = geometry.basis()
         if not any(self.levels):
             raise ValueError("empty basis")
-        self._index = [{lab: i for i, lab in enumerate(level)} for level in self.levels]
+        self._steps = {}  # level n -> geometry.steps of level n
 
     @property
     def top_level(self) -> int:
@@ -66,8 +69,14 @@ class FixedPointBasis:
             raise ValueError(f"level must be nonnegative, got {n}")
         return self.levels[n]
 
-    def index(self, n, label) -> int:
-        return self._index[n][label]
+    def steps(self, n):
+        """Per label of level n, its steps (index of the target in level n + 1,
+        or None at the top; weight; lattice vector), built on the first call
+        for the level."""
+        if n not in self._steps:
+            above = self.level(n + 1) if n < self.top_level else None
+            self._steps[n] = self.geometry.steps(self.level(n), above)
+        return self._steps[n]
 
     def size(self) -> int:
         return sum(len(L) for L in self.levels)
@@ -210,7 +219,8 @@ class Representation:
         self._h = {}  # label -> h_rat(label)
 
     def transitions(self, n):
-        """(src_idx, tgt_idx, x, rho, fhat) for every raising step from level n.
+        """(src_idx, tgt_idx, x, rho, fhat) for every raising step from level n,
+        in the order of `basis.steps(n)`.
 
         For the step label -> label + (box/pair at weight x), rho is the
         residue of h(z) on label at x and fhat the reduced evaluation of F(z)
@@ -219,19 +229,20 @@ class Representation:
         the raising/lowering split would be ill-posed.
         """
         if n not in self._trans:
+            if n >= self.basis.top_level:  # its targets would lie above the basis
+                raise ValueError(f"no raising step from the top level {self.basis.top_level}, got {n}")
             g, basis, field = self.geometry, self.basis, self.geometry.params.field
             values, out = self._values, []
-            for si, lab in enumerate(basis.level(n)):
+            for si, (lab, steps) in enumerate(zip(basis.level(n), basis.steps(n))):
                 hsign, fsign, atoms = g.atoms(lab)
-                for tgt, x, (a, b, c) in g.moves(lab):
+                for ti, x, (a, b, c) in steps:
                     keys = [(kind, a - i, b - j, c - k) for kind, (i, j, k) in atoms]
                     order, hn, hd, fn, fd = zip(*[values.get(key) or self._value(key) for key in keys])
                     order = sum(order)
                     if order > 1:
                         raise Resonance(f"diagonal integrand has a pole of order {order} at {field.str(x)}")
                     rho = field.ratio(hsign * prod(hn), prod(hd)) if order == 1 else field.zero
-                    # the enumeration is complete per level, so tgt has an index
-                    out.append((si, basis.index(n + 1, tgt), x, rho, field.ratio(fsign * prod(fn), prod(fd))))
+                    out.append((si, ti, x, rho, field.ratio(fsign * prod(fn), prod(fd))))
             self._trans[n] = out
         return self._trans[n]
 

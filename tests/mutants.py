@@ -179,7 +179,7 @@ MUTANTS = [
     ),
     # psi_k is one pass over e_0's entries, summed as unreduced pairs and
     # shared by both Cartan checks, and pole support reads a label's
-    # removals off the moves into it.
+    # removals off the basis's steps into it.
     (
         "psi-outgoing-sign-flipped",
         "relations.py",
@@ -211,8 +211,8 @@ MUTANTS = [
     (
         "pole-support-moves-into-dropped",
         "relations.py",
-        "expected = {x for _, x, _ in moves} | into.pop(lab, set())",
-        "expected = {x for _, x, _ in moves}",
+        "expected = {x for _, x, _ in steps} | into.pop((n, si), set())",
+        "expected = {x for _, x, _ in steps}",
         REL + "test_c3_psi_compat_and_poles",
     ),
     # The bond is stated once, in exact.Kernel: one flipped c3 weight must
@@ -333,7 +333,8 @@ MUTANTS = [
         "x = p3.box_weight(v[::-1], params)",
         REPS + "test_h_rat_equals_raising_times_lowering",
     ),
-    # Pyramid growth and the pair moves read the ERC's masks.
+    # Pyramid growth and the pair steps read the ERC's masks; the steps are
+    # the crystal's graph, which the whole-label scans restate.
     (
         "tops-dropped",
         "pyramid.py",
@@ -360,14 +361,21 @@ MUTANTS = [
         "pyramid.py",
         "\n                                & ~self.bit[p.black])",
         ")",
-        PYR + "test_addible_pairs_examples",
+        REPS + "test_steps_are_the_scans[conifold-5-3-1-prime-field]",
     ),
     (
         "pair-presence-unchecked",
         "pyramid.py",
-        "if not ideal & own and ideal & need == need]",
-        "if ideal & need == need]",
-        PYR + "test_addible_pairs_examples",
+        "if not ideal & own and ideal & need == need for",
+        "if ideal & need == need for",
+        REPS + "test_steps_are_the_scans[conifold-5-3-1-prime-field]",
+    ),
+    (
+        "step-dropped",
+        "partitions3d.py",
+        "index[boxes | {b}], x, b) for b, x in ws])",
+        "index[boxes | {b}], x, b) for b, x in ws][1:])",
+        REPS + "test_steps_are_the_scans[c3-8-0-0-prime-field]",
     ),
     (
         "division-leftover-unchecked",

@@ -16,16 +16,18 @@ oracle of the integer series behind the residues at infinity), with the
 stone product, a pyramid's color counts (`stone_counts`), the
 unpaired-black count and a bundle's verdicts, and a parameter with its
 sign flipped for the negative controls.  The
-removal rules (`removable_boxes`, `removable_pairs_scan`) and the weight
-of every stone, white or black (`stone_weight`), are stated here only: the
-package reads a label's removals off the moves into it.  The Cartan half and
-the power-form guard are restated on field scalars (`psi_scalars`,
-`psi_e_worst`, `power_form_scalars`): each sum, power and product one
-normalised scalar, where the package compares cleared integers.
+addition and removal rules by whole-label tests (`addible_boxes_scan`,
+`addible_pairs_scan`, `removable_boxes`, `removable_pairs_scan`), the steps
+they give with each target found by value in the next level (`steps_scan`),
+and the weight of every stone, white or black (`stone_weight`), are stated
+here only: the package reads a label's removals off the steps into it.
+The Cartan half and the power-form guard are restated on field scalars
+(`psi_scalars`, `psi_e_worst`, `power_form_scalars`): each sum, power and
+product one normalised scalar, where the package compares cleared integers.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import sub
 
 from yangianpp import partitions3d as p3
@@ -197,10 +199,18 @@ def removable_boxes(lam):
     return sorted(b for b in lam if not any(x in s for x in p3._succs(b)))
 
 
+def addible_boxes_scan(lam):
+    """Boxes outside lam whose addition leaves a plane partition, sorted, by
+    testing every box of lam's bounding cube grown by one.  Purely
+    definitional."""
+    bound = max((max(b) for b in lam), default=-1) + 2
+    return [b for b in product(range(bound), repeat=3) if b not in lam and is_plane_partition([*lam, b])]
+
+
 def addible_weights(lam, params):
     """Weights of the addible boxes of lam, each weighed afresh; Resonance
     if two collide."""
-    ws = [(b, p3.box_weight(b, params)) for b in lam.addible_boxes()]
+    ws = [(b, p3.box_weight(b, params)) for b in addible_boxes_scan(lam)]
     return p3.distinct_weights(ws, "addible boxes", lam)
 
 
@@ -269,6 +279,20 @@ def addible_pairs_scan(pi, erc):
     s = set(pi.stones)
     return [p for p in erc.pairs if p.black not in s and p.white not in s
             and is_upward_closed(s | {p.black, p.white}, erc)]
+
+
+def steps_scan(geometry, label, above=None):
+    """geometry.steps([label], above)[0] by the scans: per addible box, or
+    pair by its black, (the index in `above` of the label built afresh with
+    it, or None without `above`; its weight; its lattice vector)."""
+    p = geometry.params
+    if geometry.kind == "c3":
+        grown = [(p3.Partition3D(label.boxes + (b,)), p3.box_weight(b, p), b) for b in addible_boxes_scan(label)]
+    else:
+        grown = [(pyr.PyramidPartition(geometry.m, label.stones + pair), stone_weight(pair.black, p),
+                  (pair.black.c, pair.black.a, pair.black.k - pair.black.a))
+                 for pair in addible_pairs_scan(label, geometry.erc)]
+    return [(None if above is None else above.index(mu), x, v) for mu, x, v in grown]
 
 
 def removable_pairs_scan(pi, erc):
@@ -351,14 +375,13 @@ def transitions_oracle(rep, n):
     g, basis = rep.geometry, rep.basis
     out = []
     for si, lab in enumerate(basis.level(n)):
-        moves = g.moves(lab)
         h = h_rat(lab, g)
         low = lowering_form(lab, g)
-        for tgt, x, _ in moves:
+        for ti, x, _ in steps_scan(g, lab, basis.level(n + 1)):
             order = -exponent_of(h, x)
             if order > 1:
                 raise Resonance(f"diagonal integrand has a pole of order {order} at {g.params.field.str(x)}")
-            out.append((si, basis.index(n + 1, tgt), x, residue_at(h, x), eval_reduced(low, x)))
+            out.append((si, ti, x, residue_at(h, x), eval_reduced(low, x)))
     return out
 
 

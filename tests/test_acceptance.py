@@ -10,7 +10,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import plane_partition_counts_gf, plane_partition_subsets, residue_at, upward_closed_subsets, verdicts
+from oracles import (
+    addible_boxes_scan,
+    plane_partition_counts_gf,
+    plane_partition_subsets,
+    residue_at,
+    upward_closed_subsets,
+    verdicts,
+)
 from yangianpp import (
     Geometry,
     Params,
@@ -98,7 +105,7 @@ def _pole_support_c3(params):
 
 
 def _pole_support_conifold(params):
-    from oracles import removable_pairs_scan, stone_weight
+    from oracles import addible_pairs_scan, removable_pairs_scan, stone_weight
 
     for m in (1, 2, 3):
         erc = build_erc(m)
@@ -110,8 +117,8 @@ def _pole_support_conifold(params):
                 h = h_rat(pi, g)
                 if any(e < -1 for _, e in h.factors):
                     return False
-                removable = {stone_weight(p.black, params) for p in removable_pairs_scan(pi, erc)}
-                expected = {x for _, x, _ in g.moves(pi)} | removable
+                addible = {stone_weight(p.black, params) for p in addible_pairs_scan(pi, erc)}
+                expected = addible | {stone_weight(p.black, params) for p in removable_pairs_scan(pi, erc)}
                 if set(h.poles()) != expected:
                     return False
     return True
@@ -191,7 +198,7 @@ def test_criterion_08_residue_closure():
     while checked < 100:
         lam = Partition3D()
         for _ in range(rng.randint(0, 8)):
-            lam = lam.add(rng.choice(lam.addible_boxes()))
+            lam = Partition3D(lam.boxes + (rng.choice(addible_boxes_scan(lam)),))
         h = h_rat(lam, g3)
         for k in range(4):
             total = h.residue_at_infinity(k)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    addible_boxes_scan,
     is_plane_partition,
     mul,
     plane_partition_counts_gf,
@@ -17,6 +18,13 @@ from yangianpp import LinForm, Params, Partition3D, box_weight, enumerate_plane_
 from yangianpp import partitions3d as p3
 from yangianpp.exact import random_params
 from yangianpp.reps import h_rat
+
+GEOMETRY = p3.C3(Params.make(F(101, 13), F(47, 7), F(7)), 0)
+
+
+def addible(lam):
+    """The boxes of lam's steps, in their order."""
+    return [b for _, _, b in GEOMETRY.steps([lam], None)[0]]
 
 
 def test_level_zero_is_empty_partition():
@@ -57,26 +65,14 @@ def test_library_enumerates_past_the_enum_cap():
 
 
 def test_addible_of_empty_and_single():
-    assert Partition3D().addible_boxes() == [(0, 0, 0)]
+    assert addible(Partition3D()) == [(0, 0, 0)]
     one = Partition3D([(0, 0, 0)])
-    assert one.addible_boxes() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert addible(one) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_addible_excludes_non_ideal_entries():
     lam = Partition3D([(0, 0, 0), (1, 0, 0)])
-    assert lam.addible_boxes() == [(0, 0, 1), (0, 1, 0), (2, 0, 0)]
-
-
-def test_add_inserts_in_order_and_validates_the_box():
-    levels = enumerate_plane_partitions(6)
-    for lam in (lam for level in levels for lam in level):
-        for b in lam.addible_boxes() + list(lam)[:1]:
-            bigger = lam.add(list(b))
-            assert bigger == Partition3D(lam.boxes + (b,))
-    one = Partition3D([(0, 0, 0)])
-    for bad in ((0, -1, 0), (0, 0), (1, 0, 0, 0)):
-        with pytest.raises(ValueError, match="nonnegative integer triples"):
-            one.add(bad)
+    assert addible(lam) == [(0, 0, 1), (0, 1, 0), (2, 0, 0)]
 
 
 def test_removable():
@@ -109,15 +105,15 @@ def _grow(n, seed):
     rng = random.Random(seed)
     lam = Partition3D()
     for _ in range(n):
-        lam = lam.add(rng.choice(lam.addible_boxes()))
+        lam = Partition3D(lam.boxes + (rng.choice(addible(lam)),))
     return lam
 
 
 @given(partitions_by_growth)
 @settings(max_examples=60, deadline=None)
 def test_addible_roundtrip(lam):
-    for b in lam.addible_boxes():
-        bigger = lam.add(b)
+    for b in addible(lam):
+        bigger = Partition3D(lam.boxes + (b,))
         assert is_plane_partition(bigger)
         assert b in removable_boxes(bigger)
 
@@ -125,11 +121,8 @@ def test_addible_roundtrip(lam):
 @given(partitions_by_growth)
 @settings(max_examples=60, deadline=None)
 def test_brute_force_addible_removable(lam):
-    # test every box in the bounding cube of lam plus one
-    bound = max((max(b) for b in lam), default=0) + 2
-    cube = [(i, j, k) for i in range(bound) for j in range(bound) for k in range(bound)]
-    addible = [b for b in cube if b not in lam and is_plane_partition(lam.add(b))]
-    assert addible == lam.addible_boxes()
+    # every box in the bounding cube of lam plus one is tested
+    assert addible_boxes_scan(lam) == addible(lam)
     removable = [b for b in lam if is_plane_partition(set(lam) - {b})]
     assert sorted(removable) == removable_boxes(lam)
 
@@ -138,11 +131,11 @@ def test_brute_force_addible_removable(lam):
 @settings(max_examples=40, deadline=None)
 def test_distinct_addible_weights_and_translate_exclusion(lam):
     p = Params.make(F(101, 13), F(47, 7), F(7))
-    ws = [box_weight(b, p) for b in lam.addible_boxes()]
+    ws = [box_weight(b, p) for b in addible(lam)]
     assert len(set(ws)) == len(ws)
     rem = [box_weight(b, p) for b in removable_boxes(lam)]
     assert len(set(rem)) == len(rem)
-    add = set(lam.addible_boxes())
+    add = set(addible(lam))
     for (i, j, k) in add:
         assert (i + 1, j + 1, k + 1) not in add
 
@@ -153,14 +146,16 @@ def test_c3_box_memo_is_the_per_box_kernel_products(monkeypatch, mode):
     1/(z - chi); on all 96 labels of N=6 the stone product is the per-box
     product of the kernel's ratio form and h_rat that times the head, each
     of the labels' 25 boxes weighed once per kind (the corner also as the
-    head); and the moves are the box weights, each addible box weighed
-    once."""
+    head); and the steps of each level are the addible boxes at their box
+    weights, each target the index of the label built afresh with the box
+    (None at the top), each addible box weighed once."""
     params = random_params(2024, mode=mode)
     field = params.field
     c3 = p3.C3(params, 6)
     kernel = c3.kernel
     assert c3.kinds == {"head": ([(0, -1)], []), "box": (kernel.ratio(0)[1], kernel.fac(0))}
-    labels = [lab for level in c3.basis() for lab in level]
+    levels = c3.basis()
+    labels = [lab for level in levels for lab in level]
     assert len(labels) == 96
     weighed = []
     monkeypatch.setattr(p3, "box_weight", lambda b, p: weighed.append(b) or box_weight(b, p))
@@ -172,7 +167,8 @@ def test_c3_box_memo_is_the_per_box_kernel_products(monkeypatch, mode):
     boxes = {b for lab in labels for b in lab}
     assert len(boxes) == 25 and sorted(weighed) == sorted([(0, 0, 0), *boxes])
     weighed.clear()
-    for lab in labels:
-        want = [(lab.add(b), box_weight(b, params), b) for b in lab.addible_boxes()]
-        assert c3.moves(lab) == want
-    assert len(weighed) == len(set(weighed)) == len({b for lab in labels for b in lab.addible_boxes()})
+    for level, above in zip(levels, levels[1:] + [None]):
+        want = [[(None if above is None else above.index(Partition3D(lab.boxes + (b,))), box_weight(b, params), b)
+                 for b in addible_boxes_scan(lab)] for lab in level]
+        assert c3.steps(level, above) == want
+    assert len(weighed) == len(set(weighed)) == len({b for lab in labels for b in addible_boxes_scan(lab)})

@@ -13,8 +13,27 @@ from oracles import (
     stone_weight,
     upward_closed_subsets,
 )
-from yangianpp import CapExceeded, Geometry, build_erc, enumerate_pyramids, pyramid
-from yangianpp.pyramid import PyramidPartition, Stone, addible_pairs
+from yangianpp import CapExceeded, Geometry, Params, build_erc, enumerate_pyramids, pyramid
+from yangianpp.pyramid import PyramidPartition, Stone, black_vector
+
+PARAMS = Params.make(F(101, 13), F(47, 7), F(7))
+
+
+def pair_steps(m, labels, above=None):
+    """Per label, its steps as a length-m Conifold gives them, each with the
+    pair whose black sits at the step's lattice vector."""
+    g = Geometry("conifold", PARAMS, 0, m=m, sector=0)
+    pair_at = {black_vector(p.black): p for p in g.erc.pairs}
+    return [[(t, x, pair_at[v]) for t, x, v in steps] for steps in g.steps(labels, above)]
+
+
+def grown(m, max_stones, small):
+    """The pyramids of length m with at most max_stones stones, and the
+    steps of those with at most small stones, targets indexed in the former."""
+    groups = enumerate_pyramids(build_erc(m), max_stones)
+    pis = [pi for group in groups.values() for pi in group]
+    sources = [pi for pi in pis if len(pi) <= small]
+    return pis, sources, pair_steps(m, sources, pis)
 
 
 def test_erc_m1_is_one_black_stone():
@@ -143,34 +162,30 @@ def test_frontier_tables_invert_the_covers():
 def test_frontier_enumeration_equals_the_rescan(m, sector):
     """Up to the conifold sweep's max_stones (sector + 2 * level 5) or the
     room's size: the same groups in the same order as the whole-room
-    rescan, and on every label enumerated the addible pairs equal their
-    definitional scan (the removals, read off the moves, are checked in
-    test_relations)."""
+    rescan, and on every label enumerated the pairs of its steps equal the
+    addible pairs' definitional scan (the removals, read off the steps, are
+    checked in test_relations)."""
     erc = build_erc(m)
     labels = set()
     for max_stones in range(min(len(erc.stones), (sector or 0) + 10) + 1):
         groups = enumerate_pyramids(erc, max_stones, sector=sector)
         assert list(groups.items()) == list(enumerate_pyramids_rescan(m, max_stones, sector).items()), max_stones
         labels.update(pi for pis in groups.values() for pi in pis)
-    moves = [addible_pairs(pi, erc) for pi in labels]
-    assert moves == [addible_pairs_scan(pi, erc) for pi in labels]
+    labels = sorted(labels, key=lambda pi: pi.stones)
+    pairs = [[p for _, _, p in steps] for steps in pair_steps(m, labels)]
+    assert pairs == [addible_pairs_scan(pi, erc) for pi in labels]
     # sector 0 holds only the empty pyramid; from length 3 on, every other
-    # enumeration has moves
-    assert any(moves) == (sector != 0) or m < 3
+    # enumeration has steps
+    assert any(pairs) == (sector != 0) or m < 3
 
 
-def test_addible_pairs_examples(params):
+def test_addible_pairs_examples():
     erc = build_erc(2)
-    empty = PyramidPartition(2)
-    assert addible_pairs(empty, erc) == []
     b00 = Stone("B", 0, 0, 0)
     b01 = Stone("B", 0, 0, 1)
     w11 = Stone("W", 1, 0, 1)
-    pi = PyramidPartition(2, [b00])
-    pairs = addible_pairs(pi, erc)
-    assert len(pairs) == 1 and pairs[0].black == b01 and pairs[0].white == w11
-    full = PyramidPartition(2, erc.stones)
-    assert addible_pairs(full, erc) == []
+    labels = [PyramidPartition(2), PyramidPartition(2, [b00]), PyramidPartition(2, erc.stones)]
+    assert [[p for _, _, p in steps] for steps in pair_steps(2, labels)] == [[], [(b01, w11)], []]
 
 
 def test_removable_pairs_examples():
@@ -186,29 +201,27 @@ def test_removable_pairs_examples():
 
 
 def test_add_then_remove_roundtrip():
+    """Each step's target is the pyramid plus the step's pair, upward-closed,
+    with that pair removable."""
     for m in (2, 3):
         erc = build_erc(m)
-        groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
-        for pis in groups.values():
-            for pi in pis:
-                for p in addible_pairs(pi, erc):
-                    bigger = pi.with_pair(p)
-                    assert is_upward_closed(bigger, erc)
-                    assert p in removable_pairs_scan(bigger, erc)
-                    assert PyramidPartition(m, set(bigger) - {p.black, p.white}) == pi
+        pis, sources, steps = grown(m, min(10, len(erc.stones)), 8)
+        assert any(steps)
+        for pi, out in zip(sources, steps):
+            for t, _, p in out:
+                bigger = pis[t]
+                assert is_upward_closed(bigger, erc)
+                assert p in removable_pairs_scan(bigger, erc)
+                assert PyramidPartition(m, set(bigger) - {p.black, p.white}) == pi
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_labels_built_in_order_equal_the_sorted_ones(m):
-    """Enumeration and with_pair build labels without sorting them: each
-    equals the label of the same stones sorted, on every pyramid of the
-    room and every pair, present or not."""
+    """Enumeration builds labels without sorting them: each equals the label
+    of the same stones sorted, on every pyramid of the room."""
     erc = build_erc(m)
     pis = [pi for group in enumerate_pyramids(erc, len(erc.stones)).values() for pi in group]
     assert all(pi == PyramidPartition(m, pi.stones) for pi in pis)
-    for pi in pis:
-        for p in erc.pairs:
-            assert pi.with_pair(p) == PyramidPartition(m, pi.stones + p)
 
 
 def test_black_only_count(params):
@@ -248,33 +261,31 @@ def test_addible_implies_black_condition(params):
     added black has the stone one step in front of it already present."""
     for m in (2, 3):
         erc = build_erc(m)
-        groups = enumerate_pyramids(erc, min(8, len(erc.stones)))
-        for pis in groups.values():
-            for pi in pis:
-                stones = set(pi.stones)
-                for p in addible_pairs(pi, erc):
-                    b = p.black
-                    front = Stone("B", b.k, b.a, b.c - 1)
-                    assert front in erc.stones and front in stones
+        pis = [pi for group in enumerate_pyramids(erc, min(8, len(erc.stones))).values() for pi in group]
+        for pi, steps in zip(pis, pair_steps(m, pis)):
+            for _, _, p in steps:
+                b = p.black
+                front = Stone("B", b.k, b.a, b.c - 1)
+                assert front in erc.stones and front in pi.stones
 
 
 def test_pair_weight_distinctness(params):
     g = Geometry("conifold", params, 4, m=3, sector=0)
     groups = enumerate_pyramids(g.erc, 8)
     for pis in groups.values():
-        for pi in pis:
-            ws = [x for _, x, _ in g.moves(pi)]
+        for steps in g.steps(pis, None):
+            ws = [x for _, x, _ in steps]
             assert len(set(ws)) == len(ws)
 
 
 def test_sector_preserved_by_pairs():
-    erc = build_erc(3)
-    groups = enumerate_pyramids(erc, 8)
-    for pis in groups.values():
-        for pi in pis:
-            for p in addible_pairs(pi, erc):
-                bigger = pi.with_pair(p)
-                assert sub(*stone_counts(bigger)) == sub(*stone_counts(pi))
+    """Over every sector at once, each step's target is a pyramid of its
+    source's sector."""
+    pis, sources, steps = grown(3, 10, 8)
+    assert any(steps)
+    for pi, out in zip(sources, steps):
+        for t, _, _ in out:
+            assert sub(*stone_counts(pis[t])) == sub(*stone_counts(pi))
 
 
 def test_conifold_builds_its_room_once(monkeypatch, params):

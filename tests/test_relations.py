@@ -580,25 +580,26 @@ def test_cleared_integers_equal_the_scalar_route(c3_ops_by_mode, monkeypatch, mo
     ("conifold", 5, m, sector) for m in (3, 4, 5) for sector in (1, 2)
 ])
 def test_removals_are_the_moves_into_a_label(kind, level, m, sector):
-    """The removals pole-support reads, the moves into each label, are the
-    oracle's removal rule on every label of the basis: each removable box
-    at its box weight on c3, each removable pair at its black's weight on
-    the conifold, with the atom's lattice vector."""
+    """The removals pole-support reads, the basis's steps into each label,
+    are the oracle's removal rule on every label of the basis: each
+    removable box at its box weight on c3, each removable pair at its
+    black's weight on the conifold, with the atom's lattice vector."""
     params = Params.make(F(101, 13), F(47, 7), F(7))
     g = Geometry(kind, params, level, m=m, sector=sector)
-    labels = [lab for lvl in g.basis() for lab in lvl]
+    basis = Representation(g).basis
     into = {}
-    for lab in labels:
-        for tgt, x, v in g.moves(lab):
-            into.setdefault(tgt, []).append((x, v))
-    for lab in labels:
+    for n in range(basis.top_level):
+        for steps in basis.steps(n):
+            for t, x, v in steps:
+                into.setdefault((n + 1, t), []).append((x, v))
+    for n, lab in basis:
         if kind == "c3":
             want = [(box_weight(b, params), b) for b in removable_boxes(lab)]
         else:
             blacks = [p.black for p in removable_pairs_scan(lab, g.erc)]
             want = [(stone_weight(b, params), (b.c, b.a, b.k - b.a)) for b in blacks]
-        assert sorted(into.get(lab, [])) == sorted(want), lab
-    assert any(into.get(lab) for lab in labels)
+        assert sorted(into.get((n, basis.level(n).index(lab)), [])) == sorted(want), lab
+    assert into
 
 
 @pytest.fixture(scope="module")

@@ -18,10 +18,14 @@ from oracles import (
     lowering_form,
     mul,
     residue_at,
+    steps_scan,
     stone_product,
     transitions_oracle,
 )
-from yangianpp import Geometry, LinForm, Params, Representation, Resonance, detect_shift
+from yangianpp import Geometry, LinForm, Params, Representation, Resonance, detect_shift, run_suite
+from yangianpp import partitions3d as p3
+from yangianpp import pyramid as pyr
+from yangianpp.cli import main
 from yangianpp.exact import FIELDS, GFP, QQ, random_params
 from yangianpp.partitions3d import Partition3D, box_weight
 from yangianpp.pyramid import PyramidPartition, Stone
@@ -129,9 +133,9 @@ def test_psi_eigenvalue(c3, params):
 def test_psi_recursion_direction(c3, params):
     # adding a box multiplies the eigenvalue by the local factor at its weight
     for lam in (EMPTY, ONE, TWO):
-        for b in lam.addible_boxes():
-            x = box_weight(b, params)
-            assert stone_product(lam.add(b), c3) == mul(stone_product(lam, c3), box_local_factor(x, params))
+        for _, x, b in c3.steps([lam], None)[0]:
+            bigger = Partition3D(lam.boxes + (b,))
+            assert stone_product(bigger, c3) == mul(stone_product(lam, c3), box_local_factor(x, params))
 
 
 @pytest.mark.parametrize("mode", ["rational", "prime-field"])
@@ -247,6 +251,70 @@ def test_transitions_equal_the_whole_form_oracle(kind, level, m, sector, steps, 
     assert count == steps
 
 
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize(
+    "kind,level,m,sector",
+    [("c3", 8, 0, 0)] + [("conifold", 5, m, s) for m, s in [(3, 1), (3, 2), (4, 2), (5, 2)]],
+)
+def test_steps_are_the_scans(kind, level, m, sector, mode):
+    """On every label of every level, the top's included, the basis's steps
+    are the definitional scans: the addible boxes (pairs) in order, at their
+    weights and lattice vectors, each target the index in the next level of
+    the label built afresh with the atom, and None at the top."""
+    rep = Representation(Geometry(kind, random_params(2024, mode=mode), level, m=m, sector=sector))
+    g, basis = rep.geometry, rep.basis
+    for n, labels in enumerate(basis.levels):
+        above = basis.level(n + 1) if n < basis.top_level else None
+        assert basis.steps(n) == [steps_scan(g, lab, above) for lab in labels], n
+    assert any(any(basis.steps(n)) for n in range(basis.top_level + 1))
+
+
+@pytest.mark.parametrize("mode", ["rational", "prime-field"])
+@pytest.mark.parametrize("kind,level,m,sector,n", [("c3", 2, 0, 0, 1), ("conifold", 4, 4, 2, 2)])
+def test_steps_sharing_a_weight_raise_resonance(kind, level, m, sector, n, mode):
+    """With h1 = h2 (t = q), ungated: (1, 0, 0) and (0, 1, 0) weigh the same
+    over the one-box label, and two pairs over a sector-2 pyramid of length 4
+    do too, so the transitions from that label's level are refused."""
+    field = FIELDS[mode]
+    params = Params(*map(field.of, (1, 1, -2, 7)), field)
+    rep = Representation(Geometry(kind, params, level, m=m, sector=sector))
+    assert rep.transitions(n - 1)
+    if kind == "c3":
+        msg = "addible boxes of Partition3D([(0, 0, 0)]) share a weight"
+    else:
+        msg = ("addible pairs of PyramidPartition(m=4, stones=[Stone(color='B', k=0, a=0, c=0), "
+               "Stone(color='B', k=0, a=0, c=1), Stone(color='B', k=0, a=0, c=2), "
+               "Stone(color='W', k=1, a=0, c=1), Stone(color='W', k=1, a=0, c=2), "
+               "Stone(color='B', k=1, a=1, c=1)]) share a weight")
+    with pytest.raises(Resonance) as exc:
+        rep.transitions(n)
+    assert str(exc.value) == msg
+
+
+def test_steps_are_built_once_per_level(monkeypatch, tmp_path):
+    """The relation suite asks the geometry for each level's steps once, the
+    top's included (pole support reads it); rep build asks for every level
+    but the top, once each."""
+    asked = []
+    for cls in (p3.C3, pyr.Conifold):
+        monkeypatch.setattr(cls, "steps", lambda self, level, above, steps=cls.steps:
+                            asked.append((level, above)) or steps(self, level, above))
+    cases = [("c3", 5, 0, 0), ("conifold", 4, 4, 2)]
+    for kind, level, m, sector in cases:
+        asked.clear()
+        run_suite(Geometry(kind, random_params(2024), level, m=m, sector=sector))
+        assert len({id(lv) for lv, _ in asked}) == len(asked) == level + 1
+        assert [above is None for _, above in asked].count(True) == 1
+    for kind, level, m, sector in cases:
+        asked.clear()
+        geometry = f"{kind}:{m}" if m else kind
+        argv = ["rep", "build", "--geometry", geometry, "--level", str(level), "--sector", str(sector),
+                "--imax", "1", "--out", str(tmp_path / "ops.json")]
+        assert main(argv) == 0
+        assert len({id(lv) for lv, _ in asked}) == len(asked) == level
+        assert all(above is not None for _, above in asked)
+
+
 def _zero_moved(kernel, x):
     """The ratio form with its zero at x - h1 moved to x + h1."""
     ws = kernel.numerator_weights
@@ -301,8 +369,7 @@ def test_matcoef_matches_naive_residue_when_nondegenerate(c3, params):
     for lam in (EMPTY, ONE, TWO):
         E = integrand_e(lam, c3)
         Fm = lowering_form(lam, c3)
-        for b in lam.addible_boxes():
-            x = box_weight(b, params)
+        for _, x, _ in c3.steps([lam], None)[0]:
             if exponent_of(E, x) == -1 and eval_form(Fm, x) != 0:
                 for i in range(3):
                     assert matcoef_e(lam, x, i, c3) == residue_at(E, x, i)
@@ -357,12 +424,17 @@ def test_basis_levels_conifold_sector1(coni2):
 
 def test_no_level_below_the_vacuum():
     """A negative level is refused by name, not read from the top by list
-    indexing; so are the transitions from it."""
+    indexing; so are the transitions from it, and from the top level, whose
+    targets would lie above the basis."""
     rep = Representation(Geometry("c3", Params.make(F(101, 13), F(47, 7), F(7)), 3))
-    for read in (rep.basis.level, rep.transitions):
+    for read in (rep.basis.level, rep.basis.steps, rep.transitions):
         with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
             read(-1)
     assert rep.transitions(0) and rep.basis.level(3)
+    for n in (3, 4):
+        with pytest.raises(ValueError, match=f"no raising step from the top level 3, got {n}"):
+            rep.transitions(n)
+    assert rep.transitions(2)
 
 
 def test_operator_grading(c3):

@@ -37,9 +37,11 @@ ALLOWED = {
     "exact.LinForm.residue_at_infinity": BENCH + " (tracer span exact.residue_inf)",
     "exact.Params.__repr__": FAILURE,
     "partitions3d.Partition3D.__contains__": PROTOCOL,
+    "partitions3d.Partition3D.__eq__": EQUALITY,
     "partitions3d.Partition3D.__len__": PROTOCOL,
     "partitions3d.Partition3D.__repr__": FAILURE + " (labels in failing cells)",
     "pyramid.PyramidPartition.__contains__": PROTOCOL,
+    "pyramid.PyramidPartition.__eq__": EQUALITY,
     "pyramid.PyramidPartition.__init__": "a label from stones in any order; the commands build theirs in order (_label)",
     "pyramid.PyramidPartition.__iter__": PROTOCOL,
     "pyramid.PyramidPartition.__len__": PROTOCOL,
