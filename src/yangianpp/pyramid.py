@@ -11,18 +11,17 @@ weighs the same as the black (k; a, c).
 The covering relation ("directly above") is reconstructed from the arrow
 weights: a white sits directly below the blacks one layer up whose weight
 exceeds it by q or h; a black sits directly below the whites one layer up at
-weight offset 0 or t.  `ERC` tables it once and gives every stone a bit in
-the canonical stone order, so a subset of the room is an int.  Its masks
-(per stone its covers and the stones directly below, the blacks, the tops,
-per pair its two stones and those that must be present) let growth and the
-pair steps look only at the stones next to a pyramid, never at the whole room.
+weight offset 0 or t.  `ERC` tables it once as a `partitions3d.Room` of the
+stones in canonical order, which grows pyramids as ints; it adds the mask of
+the blacks (a color count is a popcount) and per pair its two stones and
+those that must be present before it joins.
 
 A pyramid partition is an upward-closed subset; adding or removing happens
 through equal-weight black/white pairs (black (k; a, c) with white
-(k+1; a, c)).  `Conifold` is the geometry: its `steps` add the pairs, each
-target found in the next level by its ideal's int, and a pyramid's removals
-are the steps into it; its `atoms` and `kinds` state h(z) and the lowering
-factor once, per pair or unpaired black; `reps.h_rat` is their whole form.
+(k+1; a, c)).  `Conifold` is the geometry: its `steps` are one per pair, by
+the room's step rule, and a pyramid's removals are the steps into it; its
+`atoms` and `kinds` state h(z) and the lowering factor once, per pair or
+unpaired black; `reps.h_rat` is their whole form.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from collections import namedtuple
 
 from .errors import CapExceeded
 from .exact import Kernel
-from .partitions3d import box_weight, distinct_weights, grow
+from .partitions3d import Room, box_weight
 
 Stone = namedtuple("Stone", ["color", "k", "a", "c"])  # color: 'B' | 'W'
 
@@ -47,9 +46,10 @@ def stone_layer(s: Stone) -> int:
     return 2 * s.k + 1 if s.color == "B" else 2 * s.k
 
 
-class ERC:
+class ERC(Room):
     """The full stone arrangement of length m >= 1, with its covering
-    relation; the `enum pyramid` command caps m, the library does not."""
+    relation, as a room whose atoms are the stones in canonical order; the
+    `enum pyramid` command caps m, the library does not."""
 
     def __init__(self, m: int):
         if m < 1:
@@ -65,17 +65,8 @@ class ERC:
         self.pairs = tuple(Pair(b, w) for b, w in below if w in self.stones)
         self.pair_white = {p.black: p.white for p in self.pairs}  # a black's pair white, if in the room
         self.covers = {s: self._directly_above(s) for s in self.stones}  # the stones directly above s
-        # Stone i of the canonical order is the bit 1 << i, so an int is a subset.
-        self.order = tuple(sorted(self.stones, key=_stone_sort_key))
-        self.bit = {s: 1 << i for i, s in enumerate(self.order)}
-        # per bit, the stones directly above and directly below; the blacks; the tops
-        self.cover_bits = {self.bit[s]: self.mask(cs) for s, cs in self.covers.items()}
-        self.below_bits = dict.fromkeys(self.cover_bits, 0)
-        for s, cs in self.covers.items():
-            for c in cs:
-                self.below_bits[self.bit[c]] |= self.bit[s]
+        super().__init__(sorted(self.stones, key=_stone_sort_key), self.covers)
         self.black_bits = self.mask(blacks)
-        self.top_bits = self.mask(s for s, cs in self.covers.items() if not cs)
         # (pair, its two bits, the bits that must be present before it joins)
         self.pair_bits = tuple((p, self.mask(p), self.mask(self.covers[p.black] + self.covers[p.white])
                                 & ~self.bit[p.black]) for p in self.pairs)
@@ -86,10 +77,6 @@ class ERC:
         else:
             cands = (Stone("W", s.k, s.a, s.c), Stone("W", s.k, s.a - 1, s.c))
         return tuple(c for c in cands if c in self.stones)
-
-    def mask(self, stones) -> int:
-        """The int whose set bits are the given stones."""
-        return sum(map(self.bit.__getitem__, stones))
 
 
 def _stone_sort_key(s: Stone):
@@ -149,46 +136,28 @@ def enumerate_pyramids(erc: ERC, max_stones: int, sector=None):
     """All pyramid partitions of the room erc with at most max_stones stones.
 
     Returns a dict keyed by (#black, #white) with canonically ordered lists,
-    optionally filtered to one sector.  Enumeration is by single-stone
-    addition (a stone may be added once everything directly above it is
-    present), which reaches exactly the upward-closed subsets.  With a
+    optionally filtered to one sector.  Enumeration is the room's growth by
+    single stones (a stone may be added once everything directly above it
+    is present), which reaches exactly the upward-closed subsets.  With a
     sector s, growth stops at (max_stones+s)//2 blacks and (max_stones-s)//2
     whites: every pyramid of the sector lies within those bounds, and so do
-    all its sub-pyramids.  Ideals grow as ints over `ERC.bit`, each with the
-    mask of the stones directly below its stones: a stone's candidates are
-    the tops and that mask, and the color counts are popcounts.  Bit order
-    is the canonical stone order, so sorting the ideals by their set bits
-    sorts the partitions.  A max_stones beyond the room's size is
-    CapExceeded, a bound the room itself sets.
+    all its sub-pyramids.  The color counts are popcounts.  A max_stones
+    beyond the room's size is CapExceeded, a bound the room itself sets.
     """
     if max_stones < 0:
         raise ValueError("max_stones must be nonnegative")
     if max_stones > len(erc.stones):
         raise CapExceeded(f"max_stones {max_stones} exceeds ERC size {len(erc.stones)}")
-    nb = nw = max_stones
+    black, limits = erc.black_bits, ()
     if sector is not None:
-        nb, nw = (max_stones + sector) // 2, (max_stones - sector) // 2
-    black, top, covers, below = erc.black_bits, erc.top_bits, erc.cover_bits, erc.below_bits
-
-    def children(node):  # (ideal, the stones directly below its stones)
-        ideal, under = node
-        b = (ideal & black).bit_count()
-        room = (black if b < nb else 0) | (~black if ideal.bit_count() - b < nw else 0)
-        cands = (top | under) & room & ~ideal
-        out = []
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            if (c := covers[low]) & ideal == c:
-                out.append((ideal | low, under | below[low]))
-        return out
-
-    kept = (ideal for level in grow((0, 0), max_stones, children) for ideal, _ in level
-            if sector is None or 2 * (ideal & black).bit_count() - ideal.bit_count() == sector)
+        limits = (black, (max_stones + sector) // 2), (~black, (max_stones - sector) // 2)
     groups = {}
-    for bits, ideal in sorted(([i for i, d in enumerate(bin(ideal)[:1:-1]) if d == "1"], ideal) for ideal in kept):
-        b = (ideal & black).bit_count()
-        groups.setdefault((b, len(bits) - b), []).append(_label(erc.m, tuple(erc.order[i] for i in bits)))
+    for level in erc.levels(max_stones, limits):
+        for ideal in level:
+            b = (ideal & black).bit_count()
+            w = ideal.bit_count() - b
+            if sector is None or b - w == sector:
+                groups.setdefault((b, w), []).append(_label(erc.m, erc.atoms_of(ideal)))
     return dict(sorted(groups.items()))
 
 
@@ -205,6 +174,9 @@ class Conifold:
         self.m = m
         self.sector = sector
         self.erc = build_erc(m)
+        # one step per pair: its two bits, the bits it needs, its black's vector and weight
+        self.table = [(own, need, v, box_weight(v, params)) for p, own, need in self.erc.pair_bits
+                      for v in [black_vector(p.black)]]
         self.kernel = Kernel.c3(params)
         self.tag = f"conifold:{m}(sector {sector})"
         q, h, t = params.q, params.h, params.t
@@ -218,26 +190,16 @@ class Conifold:
                 "m": self.m, "sector": self.sector}
 
     def basis(self):
-        max_stones = min(self.sector + 2 * self.level_cap, len(self.erc.stones))
+        # a sector below 0 holds no pyramid, so it grows none
+        max_stones = max(0, min(self.sector + 2 * self.level_cap, len(self.erc.stones)))
         groups = enumerate_pyramids(self.erc, max_stones, sector=self.sector)
         return [groups.get((self.sector + nw, nw), []) for nw in range(self.level_cap + 1)]
 
     def steps(self, level, above):
-        """Per label of `level`, (index in `above` of the label plus the pair,
-        or None when `above` is None; box_weight(v); v, its black's lattice
-        vector) per addible pair, in `erc.pair_bits` order: the pair is absent
-        and every stone directly above it but its black is present.
-        Resonance on a collision."""
-        mask, params = self.erc.mask, self.params
-        index = None if above is None else {mask(mu.stones): i for i, mu in enumerate(above)}
-        out = []
-        for pi in level:
-            ideal = mask(pi.stones)
-            ws = [((own, v), box_weight(v, params)) for p, own, need in self.erc.pair_bits
-                  if not ideal & own and ideal & need == need for v in [black_vector(p.black)]]
-            out.append([(None if index is None else index[ideal | own], x, v)
-                        for (own, v), x in distinct_weights(ws, "addible pairs", pi)])
-        return out
+        """Per label of `level`, its addible pairs in `erc.pair_bits` order:
+        the pair is absent and every stone directly above it but its black is
+        present."""
+        return self.erc.steps(level, above, self.table, "addible pairs")
 
     def atoms(self, pi):
         """(sign of h, sign of F, [(kind, lattice vector)]) on the axes t, q, h:

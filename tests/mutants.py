@@ -333,25 +333,27 @@ MUTANTS = [
         "x = p3.box_weight(v[::-1], params)",
         REPS + "test_h_rat_equals_raising_times_lowering",
     ),
-    # Pyramid growth and the pair steps read the ERC's masks; the steps are
-    # the crystal's graph, which the whole-label scans restate.
+    # Both crystals grow and step in one room: growth reads its covers, the
+    # stones (boxes) waiting on them and the tops, and a step applies where
+    # its own bits are absent and its needed bits present; the steps are the
+    # crystal's graph, which the whole-label scans restate.
     (
         "tops-dropped",
-        "pyramid.py",
+        "partitions3d.py",
         "self.top_bits = self.mask(",
         "self.top_bits = 0 * self.mask(",
         PYR + "test_frontier_enumeration_equals_the_rescan[2-4]",
     ),
     (
         "below-first-cover-only",
-        "pyramid.py",
+        "partitions3d.py",
         "            for c in cs:\n",
         "            for c in cs[:1]:\n",
         PYR + "test_frontier_tables_invert_the_covers",
     ),
     (
         "growth-covers-unchecked",
-        "pyramid.py",
+        "partitions3d.py",
         "if (c := covers[low]) & ideal == c:",
         "if (c := covers[low]) or True:",
         PYR + "test_frontier_enumeration_equals_the_rescan[None-3]",
@@ -365,16 +367,23 @@ MUTANTS = [
     ),
     (
         "pair-presence-unchecked",
-        "pyramid.py",
-        "if not ideal & own and ideal & need == need for",
-        "if ideal & need == need for",
+        "partitions3d.py",
+        "if not ideal & own and ideal & need == need]",
+        "if ideal & need == need]",
         REPS + "test_steps_are_the_scans[conifold-5-3-1-prime-field]",
+    ),
+    (
+        "c3-need-missing-a-predecessor",
+        "partitions3d.py",
+        "room.cover_bits[bit], b, box_weight(b, params))",
+        "room.cover_bits[bit] & (room.cover_bits[bit] - 1), b, box_weight(b, params))",
+        REPS + "test_steps_are_the_scans[c3-8-0-0-prime-field]",
     ),
     (
         "step-dropped",
         "partitions3d.py",
-        "index[boxes | {b}], x, b) for b, x in ws])",
-        "index[boxes | {b}], x, b) for b, x in ws][1:])",
+        "for own, v, x in steps])",
+        "for own, v, x in steps][1:])",
         REPS + "test_steps_are_the_scans[c3-8-0-0-prime-field]",
     ),
     (

@@ -196,7 +196,7 @@ def removable_boxes(lam):
     """Boxes of lam with no box of lam directly above them, (i+1, j, k),
     (i, j+1, k) or (i, j, k+1): the removal rule, sorted."""
     s = set(lam)
-    return sorted(b for b in lam if not any(x in s for x in p3._succs(b)))
+    return sorted((i, j, k) for i, j, k in lam if not {(i + 1, j, k), (i, j + 1, k), (i, j, k + 1)} & s)
 
 
 def addible_boxes_scan(lam):
@@ -211,7 +211,9 @@ def addible_weights(lam, params):
     """Weights of the addible boxes of lam, each weighed afresh; Resonance
     if two collide."""
     ws = [(b, p3.box_weight(b, params)) for b in addible_boxes_scan(lam)]
-    return p3.distinct_weights(ws, "addible boxes", lam)
+    if len({x for _, x in ws}) != len(ws):
+        raise Resonance(f"addible boxes of {lam!r} share a weight")
+    return ws
 
 
 def plane_partition_counts_gf(nmax):
@@ -264,7 +266,9 @@ stones' sort keys."""
         room = {"B": b < nb, "W": len(cur) - b < nw}
         return [s for s in erc.stones - cur if room[s.color] and all(c in cur for c in erc.covers[s])]
 
-    ideals = p3.grow(frozenset(), max_stones, lambda cur: [cur | {s} for s in addible(cur)])
+    ideals = [{frozenset()}]
+    for _ in range(max_stones):
+        ideals.append({cur | {s} for cur in ideals[-1] for s in addible(cur)})
     pis = (pyr.PyramidPartition(m, fs) for level in ideals for fs in level)
     groups = {}
     kept = (pi for pi in pis if sector is None or sub(*stone_counts(pi)) == sector)

@@ -19,12 +19,13 @@ from yangianpp import partitions3d as p3
 from yangianpp.exact import random_params
 from yangianpp.reps import h_rat
 
-GEOMETRY = p3.C3(Params.make(F(101, 13), F(47, 7), F(7)), 0)
+PARAMS = Params.make(F(101, 13), F(47, 7), F(7))
 
 
 def addible(lam):
-    """The boxes of lam's steps, in their order."""
-    return [b for _, _, b in GEOMETRY.steps([lam], None)[0]]
+    """The boxes of lam's steps, in their order, from a C3 whose room holds
+    every box a label of lam's size can add."""
+    return [b for _, _, b in p3.C3(PARAMS, len(lam)).steps([lam], None)[0]]
 
 
 def test_level_zero_is_empty_partition():
@@ -148,17 +149,20 @@ def test_c3_box_memo_is_the_per_box_kernel_products(monkeypatch, mode):
     of the labels' 25 boxes weighed once per kind (the corner also as the
     head); and the steps of each level are the addible boxes at their box
     weights, each target the index of the label built afresh with the box
-    (None at the top), each addible box weighed once."""
+    (None at the top), each addible box weighed once, when the C3 is built."""
     params = random_params(2024, mode=mode)
     field = params.field
+    weighed = []
+    monkeypatch.setattr(p3, "box_weight", lambda b, p: weighed.append(b) or box_weight(b, p))
     c3 = p3.C3(params, 6)
     kernel = c3.kernel
     assert c3.kinds == {"head": ([(0, -1)], []), "box": (kernel.ratio(0)[1], kernel.fac(0))}
     levels = c3.basis()
     labels = [lab for level in levels for lab in level]
     assert len(labels) == 96
-    weighed = []
-    monkeypatch.setattr(p3, "box_weight", lambda b, p: weighed.append(b) or box_weight(b, p))
+    addible = {b for lab in labels for b in addible_boxes_scan(lab)}
+    assert len(weighed) == len(set(weighed)) == len(addible) and set(weighed) == addible
+    weighed.clear()
     one, head = LinForm(1, (), field), LinForm(1, [(params.chi, -1)], field)
     for lab in labels:
         stone = reduce(mul, (LinForm(*kernel.ratio(box_weight(b, params)), field) for b in lab), one)
@@ -171,4 +175,4 @@ def test_c3_box_memo_is_the_per_box_kernel_products(monkeypatch, mode):
         want = [[(None if above is None else above.index(Partition3D(lab.boxes + (b,))), box_weight(b, params), b)
                  for b in addible_boxes_scan(lab)] for lab in level]
         assert c3.steps(level, above) == want
-    assert len(weighed) == len(set(weighed)) == len({b for lab in labels for b in addible_boxes_scan(lab)})
+    assert not weighed
